@@ -14,11 +14,13 @@ from itertools import permutations
 from typing import NamedTuple, Sequence
 
 from .errors import GuardExceeded
-from .gf2 import _rref_bits
+from .gf2 import _reduce_bits, _rref_bits, fold_rows
+from .repaction import elementary_abelian_search
 
 SMALL_SPHERE_CAVEAT = 7  # the standing assumption wants sphere dims > 7
 PERM_AUDIT_GUARD = 7
 GL_AUDIT_GUARD = 4
+HEADLINE_GUARD = 1 << 16  # max n + t: bits of the exact sphere dimension
 
 
 def free_rank_rp(m: int, n: int) -> int:
@@ -55,14 +57,14 @@ def carlsson_min_m(dim_gv: int, t: int) -> CarlssonBound:
     if t < 1:
         raise ValueError("need t >= 1")
     target = 1 << dim_gv
-    lo, hi = 0, 1 << (-(-dim_gv // t))  # (hi+1)^t > (2^ceil(d/t))^t >= 2^d
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mid + 1) ** t >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return CarlssonBound(lo, (1 << (dim_gv // t)) - 1)
+    # floor(2^(d/t)) by integer Newton steps from 2^ceil(d/t), which lies above it
+    x = 1 << (-(-dim_gv // t))
+    while True:
+        y = ((t - 1) * x + target // x ** (t - 1)) // t
+        if y >= x:
+            break
+        x = y
+    return CarlssonBound(x - 1 if x**t == target else x, (1 << (dim_gv // t)) - 1)
 
 
 def olshanskii_condition(n: int, t: int, k: int) -> bool:
@@ -98,13 +100,21 @@ class HeadlineReport:
 
 
 def headline_report(n: int, t: int, k: int) -> HeadlineReport:
+    condition = olshanskii_condition(n, t, k)
+    if k > n + 1:
+        raise ValueError(f"k must be at most n + 1 = {n + 1}, so that N_bound = n - k + 1 >= 0")
+    if n + t > HEADLINE_GUARD:
+        raise GuardExceeded(
+            "headline_sphere_dim",
+            f"n + t = {n + t} exceeds guard {HEADLINE_GUARD} on the bits of 2^(n+t-1) - 1",
+        )
     T_bound = t + k - 1
     N_bound = n - k + 1
     return HeadlineReport(
         n=n,
         t=t,
         k=k,
-        condition_holds=olshanskii_condition(n, t, k),
+        condition_holds=condition,
         T_bound=T_bound,
         N_bound=N_bound,
         sphere_dim=(1 << (n + t - 1)) - 1,
@@ -160,34 +170,21 @@ def perm_rank_audit(n: int) -> PermAuditResult:
     def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(a[b[i]] for i in points)
 
-    checked = 0
-    worst = (0, n)  # (rank, orbits) with rank 0 for the trivial subgroup
-    visited: set[frozenset] = set()
+    checked = 1  # the trivial subgroup: rank 0, n orbits
+    worst = (0, n)  # (rank, orbits) of the first subgroup of maximal rank
 
-    def audit(elements: frozenset) -> tuple[int, int]:
-        rank_h = len(elements).bit_length() - 1
+    def extend(rank_h: int, gens: tuple, elements: frozenset, coset: list) -> int:
+        nonlocal checked, worst
+        checked += 1
+        rank_h += 1
         orbits = _perm_orbits(list(elements), n)
         if rank_h > n - orbits:
             raise AssertionError(f"rank {rank_h} exceeds {n} - {orbits} orbits")
-        return rank_h, orbits
-
-    def dfs(elements: frozenset, cand: list) -> None:
-        nonlocal checked, worst
-        checked += 1
-        rank_h, orbits = audit(elements)
         if rank_h > worst[0]:
             worst = (rank_h, orbits)
-        for k, v in enumerate(cand):
-            if v in elements:
-                continue
-            new_elements = elements | {compose(e, v) for e in elements}
-            if new_elements in visited:
-                continue
-            visited.add(new_elements)
-            new_cand = [w for w in cand[k + 1 :] if compose(v, w) == compose(w, v)]
-            dfs(new_elements, new_cand)
+        return rank_h
 
-    dfs(frozenset({identity}), invs)
+    elementary_abelian_search(compose, identity, invs, 0, extend)
     return PermAuditResult(True, worst[0], worst[1], checked)
 
 
@@ -198,16 +195,7 @@ class GlAuditResult(NamedTuple):
 
 
 def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in a:
-        acc = 0
-        bits = row
-        while bits:
-            low = bits & -bits
-            acc ^= b[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return tuple(out)
+    return tuple([fold_rows(b, row) for row in a])
 
 
 def gl_rank_audit(n: int) -> GlAuditResult:
@@ -222,51 +210,32 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     full = 1 << n
 
     all_matrices = []
-    rows_choices = list(range(1, full))
 
     def build(rows: list[int]) -> None:
         if len(rows) == n:
             all_matrices.append(tuple(rows))
             return
-        for r in rows_choices:
-            if _reduce_ok(rows, r):
+        basis = _rref_bits(rows)
+        for r in range(1, full):
+            if _reduce_bits(r, basis):
                 build(rows + [r])
-
-    def _reduce_ok(rows: list[int], r: int) -> bool:
-        return not _in_span(rows, r)
-
-    def _in_span(rows: list[int], r: int) -> bool:
-        v = r
-        for b in _rref_bits(rows):
-            if v & (b & -b):
-                v ^= b
-        return v == 0
 
     build([])
     invs = [m for m in all_matrices if m != identity and _mat_mul(m, m) == identity]
 
     bound = (n * n) // 4
     best = 0
-    checked = 0
-    visited: set[frozenset] = set()
+    checked = 1  # the trivial subgroup
 
-    def dfs(elements: frozenset, rank_h: int, cand: list) -> None:
+    def extend(rank_h: int, gens: tuple, elements: frozenset, coset: list) -> int:
         nonlocal best, checked
         checked += 1
+        rank_h += 1
         if rank_h > best:
             best = rank_h
             if best > bound:
                 raise AssertionError(f"rank {best} exceeds the bound {bound}")
-        for k, v in enumerate(cand):
-            if v in elements:
-                continue
-            new_elements = elements | {_mat_mul(e, v) for e in elements}
-            if new_elements in visited:
-                continue
-            visited.add(new_elements)
-            # extension by e more dims needs 2^rank (2^e - 1) commuting involutions
-            new_cand = [w for w in cand[k + 1 :] if _mat_mul(v, w) == _mat_mul(w, v)]
-            dfs(new_elements, rank_h + 1, new_cand)
+        return rank_h
 
-    dfs(frozenset({identity}), 0, invs)
+    elementary_abelian_search(_mat_mul, identity, invs, 0, extend)
     return GlAuditResult(best, bound, checked)

@@ -317,17 +317,30 @@ def _cmd_bounds_rp_rank(args) -> dict:
     }
 
 
+def _decimal(value: int) -> str:
+    """Exact decimal string, also past the interpreter's int-to-str digit limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_bounds_headline(args) -> dict:
     rep = bounds.headline_report(args.n, args.t, args.k)
+    sphere_dim = _decimal(rep.sphere_dim)
     return {
         "condition_holds": rep.condition_holds,
         "T_bound": rep.T_bound,
         "N_bound": rep.N_bound,
-        "sphere_dim": str(rep.sphere_dim),
-        "sphere_dim_digits": len(str(rep.sphere_dim)),
+        "sphere_dim": sphere_dim,
+        "sphere_dim_digits": len(sphere_dim),
         "browder_min_m": rep.browder_min_m,
-        "carlsson_exact": str(rep.carlsson_min_m.exact),
-        "carlsson_paper_weak": str(rep.carlsson_min_m.paper_weak),
+        "carlsson_exact": _decimal(rep.carlsson_min_m.exact),
+        "carlsson_paper_weak": _decimal(rep.carlsson_min_m.paper_weak),
     }
 
 

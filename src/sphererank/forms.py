@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
-from .gf2 import BitMatrix, BitVector, Subspace, kernel
+from .gf2 import BitMatrix, BitVector, Subspace, fold_rows, kernel
 from .rng import BitStream
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
@@ -47,14 +47,7 @@ def evaluate(form: AlternatingForm, x: BitVector, y: BitVector) -> int:
     """x^T . gram . y in F2."""
     if x.n != form.n or y.n != form.n:
         raise ValueError("length mismatch")
-    acc = 0
-    bits = x.bits
-    rows = form.gram.row_bits()
-    while bits:
-        low = bits & -bits
-        acc ^= rows[low.bit_length() - 1]
-        bits ^= low
-    return (acc & y.bits).bit_count() & 1
+    return (fold_rows(form.gram.row_bits(), x.bits) & y.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -93,14 +86,7 @@ class FormFamily:
             raise ValueError("length mismatch")
         out = 0
         for s, lo in enumerate(self.lower):
-            rows = lo.row_bits()
-            acc = 0
-            bits = e.bits
-            while bits:
-                low = bits & -bits
-                acc ^= rows[low.bit_length() - 1]
-                bits ^= low
-            out |= ((acc & e2.bits).bit_count() & 1) << s
+            out |= ((fold_rows(lo.row_bits(), e.bits) & e2.bits).bit_count() & 1) << s
         return BitVector(self.t, out)
 
     def to_json_dict(self) -> dict:

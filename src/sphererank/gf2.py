@@ -177,16 +177,9 @@ class BitMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         obits = other.row_bits()
-        new_rows = []
-        for r in self.row_data:
-            acc = 0
-            bits = r.bits
-            while bits:
-                low = bits & -bits
-                acc ^= obits[low.bit_length() - 1]
-                bits ^= low
-            new_rows.append(acc)
-        return BitMatrix.from_bits(self.rows, other.cols, new_rows)
+        return BitMatrix.from_bits(
+            self.rows, other.cols, [fold_rows(obits, r.bits) for r in self.row_data]
+        )
 
     def add(self, other: BitMatrix) -> BitMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -215,6 +208,16 @@ class BitMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         m = cls(rows, cols, tuple(BitVector.from_string(s) for s in data))
         return m
+
+
+def fold_rows(rows: Sequence[int], bits: int) -> int:
+    """XOR of rows[i] over the set bits i of `bits`: the row vector bits . rows."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 def _rref_bits(rows: Iterable[int]) -> list[int]:
@@ -304,13 +307,7 @@ class Subspace:
             raise GuardExceeded("subspace_vectors", "subspace too large to enumerate")
         rows = [r.bits for r in self.basis]
         for mask in range(1 << self.dim):
-            acc = 0
-            m = mask
-            while m:
-                low = m & -m
-                acc ^= rows[low.bit_length() - 1]
-                m ^= low
-            yield BitVector(self.ambient_dim, acc)
+            yield BitVector(self.ambient_dim, fold_rows(rows, mask))
 
 
 def rank(m: BitMatrix) -> int:

@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
-from .gf2 import BitVector, Subspace, _reduce_bits, _rref_bits
+from .gf2 import BitVector, Subspace, _reduce_bits, _rref_bits, fold_rows
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
@@ -34,12 +34,31 @@ class GroupElement:
 
 
 class PhiGroup:
-    """The group presented by a FormFamily; order 2^(n+t)."""
+    """The group presented by a FormFamily; order 2^(n+t).
+
+    `mul` is the product on element ids (see element_id), caching per a-part
+    the row folds the cocycle needs; `multiply` applies it to GroupElements.
+    """
 
     def __init__(self, fam: FormFamily):
         self.fam = fam
-        self.n = fam.n
+        self.n = n = fam.n
         self.t = fam.t
+        amask = (1 << n) - 1
+        lower_rows = [lo.row_bits() for lo in fam.lower]
+        folds: dict[int, list[int]] = {}  # a-part -> per-form row fold, lazily
+
+        def mul(i: int, j: int) -> int:
+            a1, a2 = i & amask, j & amask
+            fold = folds.get(a1)
+            if fold is None:
+                fold = folds[a1] = [fold_rows(rows, a1) for rows in lower_rows]
+            beta = 0
+            for s, acc in enumerate(fold):
+                beta |= ((acc & a2).bit_count() & 1) << s
+            return (a1 ^ a2) | ((i >> n) ^ (j >> n) ^ beta) << n
+
+        self.mul = mul
 
     @property
     def order(self) -> int:
@@ -60,7 +79,7 @@ class PhiGroup:
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
         if g.a.n != self.n or h.a.n != self.n or g.b.n != self.t or h.b.n != self.t:
             raise ValueError("element does not belong to this group")
-        return GroupElement(g.a ^ h.a, g.b ^ h.b ^ self.fam.beta(g.a, h.a))
+        return self.element_from_id(self.mul(self.element_id(g), self.element_id(h)))
 
     def inverse(self, g: GroupElement) -> GroupElement:
         return GroupElement(g.a, g.b ^ quadratic_refinement(self.fam, g.a))
@@ -113,8 +132,8 @@ def center(G: PhiGroup) -> CenterResult:
 
 def center_order4_dim(G: PhiGroup) -> int:
     """Dimension of the image of q on the radical: independent order-4 central directions."""
-    radical = common_radical(G.fam)
-    return len(_rref_bits([quadratic_refinement(G.fam, v).bits for v in radical.basis]))
+    radical, rank = center(G)
+    return G.t + radical.dim - rank
 
 
 # -- maximal isotropic q-zero subspace search --------------------------------
@@ -127,39 +146,20 @@ class IsotropicResult(NamedTuple):
 
 def _qzero_vectors(fam: FormFamily) -> list[int]:
     """All nonzero a-vectors with q(v) = 0, ascending."""
-    n = fam.n
     lower_rows = [lo.row_bits() for lo in fam.lower]
     out = []
-    for v in range(1, 1 << n):
-        ok = True
+    for v in range(1, 1 << fam.n):
         for rows in lower_rows:
-            acc = 0
-            bits = v
-            while bits:
-                low = bits & -bits
-                acc ^= rows[low.bit_length() - 1]
-                bits ^= low
-            if (acc & v).bit_count() & 1:
-                ok = False
+            if (fold_rows(rows, v) & v).bit_count() & 1:
                 break
-        if ok:
+        else:
             out.append(v)
     return out
 
 
 def _phi_profile(fam: FormFamily, v: int) -> list[int]:
     """Per-form masks m_s = gram_s . v; phi_s(u, v) = parity(u & m_s)."""
-    profile = []
-    for f in fam.forms:
-        rows = f.gram.row_bits()
-        acc = 0
-        bits = v
-        while bits:
-            low = bits & -bits
-            acc ^= rows[low.bit_length() - 1]
-            bits ^= low
-        profile.append(acc)
-    return profile
+    return [fold_rows(f.gram.row_bits(), v) for f in fam.forms]
 
 
 def _compatible(profile: list[int], u: int) -> bool:

@@ -12,7 +12,7 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
 from .phigroup import PhiGroup
@@ -59,34 +59,7 @@ class GroupOracle:
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
-        n, t = G.n, G.t
-        amask = (1 << n) - 1
-        lower_rows = [lo.row_bits() for lo in G.fam.lower]
-        folds: dict[int, list[int]] = {}  # a-part -> per-form row fold, lazily
-
-        def fold(a: int) -> list[int]:
-            cached = folds.get(a)
-            if cached is None:
-                cached = []
-                for rows in lower_rows:
-                    acc = 0
-                    bits = a
-                    while bits:
-                        low = bits & -bits
-                        acc ^= rows[low.bit_length() - 1]
-                        bits ^= low
-                    cached.append(acc)
-                folds[a] = cached
-            return cached
-
-        def mul(i: int, j: int) -> int:
-            a1, a2 = i & amask, j & amask
-            beta = 0
-            for s, acc in enumerate(fold(a1)):
-                beta |= ((acc & a2).bit_count() & 1) << s
-            return (a1 ^ a2) | ((i >> n) ^ (j >> n) ^ beta) << n
-
-        oracle = cls(G.order, mul, "phi_group")
+        oracle = cls(G.order, G.mul, "phi_group")
         oracle.phi = G
         return oracle
 
@@ -375,6 +348,37 @@ def is_free_on_product(G: GroupOracle, reps: Sequence[MonomialRep]) -> FreenessR
     return FreenessResult(True, None)
 
 
+def elementary_abelian_search(
+    mul: Callable, identity: Any, involutions: Sequence, root: Any, extend: Callable
+) -> None:
+    """Depth-first walk over the elementary abelian subgroups the involutions generate.
+
+    The children of H are H u Hv for the candidates v not in H, in order; a
+    child keeps the later candidates that commute with v.  Each subgroup is
+    reached once, deduplicated by its element set.  extend(state, gens,
+    elements, coset) returns the child's state, or None to prune the child
+    and everything below it.  The trivial subgroup {identity} has state root.
+    """
+    visited: set[frozenset] = set()
+
+    def dfs(state: Any, gens: tuple, elements: frozenset, cand: list) -> None:
+        for k, v in enumerate(cand):
+            if v in elements:
+                continue
+            coset = [mul(e, v) for e in elements]
+            child = elements.union(coset)
+            if child in visited:
+                continue
+            visited.add(child)
+            child_gens = gens + (v,)
+            child_state = extend(state, child_gens, child, coset)
+            if child_state is not None:
+                new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
+                dfs(child_state, child_gens, child, new_cand)
+
+    dfs(root, (), frozenset((identity,)), list(involutions))
+
+
 class IsotropyResult(NamedTuple):
     rank: int
     witness_gens: tuple[int, ...]
@@ -400,26 +404,15 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
         if all(rep.trace(0) + rep.trace(g) > 0 for rep in reps)
     ]
     best = IsotropyResult(0, ())
-    visited: set[frozenset] = set()
 
-    def dfs(gens: tuple[int, ...], elements: list[int], sums: list[int], cand: list[int]) -> None:
+    def extend(sums: list[int], gens: tuple[int, ...], elements, coset: list[int]):
         nonlocal best
-        rank = len(elements).bit_length() - 1
-        if rank > best.rank:
-            best = IsotropyResult(rank, gens)
-        for k, v in enumerate(cand):
-            if v in set(elements):
-                continue
-            coset = [G.mul(e, v) for e in elements]
-            key = frozenset(elements) | frozenset(coset)
-            if key in visited:
-                continue
-            visited.add(key)
-            new_sums = [s + sum(rep.trace(x) for x in coset) for s, rep in zip(sums, reps)]
-            if any(s <= 0 for s in new_sums):
-                continue
-            new_cand = [w for w in cand[k + 1 :] if G.mul(v, w) == G.mul(w, v)]
-            dfs(gens + (v,), sorted(key), new_sums, new_cand)
+        new_sums = [s + sum(rep.trace(x) for x in coset) for s, rep in zip(sums, reps)]
+        if any(s <= 0 for s in new_sums):
+            return None
+        if len(gens) > best.rank:
+            best = IsotropyResult(len(gens), gens)
+        return new_sums
 
-    dfs((), [0], [rep.trace(0) for rep in reps], invs)
+    elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend)
     return best

@@ -1,6 +1,7 @@
 import pytest
 
 from sphererank.bounds import (
+    HEADLINE_GUARD,
     CarlssonBound,
     browder_min_m,
     carlsson_min_m,
@@ -104,6 +105,16 @@ class TestHeadlineReport:
     def test_degenerate_instance(self):
         rep = headline_report(1, 1, 1)
         assert rep.T_bound == 1 and rep.N_bound == 1 and rep.sphere_dim == 1
+
+    def test_k_beyond_n_plus_one_rejected(self):
+        assert headline_report(5, 4, 6).N_bound == 0
+        with pytest.raises(ValueError, match="k must be at most n \\+ 1"):
+            headline_report(5, 4, 100)
+
+    def test_guard(self):
+        assert headline_report(HEADLINE_GUARD - 1, 1, 1).N_bound == HEADLINE_GUARD - 1
+        with pytest.raises(GuardExceeded):
+            headline_report(HEADLINE_GUARD, 1, 1)
 
     def test_arithmetic_identities(self):
         for n, t, k in [(10, 3, 4), (33, 7, 9), (1249, 50, 51)]:

@@ -110,6 +110,36 @@ class TestHeadline:
         assert res["carlsson_exact"] == "4067"
 
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_headline_past_int_str_digit_limit(self, capsys):
+        code, obj = run(capsys, "bounds", "headline", "--n", "20000", "--t", "50", "--k", "51")
+        assert code == EXIT_OK
+        res = obj["result"]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert res["sphere_dim"] == str(2**20049 - 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert res["sphere_dim_digits"] == len(res["sphere_dim"]) == 6036
+        m, T, N = int(res["carlsson_exact"]), res["T_bound"], res["N_bound"]
+        assert (m + 1) ** T >= 2**N > m**T
+
+    def test_headline_size_guard(self, capsys):
+        code, obj = run(capsys, "bounds", "headline", "--n", "65535", "--t", "1", "--k", "1")
+        assert code == EXIT_OK and obj["result"]["sphere_dim_digits"] == 19729
+        code, obj = run(capsys, "bounds", "headline", "--n", "65536", "--t", "1", "--k", "1")
+        assert code == EXIT_GUARD
+        assert obj["error"]["guard"] == "headline_sphere_dim"
+
+    def test_headline_k_beyond_n_plus_one(self, capsys):
+        code, obj = run(capsys, "bounds", "headline", "--n", "5", "--t", "4", "--k", "100")
+        assert code == EXIT_VALIDATION
+        assert obj["error"]["message"].startswith("k must be at most n + 1")
+
+
 class TestGroupCommands:
     def test_group_rank_d8(self, capsys, d8_family_file):
         code, obj = run(capsys, "group", "rank", "--family", d8_family_file)

@@ -9,6 +9,7 @@ from sphererank.gf2 import (
     Subspace,
     coinvariants_dim,
     enumerate_subspaces,
+    fold_rows,
     gaussian_binomial,
     invariants,
     kernel,
@@ -16,7 +17,7 @@ from sphererank.gf2 import (
     subspace_span,
 )
 
-from oracles import gaussian_binomial_recurrence, naive_kernel_vectors, naive_rank
+from oracles import gaussian_binomial_recurrence, naive_kernel_vectors, naive_matvec, naive_rank
 
 
 def random_matrix(rng, rows, cols):
@@ -73,6 +74,19 @@ class TestBitMatrix:
     def test_json_round_trip(self):
         m = BitMatrix.from_strings(["011", "101", "110"])
         assert BitMatrix.from_json_dict(m.to_json_dict()) == m
+
+
+class TestFoldRows:
+    def test_matches_naive_transposed_product(self):
+        # fold_rows(rows, x) = x . M, i.e. M^T x in coordinates
+        rng = random.Random(11)
+        for _ in range(200):
+            r, c = rng.randint(1, 12), rng.randint(1, 70)
+            m = random_matrix(rng, r, c)
+            x = rng.getrandbits(r)
+            got = BitVector(c, fold_rows(m.row_bits(), x))
+            expected = naive_matvec(as_lists(m.transpose()), [(x >> i) & 1 for i in range(r)])
+            assert [got[j] for j in range(c)] == expected
 
 
 class TestRank:

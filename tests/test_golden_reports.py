@@ -1,0 +1,116 @@
+"""Byte-exact reports for the commands that run on the shared GF(2), group and
+subgroup-search code, pinned in `golden_reports.json`.
+
+Every case runs through the in-process `dispatch` with the working directory
+set to a fresh temporary directory, so the input file names recorded in the
+reports are the same on every machine.  The family files are written by the
+pinned `forms gen` cases themselves; the table file is a direct product of
+stock tables.  After an intended change of a report, rewrite the pinned file
+with `python tests/test_golden_reports.py` from the repository root.
+"""
+
+import json
+import os
+import sys
+from pathlib import Path
+
+from sphererank.cli import dispatch
+from sphererank.repaction import elementary_abelian_table, quaternion_table
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+FAMILIES = {  # file name -> (n, t, seed); order 2^(n+t)
+    "fam_5_2_3.json": (5, 2, 3),
+    "fam_6_1_11.json": (6, 1, 11),
+    "fam_7_3_5.json": (7, 3, 5),
+    "fam_9_2_1.json": (9, 2, 1),
+}
+
+# Q8 x C2^2 (order 32): id = 4 * q + c; id 4 is the central -1 of Q8
+PRODUCT_REPS = json.dumps(
+    [
+        {"c_gens": [4], "chars": [-1]},
+        {"c_gens": [1], "chars": [-1]},
+        {"c_gens": [4, 2], "chars": [-1, -1]},
+    ]
+)
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for name, (n, t, seed) in FAMILIES.items():
+        cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
+                      "--save-family", name])
+    for name in FAMILIES:
+        cases.append(["group", "info", "--family", name])
+        for mode in ("exhaustive", "bnb"):
+            cases.append(["group", "rank", "--family", name, "--mode", mode])
+        cases.append(["group", "profile", "--family", name])
+    for cmd in ("free", "isotropy"):
+        cases.append(["rep", cmd, "--family", "fam_5_2_3.json"])
+        cases.append(["rep", cmd, "--table", "q8xc2c2.json", "--reps", PRODUCT_REPS])
+    cases.append(["rep", "twocentral", "--family", "fam_5_2_3.json"])
+    cases.append(["rep", "twocentral", "--table", "q8xc2c2.json"])
+    cases.append(["poly", "euler", "--table", "q8xc2c2.json", "--c-gens", "4", "--chars", "-1",
+                  "--e-gens", "1,2", "--e-rank", "2"])
+    cases.append(["search", "olshanskii", "--n", "6", "--t", "2", "--k", "3", "--trials", "20",
+                  "--seed", "4"])
+    cases.append(["bounds", "headline", "--n", "1249", "--t", "50", "--k", "51"])
+    for n in range(1, 7):
+        cases.append(["audit", "sn", "--n", str(n)])
+    for n in range(1, 4):
+        cases.append(["audit", "gl", "--n", str(n)])
+    return cases
+
+
+def _product_table(ta: list[list[int]], tb: list[list[int]]) -> list[list[int]]:
+    m = len(tb)
+    return [
+        [ta[x // m][y // m] * m + tb[x % m][y % m] for y in range(len(ta) * m)]
+        for x in range(len(ta) * m)
+    ]
+
+
+def _render(capture) -> list[dict]:
+    """Run every case in order in the current directory; capture() returns stdout."""
+    Path("q8xc2c2.json").write_text(json.dumps(
+        {"order": 32, "mul": _product_table(quaternion_table(), elementary_abelian_table(2))}
+    ))
+    out = []
+    for argv in _cases():
+        code = dispatch(argv)
+        out.append({"argv": argv, "exit": code, "stdout": capture()})
+    return out
+
+
+def test_reports_are_byte_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = _render(lambda: capsys.readouterr().out)
+    assert [c["argv"] for c in got] == [c["argv"] for c in expected]
+    for g, e in zip(got, expected):
+        assert (g["exit"], g["stdout"]) == (e["exit"], e["stdout"]), " ".join(g["argv"])
+
+
+if __name__ == "__main__":
+    import io
+    import tempfile
+
+    target = GOLDEN.resolve()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        buf = io.StringIO()
+        real_stdout, sys.stdout = sys.stdout, buf
+
+        def capture() -> str:
+            text = buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+            return text
+
+        try:
+            cases = _render(capture)
+        finally:
+            sys.stdout = real_stdout
+    target.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(cases)} reports to {target}")

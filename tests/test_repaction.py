@@ -3,12 +3,13 @@ import random
 import pytest
 
 from sphererank.forms import FormFamily, random_family
-from sphererank.gf2 import BitMatrix
+from sphererank.gf2 import BitMatrix, BitVector
 from sphererank.phigroup import PhiGroup
 from sphererank.repaction import (
     GroupOracle,
     build_induced,
     cyclic_table,
+    elementary_abelian_search,
     elementary_abelian_table,
     fixed_subspace_dim,
     has_plus_one_eigenvalue,
@@ -79,15 +80,17 @@ class TestGroupOracle:
         assert q8.closure([2]) == [0, 1, 2, 3]  # <i> has order 4
 
     def test_phi_group_oracle_matches_direct_arithmetic(self):
-        oracle = d8_oracle()
-        G = oracle.phi
+        # (a1, b1)(a2, b2) = (a1 + a2, b1 + b2 + beta(a1, a2)), with beta from the family
         rng = random.Random(0)
-        for _ in range(30):
-            i, j = rng.randrange(8), rng.randrange(8)
-            expected = G.element_id(
-                G.multiply(G.element_from_id(i), G.element_from_id(j))
-            )
-            assert oracle.mul(i, j) == expected
+        for n, t in [(2, 1), (4, 3), (6, 2)]:
+            G = PhiGroup(random_family(n, t, rng.getrandbits(64)))
+            oracle = GroupOracle.from_phi_group(G)
+            for _ in range(30):
+                i, j = rng.randrange(oracle.order), rng.randrange(oracle.order)
+                a1, b1 = BitVector(n, i % (1 << n)), i >> n
+                a2, b2 = BitVector(n, j % (1 << n)), j >> n
+                expected = (a1.bits ^ a2.bits) | (b1 ^ b2 ^ G.fam.beta(a1, a2).bits) << n
+                assert oracle.mul(i, j) == expected
 
 
 class TestTwoCentral:
@@ -249,6 +252,51 @@ class TestFreeness:
         for oracle, reps in cases:
             free = is_free_on_product(oracle, reps).free
             assert free == (max_isotropy_rank(oracle, reps).rank == 0)
+
+
+def _product_table(ta, tb):
+    m = len(tb)
+    return [
+        [ta[x // m][y // m] * m + tb[x % m][y % m] for y in range(len(ta) * m)]
+        for x in range(len(ta) * m)
+    ]
+
+
+class TestElementaryAbelianSearch:
+    @pytest.mark.parametrize(
+        "table",
+        [
+            _product_table(quaternion_table(), elementary_abelian_table(2)),
+            dihedral_table(4),
+            elementary_abelian_table(3),
+        ],
+        ids=["q8xc2^2", "d8", "c2^3"],
+    )
+    def test_visits_every_subgroup_once(self, table):
+        oracle = GroupOracle.from_table(table)
+        seen = [frozenset({0})]
+
+        def extend(depth, gens, elements, coset):
+            assert len(elements) == 2 ** len(gens) == 2 * len(coset)
+            assert elements == frozenset(oracle.closure(list(gens)))
+            seen.append(elements)
+            return depth + 1
+
+        elementary_abelian_search(oracle.mul, 0, oracle.involutions(), 0, extend)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == all_elem_abelian_subgroups(oracle.mul, oracle.order)
+
+    def test_pruned_children_are_not_expanded(self):
+        oracle = GroupOracle.from_table(elementary_abelian_table(3))
+        seen = []
+
+        def extend(state, gens, elements, coset):
+            seen.append(elements)
+            return None if len(gens) == 2 else state
+
+        elementary_abelian_search(oracle.mul, 0, oracle.involutions(), True, extend)
+        # C2^3 has 7 subgroups of order 2 and 7 of order 4; the whole group lies below a prune
+        assert sorted(len(e) for e in seen) == [2] * 7 + [4] * 7
 
 
 class TestMaxIsotropyRank:
