@@ -212,14 +212,14 @@ def _cmd_forms_czero(args) -> dict:
 def _cmd_group_info(args) -> dict:
     fam = load_family(args.family)
     G = phigroup.PhiGroup(fam)
-    radical, rank = phigroup.center(G)
+    c = phigroup.center(G)
     return {
         "n": G.n,
         "t": G.t,
         "order": str(G.order),
-        "center_rank": rank,
-        "center_a_radical_dim": radical.dim,
-        "center_order4_dim": phigroup.center_order4_dim(G),
+        "center_rank": c.rank,
+        "center_a_radical_dim": c.a_radical.dim,
+        "center_order4_dim": phigroup.center_order4_dim(G, c),
     }
 
 

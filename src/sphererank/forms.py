@@ -20,6 +20,7 @@ from .gf2 import BitMatrix, BitVector, Subspace, fold_rows, kernel
 from .rng import BitStream
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
+RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_family
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,10 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
     """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
+    if t * (n * (n - 1) // 2) > RANDOM_FAMILY_GUARD:
+        raise GuardExceeded(
+            "random_family_bits", f"t * n(n-1)/2 Gram bits exceed {RANDOM_FAMILY_GUARD}"
+        )
     stream = BitStream(seed)
     grams = []
     for _ in range(t):

@@ -332,19 +332,6 @@ def kernel(m: BitMatrix) -> Subspace:
     return Subspace.span(m.cols, gens)
 
 
-def subspace_span(vectors: Sequence[BitVector], ambient_dim: int | None = None) -> Subspace:
-    """Canonical span; ambient_dim required only for an empty vector list."""
-    vectors = list(vectors)
-    if not vectors:
-        if ambient_dim is None:
-            raise ValueError("ambient_dim required for empty span")
-        return Subspace.zero_space(ambient_dim)
-    n = vectors[0].n
-    if ambient_dim is not None and ambient_dim != n:
-        raise ValueError("length mismatch")
-    return Subspace.span(n, vectors)
-
-
 def _check_action(action: Sequence[BitMatrix], dim: int | None) -> int:
     dims = {m.rows for m in action} | {m.cols for m in action}
     if dim is not None:

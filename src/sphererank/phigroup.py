@@ -130,9 +130,12 @@ def center(G: PhiGroup) -> CenterResult:
     return CenterResult(radical, G.t + radical.dim - q_rank)
 
 
-def center_order4_dim(G: PhiGroup) -> int:
-    """Dimension of the image of q on the radical: independent order-4 central directions."""
-    radical, rank = center(G)
+def center_order4_dim(G: PhiGroup, c: Optional[CenterResult] = None) -> int:
+    """Dimension of the image of q on the radical: independent order-4 central directions.
+
+    Pass `c = center(G)` when it is already at hand; otherwise it is computed.
+    """
+    radical, rank = c if c is not None else center(G)
     return G.t + radical.dim - rank
 
 

@@ -48,10 +48,10 @@ class GroupOracle:
     def from_table(cls, table: Sequence[Sequence[int]], validate: bool = True) -> GroupOracle:
         order = len(table)
         failing = []
-        if any(len(row) != order for row in table):
+        if any(not isinstance(row, (list, tuple)) or len(row) != order for row in table):
             failing.append("mul: table must be square")
-        elif any(not 0 <= e < order for row in table for e in row):
-            failing.append("mul: entries must be ids in 0..order-1")
+        elif any(type(e) is not int or not 0 <= e < order for row in table for e in row):
+            failing.append("mul: entries must be integer ids in 0..order-1")
         if failing:
             raise SchemaError(failing)
         rows = [tuple(row) for row in table]
@@ -66,45 +66,29 @@ class GroupOracle:
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
-        n = self.order
-        for g in range(n):
-            if self._mul(0, g) != g or self._mul(g, 0) != g:
-                raise ValueError("id 0 is not a two-sided identity")
-        for g in range(n):
-            row = sorted(self._mul(g, h) for h in range(n))
-            col = sorted(self._mul(h, g) for h in range(n))
-            if row != list(range(n)) or col != list(range(n)):
+        """Group axioms on the Cayley table, built once with order^2 products.
+
+        The table is dropped when the checks end, so a validated oracle holds
+        no order^2 memory; it keeps computing products through `mul`.
+        """
+        ids = list(range(self.order))
+        rows = [[self._mul(g, h) for h in ids] for g in ids]
+        if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
+            raise ValueError("id 0 is not a two-sided identity")
+        for g in ids:
+            if sorted(rows[g]) != ids or sorted([row[g] for row in rows]) != ids:
                 raise ValueError(f"row/column of element {g} is not a permutation")
-        for g in range(n):
-            h = next(h for h in range(n) if self._mul(g, h) == 0)
-            if self._mul(h, g) != 0:
+        for g in ids:
+            h = rows[g].index(0)
+            if rows[h][g] != 0:
                 raise ValueError(f"element {g} has no two-sided inverse")
             self._inv[g] = h
-        # Light's associativity test on a generating set
-        gens = self._generating_set()
-        for s in gens:
-            for a in range(n):
-                a_s = self._mul(a, s)
-                for b in range(n):
-                    if self._mul(a, self._mul(s, b)) != self._mul(a_s, b):
-                        raise ValueError("multiplication is not associative")
-
-    def _generating_set(self) -> list[int]:
-        gens: list[int] = []
-        closure = {0}
-        for g in range(1, self.order):
-            if g in closure:
-                continue
-            gens.append(g)
-            frontier = [g]
-            while frontier:
-                x = frontier.pop()
-                if x in closure:
-                    continue
-                closure.add(x)
-                frontier.extend(self._mul(x, h) for h in list(closure))
-                frontier.extend(self._mul(h, x) for h in list(closure))
-        return gens
+        # Light's associativity test on a generating set: for a generator s,
+        # a(sb) = (as)b for every b says row a composed with row s is row as.
+        for s in _generating_set(rows):
+            for row_a in rows:
+                if list(map(row_a.__getitem__, rows[s])) != rows[row_a[s]]:
+                    raise ValueError("multiplication is not associative")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -152,6 +136,25 @@ class GroupOracle:
         if self.order > 4096:
             raise GuardExceeded("to_table", "order too large to materialize")
         return [[self._mul(i, j) for j in range(self.order)] for i in range(self.order)]
+
+
+def _generating_set(rows: list[list[int]]) -> list[int]:
+    """Greedy generators: each id not yet in the closure of the earlier ones."""
+    gens: list[int] = []
+    closure = {0}
+    for g in range(1, len(rows)):
+        if g in closure:
+            continue
+        gens.append(g)
+        frontier = [g]
+        while frontier:
+            x = frontier.pop()
+            if x in closure:
+                continue
+            closure.add(x)
+            frontier.extend(rows[x][h] for h in list(closure))
+            frontier.extend(rows[h][x] for h in list(closure))
+    return gens
 
 
 def is_two_central(G: GroupOracle) -> bool:

@@ -80,6 +80,46 @@ def dihedral_table(n: int) -> list[list[int]]:
     return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
 
 
+def is_group_table(table: list[list[int]]) -> bool:
+    """Group axioms with id 0 the identity, checked on every element, pair and triple."""
+    n = len(table)
+    ids = range(n)
+    if any(len(row) != n or not all(0 <= e < n for e in row) for row in table):
+        return False
+    if any(table[0][g] != g or table[g][0] != g for g in ids):
+        return False
+    if not all(any(table[g][h] == 0 == table[h][g] for h in ids) for g in ids):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in ids for b in ids for c in ids
+    )
+
+
+def reduced_latin_squares(n: int) -> list[list[list[int]]]:
+    """Every n x n Latin square on 0..n-1 whose first row and column are 0..n-1."""
+    out = []
+    rows = [list(range(n))]
+
+    def fill_row(row: list[int]) -> None:
+        j = len(row)
+        if j == n:
+            rows.append(row)
+            if len(rows) == n:
+                out.append([r[:] for r in rows])
+            else:
+                fill_row([len(rows)])
+            rows.pop()
+            return
+        for e in range(n):
+            if e not in row and all(r[j] != e for r in rows):
+                fill_row(row + [e])
+
+    if n == 1:
+        return [rows]
+    fill_row([1])
+    return out
+
+
 def tables_isomorphic(ta: list[list[int]], tb: list[list[int]]) -> bool:
     """Backtracking isomorphism search for small Cayley tables."""
     n = len(ta)

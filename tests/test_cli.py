@@ -197,6 +197,12 @@ class TestFormsCommands:
         assert loaded == random_family(4, 2, 9)
         assert obj["result"]["family"] == loaded.to_json_dict()
 
+    def test_gen_size_guard(self, capsys):
+        # 2 * 1025 * 1024 / 2 Gram bits, just over the guard of 2^20
+        code, obj = run(capsys, "forms", "gen", "--n", "1025", "--t", "2", "--seed", "1")
+        assert code == EXIT_GUARD
+        assert obj["error"]["guard"] == "random_family_bits"
+
     def test_czero(self, capsys, tmp_path):
         sys_path = tmp_path / "sys.json"
         sys_path.write_text(json.dumps({"v": 3, "polys": [[[0, 1]]]}))
@@ -280,6 +286,18 @@ class TestLoaders:
         path.write_text(json.dumps({"order": 2, "mul": [[1, 0], [0, 1]]}))
         with pytest.raises(SchemaError):
             load_table(str(path))
+
+    @pytest.mark.parametrize("entry", [1.0, True])
+    def test_table_with_non_integer_entries_is_a_schema_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "float_table.json"
+        path.write_text(json.dumps({"order": 2, "mul": [[0, entry], [entry, 0]]}))
+        code, obj = run(
+            capsys, "rep", "free", "--table", str(path),
+            "--reps", '[{"c_gens": [1], "chars": [-1]}]',
+        )
+        assert code == EXIT_VALIDATION
+        assert obj["error"]["fields"] == ["mul: entries must be integer ids in 0..order-1"]
+        assert "indices" not in json.dumps(obj)
 
     def test_load_dihedral_table(self, tmp_path):
         from oracles import dihedral_table

@@ -128,6 +128,13 @@ class TestRandomFamily:
         ones = sum(random_family(3, 1, seed).forms[0].gram.entry(2, 1) for seed in range(10_000))
         assert abs(ones - 5000) < 5 * 50  # sigma = sqrt(10^4)/2 = 50
 
+    def test_size_guard_on_gram_bits(self):
+        # t * n(n-1)/2 = 2^20 + 1024 for (n, t) = (1025, 2); refused before any draw
+        for n, t in ((1025, 2), (1449, 1), (10**6, 10**6)):
+            with pytest.raises(GuardExceeded) as exc:
+                random_family(n, t, 0)
+            assert exc.value.guard == "random_family_bits"
+
     def test_alternating_by_construction(self):
         fam = random_family(6, 2, 9)
         for f in fam.forms:

@@ -14,7 +14,6 @@ from sphererank.gf2 import (
     invariants,
     kernel,
     rank,
-    subspace_span,
 )
 
 from oracles import gaussian_binomial_recurrence, naive_kernel_vectors, naive_matvec, naive_rank
@@ -135,30 +134,31 @@ class TestKernel:
 
 class TestSpan:
     def test_full_plane(self):
-        s = subspace_span([BitVector.from_string("10"), BitVector.from_string("11")])
+        s = Subspace.span(2, [BitVector.from_string("10"), BitVector.from_string("11")])
         assert s == Subspace.full(2)
 
     def test_empty(self):
-        assert subspace_span([], ambient_dim=4).dim == 0
+        assert Subspace.span(4, []) == Subspace.zero_space(4)
+        assert Subspace.zero_space(4).dim == 0
 
     def test_dependent_triple(self):
         vecs = [BitVector.from_string(s) for s in ("110", "011", "101")]
-        assert subspace_span(vecs).dim == 2
+        assert Subspace.span(3, vecs).dim == 2
 
     def test_idempotent_and_order_independent(self):
         rng = random.Random(13)
         for _ in range(20):
             n = rng.randint(1, 8)
             vecs = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5))]
-            s = subspace_span(vecs, ambient_dim=n)
-            assert subspace_span(list(s.basis), ambient_dim=n) == s
+            s = Subspace.span(n, vecs)
+            assert Subspace.span(n, s.basis) == s
             shuffled = vecs[:]
             rng.shuffle(shuffled)
-            assert subspace_span(shuffled, ambient_dim=n) == s
+            assert Subspace.span(n, shuffled) == s
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
-            subspace_span([BitVector.from_string("10"), BitVector.from_string("100")])
+            Subspace.span(2, [BitVector.from_string("10"), BitVector.from_string("100")])
 
     def test_subspace_validates_canonical_form(self):
         with pytest.raises(ValueError):

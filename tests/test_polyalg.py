@@ -4,7 +4,7 @@ import random
 import pytest
 
 from sphererank.errors import NonSquareSystemError
-from sphererank.gf2 import BitMatrix, BitVector
+from sphererank.gf2 import BitMatrix, BitVector, Subspace
 from sphererank.polyalg import (
     GradedPoly,
     IdealGens,
@@ -303,13 +303,11 @@ class TestPowerSpanTest:
             k = rng.randint(1, n)
             while True:
                 coeffs = [BitVector(n, rng.getrandbits(n)) for _ in range(k)]
-                from sphererank.gf2 import subspace_span
-
-                if subspace_span(coeffs, ambient_dim=n).dim == k:
+                if Subspace.span(n, coeffs).dim == k:
                     break
             ys = [GradedPoly.linear(n, c) for c in coeffs]
             res = power_span_test(act, ys, 1)
-            span = subspace_span(coeffs, ambient_dim=n)
+            span = Subspace.span(n, coeffs)
             images_inside = all(
                 span.contains(apply_linear(y, act.generators[0]).linear_coeffs()) for y in ys
             )

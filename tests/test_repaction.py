@@ -1,7 +1,9 @@
 import random
+import re
 
 import pytest
 
+from sphererank.errors import SchemaError
 from sphererank.forms import FormFamily, random_family
 from sphererank.gf2 import BitMatrix, BitVector
 from sphererank.phigroup import PhiGroup
@@ -23,9 +25,29 @@ from oracles import (
     all_elem_abelian_subgroups,
     brute_max_elem_abelian_rank,
     dihedral_table,
+    is_group_table,
     rational_fixed_dim,
     rational_has_plus_one_eigenvalue,
+    reduced_latin_squares,
 )
+
+# order-5 loop: a Latin square with identity 0 and every element self-inverse,
+# but not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+def accepts(table: list[list[int]]) -> bool:
+    try:
+        GroupOracle.from_table(table)
+    except ValueError:
+        return False
+    return True
 
 
 def d8_oracle() -> GroupOracle:
@@ -58,20 +80,73 @@ class TestGroupOracle:
 
     def test_rejects_broken_identity(self):
         bad = [[1, 0], [0, 1]]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^id 0 is not a two-sided identity$"):
             GroupOracle.from_table(bad)
 
     def test_rejects_non_associative_latin_square(self):
-        # order-5 loop that is a latin square but not a group
-        bad = [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-        with pytest.raises(ValueError):
-            GroupOracle.from_table(bad)
+        with pytest.raises(ValueError, match="^multiplication is not associative$"):
+            GroupOracle.from_table(LOOP5)
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[0, 1], [1, 1]], "row/column of element 1 is not a permutation"),
+            # rows are permutations, column 1 is not
+            ([[0, 1, 2], [1, 0, 2], [2, 1, 0]], "row/column of element 1 is not a permutation"),
+            # 2 * 3 = 0 but 3 * 2 = 1
+            (
+                [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0],
+                 [4, 2, 0, 1, 3]],
+                "element 2 has no two-sided inverse",
+            ),
+        ],
+    )
+    def test_each_check_names_its_failure(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupOracle.from_table(table)
+
+    @pytest.mark.parametrize("n, count", [(4, 4), (5, 56), (6, 9408)])
+    def test_accepts_exactly_the_reduced_latin_squares_that_are_groups(self, n, count):
+        squares = reduced_latin_squares(n)
+        assert len(squares) == count
+        for table in squares:
+            assert accepts(table) == is_group_table(table), table
+
+    def test_agrees_with_brute_force_on_random_tables(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.7:  # reach the later checks more often
+                table[0] = list(range(n))
+                for g in range(n):
+                    table[g][0] = g
+            assert accepts(table) == is_group_table(table), table
+
+    def test_validation_uses_order_squared_products_and_fills_inverses(self):
+        G = PhiGroup(random_family(4, 2, 3))
+        calls = []
+
+        def counted(i, j):
+            calls.append(1)
+            return G.mul(i, j)
+
+        oracle = GroupOracle(G.order, counted, "phi_group")
+        assert len(calls) == G.order ** 2
+        assert sorted(oracle._inv) == list(range(G.order))
+        assert all(G.mul(g, oracle._inv[g]) == 0 == G.mul(oracle._inv[g], g)
+                   for g in range(G.order))
+
+    @pytest.mark.parametrize("entry", [1.0, True, "1", None, [1]])
+    def test_rejects_non_integer_entries(self, entry):
+        with pytest.raises(SchemaError) as exc:
+            GroupOracle.from_table([[0, entry], [entry, 0]])
+        assert exc.value.fields == ["mul: entries must be integer ids in 0..order-1"]
+
+    def test_rejects_rows_that_are_not_lists(self):
+        with pytest.raises(SchemaError) as exc:
+            GroupOracle.from_table([[0, 1], 1])
+        assert exc.value.fields == ["mul: table must be square"]
 
     def test_inverses_and_closure(self):
         q8 = quaternion()
