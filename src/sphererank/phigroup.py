@@ -14,7 +14,8 @@ first serving as the correctness oracle for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from itertools import compress
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
@@ -147,17 +148,46 @@ class IsotropicResult(NamedTuple):
     witness: Subspace
 
 
-def _qzero_vectors(fam: FormFamily) -> list[int]:
-    """All nonzero a-vectors with q(v) = 0, ascending."""
-    lower_rows = [lo.row_bits() for lo in fam.lower]
+def _coordinate_masks(n: int) -> list[int]:
+    """Bit-sliced coordinates: X[i] has bit v set iff bit i of v is set, v < 2^n.
+
+    fold_rows(X, m) is then the 2^n-bit indicator of parity(m & v), a linear
+    functional evaluated at every v at once.  Built by doubling a block of
+    period 2^(i+1), so each mask costs n - i shifts.
+    """
+    size = 1 << n
     out = []
-    for v in range(1, 1 << fam.n):
-        for rows in lower_rows:
-            if (fold_rows(rows, v) & v).bit_count() & 1:
-                break
-        else:
-            out.append(v)
+    for i in range(n):
+        half = 1 << i
+        mask, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        out.append(mask)
     return out
+
+
+_ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _qzero_vectors(fam: FormFamily) -> list[int]:
+    """All nonzero a-vectors with q(v) = 0, ascending.
+
+    Bit-sliced over all 2^n vectors at once: q_s(v) = XOR_i v_i parity(L_s[i] & v),
+    so the mask of vectors with q_s(v) = 1 is XOR_i X[i] & fold_rows(X, L_s[i]).
+    """
+    size = 1 << fam.n
+    x = _coordinate_masks(fam.n)
+    nonzero = 0
+    for lo in fam.lower:
+        q = 0
+        for xi, row in zip(x, lo.row_bits()):
+            q ^= xi & fold_rows(x, row)
+        nonzero |= q
+    zero = ((1 << size) - 1) ^ nonzero ^ 1
+    # one pass over the binary digits, lowest first: flag k is bit k of zero
+    flags = bin(zero)[:1:-1].encode().translate(_ONE_BITS)
+    return list(compress(range(len(flags)), flags))
 
 
 def _phi_profile(fam: FormFamily, v: int) -> list[int]:
@@ -210,12 +240,39 @@ def _max_isotropic_exhaustive(fam: FormFamily) -> IsotropicResult:
     return IsotropicResult(best_dim, witness)
 
 
+def _suffix_ranks(vectors: list[int]) -> list[int]:
+    """ranks[k] = rank of vectors[k:], in one pass from the end through a pivot table."""
+    ranks = [0] * len(vectors)
+    pivots: dict[int, int] = {}
+    for k in range(len(vectors) - 1, -1, -1):
+        v = vectors[k]
+        while v:
+            low = v & -v
+            b = pivots.get(low)
+            if b is None:
+                pivots[low] = v
+                break
+            v ^= b
+        ranks[k] = len(pivots)
+    return ranks
+
+
+def _weight_order(vectors: Iterable[int]) -> list[int]:
+    """Sorted by (weight, value): a stable sort by weight of the ascending list."""
+    return sorted(sorted(vectors), key=int.bit_count)
+
+
 def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
     """Branch and bound: weight-ordered candidates, coset counting bound,
-    rank bound on small candidate sets."""
+    rank bound on small candidate sets.
+
+    Compatibility with a popped v is read off a 2^n-bit mask of the vectors c
+    with phi_s(c, v) = 1 for some s, built per node from the bit-sliced
+    coordinates and dropped with the node.
+    """
     n = fam.n
-    base = sorted(_qzero_vectors(fam), key=lambda v: (v.bit_count(), v))
-    profiles = {v: _phi_profile(fam, v) for v in base}
+    x = _coordinate_masks(n)
+    gram_rows = [f.gram.row_bits() for f in fam.forms]
     best: list = [0, ()]
 
     def dfs(basis: tuple[int, ...], cand: list[int]) -> None:
@@ -223,31 +280,29 @@ def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
         if d > best[0]:
             best[0] = d
             best[1] = basis
-        cand = list(cand)
-        while cand:
+        # the rank bound applies once at most 96 candidates remain; the suffix
+        # ranks are computed the first time the coset bound does not prune
+        tail = max(len(cand) - 96, 0)
+        ranks = None
+        for k, v in enumerate(cand):
             # any extension needs 2^e - 1 distinct candidate cosets
-            bound = (len(cand) + 1).bit_length() - 1
-            if len(cand) <= 96:
-                bound = min(bound, len(_rref_bits(cand)))
-            if d + bound <= best[0]:
+            if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
                 return
-            v = cand.pop(0)
-            new_basis = tuple(_rref_bits(list(basis) + [v]))
-            prof_v = profiles[v]
-            reduced = set()
-            for c in cand:
-                if not _compatible(prof_v, c):
-                    continue
-                r = _reduce_bits(c, new_basis)
-                if r:
-                    reduced.add(r)
-            new_cand = sorted(reduced, key=lambda x: (x.bit_count(), x))
-            for r in new_cand:
-                if r not in profiles:
-                    profiles[r] = _phi_profile(fam, r)
-            dfs(new_basis, new_cand)
+            if k >= tail:
+                if ranks is None:
+                    ranks = _suffix_ranks(cand[tail:])
+                if d + ranks[k - tail] <= best[0]:
+                    return
+            clash = 0
+            for rows in gram_rows:
+                clash |= fold_rows(x, fold_rows(rows, v))
+            # v and every candidate are reduced modulo the basis, so reducing
+            # modulo basis + v can only clear the lowest bit p of v
+            p = v & -v
+            reduced = {c ^ v if c & p else c for c in cand[k + 1:] if not clash >> c & 1}
+            dfs(basis + (v,), _weight_order(reduced))
 
-    dfs((), base)
+    dfs((), _weight_order(_qzero_vectors(fam)))
     witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(best[1]))))
     return IsotropicResult(best[0], witness)
 

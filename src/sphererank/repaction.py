@@ -40,7 +40,7 @@ class GroupOracle:
         self.phi = None  # set for phi_group provenance
         self._inv: dict[int, int] = {0: 0}
         if validate and order <= ASSOCIATIVITY_GUARD:
-            self._validate()
+            self._validate([[mul(g, h) for h in range(order)] for g in range(order)])
 
     # -- construction ----------------------------------------------------
 
@@ -54,8 +54,11 @@ class GroupOracle:
             failing.append("mul: entries must be integer ids in 0..order-1")
         if failing:
             raise SchemaError(failing)
-        rows = [tuple(row) for row in table]
-        return cls(order, lambda i, j: rows[i][j], "cayley_table", validate=validate)
+        rows = [list(row) for row in table]
+        oracle = cls(order, lambda i, j: rows[i][j], "cayley_table", validate=False)
+        if validate and order <= ASSOCIATIVITY_GUARD:
+            oracle._validate(rows)
+        return oracle
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
@@ -65,14 +68,14 @@ class GroupOracle:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self) -> None:
-        """Group axioms on the Cayley table, built once with order^2 products.
-
-        The table is dropped when the checks end, so a validated oracle holds
-        no order^2 memory; it keeps computing products through `mul`.
+    def _validate(self, rows: list[list[int]]) -> None:
+        """Group axioms on the Cayley table `rows`: identity, Latin square,
+        two-sided inverses (filling the inverse map) and Light's associativity
+        test.  A stock table is checked on its own rows; any other oracle's
+        table is built once with order^2 products and dropped afterwards, so a
+        validated oracle holds no order^2 memory of its own.
         """
         ids = list(range(self.order))
-        rows = [[self._mul(g, h) for h in ids] for g in ids]
         if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
             raise ValueError("id 0 is not a two-sided identity")
         for g in ids:

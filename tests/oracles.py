@@ -66,6 +66,43 @@ def gaussian_binomial_recurrence(n: int, d: int) -> int:
     )
 
 
+# -- quadratic forms -------------------------------------------------------------
+
+
+def naive_quadratic_value(gram: list[list[int]], x: list[int]) -> int:
+    """q(x) = sum over i > j of x_i gram[i][j] x_j: the lower-triangle refinement."""
+    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(i)) % 2
+
+
+def naive_qzero_vectors(grams: list[list[list[int]]], n: int) -> list[int]:
+    """Nonzero v (bit i = coordinate i) with q_s(v) = 0 for every form, ascending."""
+    out = []
+    for v in range(1, 1 << n):
+        x = [(v >> i) & 1 for i in range(n)]
+        if all(naive_quadratic_value(g, x) == 0 for g in grams):
+            out.append(v)
+    return out
+
+
+def witt_index_single(gram: list[list[int]]) -> int:
+    """Largest totally singular subspace of the quadratic form q with polar form gram.
+
+    With radical R of dimension r and n - r = 2m: if q is nonzero on R (q is
+    linear there), the answer is m + r - 1; otherwise it is m + r when the
+    Arf invariant of q is 0 and m + r - 1 when it is 1.  The Arf invariant is
+    the minority value of q: q has 2^r (2^(2m-1) + 2^(m-1)) zeros for Arf 0 and
+    2^r (2^(2m-1) - 2^(m-1)) for Arf 1.
+    """
+    n = len(gram)
+    r = n - naive_rank(gram)
+    m = (n - r) // 2
+    radical = naive_kernel_vectors(gram, n)
+    if any(naive_quadratic_value(gram, list(z)) for z in radical):
+        return m + r - 1
+    zeros = sum(1 for x in all_vectors(n) if naive_quadratic_value(gram, list(x)) == 0)
+    return m + r if 2 * zeros > 1 << n else m + r - 1
+
+
 # -- small-group machinery ------------------------------------------------------
 
 

@@ -26,6 +26,19 @@ FAMILIES = {  # file name -> (n, t, seed); order 2^(n+t)
     "fam_9_2_1.json": (9, 2, 1),
 }
 
+# Families pinned in branch-and-bound mode only (rank and profile witnesses):
+# t=1 and t=2, where the candidate sets are largest and the search deepest.
+BNB_FAMILIES = {
+    "fam_6_1_2.json": (6, 1, 2),
+    "fam_7_1_3.json": (7, 1, 3),
+    "fam_8_1_4.json": (8, 1, 4),
+    "fam_9_1_5.json": (9, 1, 5),
+    "fam_8_2_6.json": (8, 2, 6),
+    "fam_9_2_7.json": (9, 2, 7),
+    "fam_10_2_8.json": (10, 2, 8),
+    "fam_11_2_9.json": (11, 2, 9),
+}
+
 # Q8 x C2^2 (order 32): id = 4 * q + c; id 4 is the central -1 of Q8
 PRODUCT_REPS = json.dumps(
     [
@@ -60,6 +73,13 @@ def _cases() -> list[list[str]]:
         cases.append(["audit", "sn", "--n", str(n)])
     for n in range(1, 4):
         cases.append(["audit", "gl", "--n", str(n)])
+    for name, (n, t, seed) in BNB_FAMILIES.items():
+        cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
+                      "--save-family", name])
+        cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
+        cases.append(["group", "profile", "--family", name, "--mode", "bnb"])
+    cases.append(["search", "olshanskii", "--n", "7", "--t", "2", "--k", "2", "--trials", "30",
+                  "--seed", "12"])
     return cases
 
 

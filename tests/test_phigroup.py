@@ -12,6 +12,7 @@ from sphererank.forms import (
 from sphererank.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces
 from sphererank.phigroup import (
     GroupElement,
+    _qzero_vectors,
     PhiGroup,
     center,
     center_order4_dim,
@@ -21,7 +22,15 @@ from sphererank.phigroup import (
     search_forms,
 )
 
-from oracles import brute_center, brute_max_elem_abelian_rank, dihedral_table, tables_isomorphic
+from oracles import (
+    brute_center,
+    brute_max_elem_abelian_rank,
+    dihedral_table,
+    naive_qzero_vectors,
+    naive_quadratic_value,
+    tables_isomorphic,
+    witt_index_single,
+)
 
 
 def d8_group() -> PhiGroup:
@@ -42,6 +51,11 @@ def phi_mul_table(G: PhiGroup):
         [G.element_id(G.multiply(G.element_from_id(i), G.element_from_id(j))) for j in range(order)]
         for i in range(order)
     ]
+
+
+def gram_lists(fam: FormFamily) -> list[list[list[int]]]:
+    return [[[(row >> j) & 1 for j in range(fam.n)] for row in f.gram.row_bits()]
+            for f in fam.forms]
 
 
 def subspace_is_qzero_isotropic(fam: FormFamily, sub: Subspace) -> bool:
@@ -202,6 +216,14 @@ class TestIsotropicSearch:
             bb = max_isotropic_qzero(fam, mode="branch_and_bound")
             assert ex.dim == bb.dim
 
+    def test_single_form_matches_witt_index(self):
+        rng = random.Random(10)
+        fams = [random_family(n, 1, rng.getrandbits(64)) for n in range(1, 9) for _ in range(4)]
+        fams += [random_family(9, 1, rng.getrandbits(64)) for _ in range(2)]
+        for fam in fams:
+            expected = witt_index_single(gram_lists(fam)[0])
+            assert max_isotropic_qzero(fam, mode="branch_and_bound").dim == expected, fam.n
+
     def test_guards(self):
         fam = zero_family(17, 1)
         with pytest.raises(GuardExceeded):
@@ -210,6 +232,31 @@ class TestIsotropicSearch:
             max_isotropic_qzero(zero_family(21, 1), mode="branch_and_bound")
         with pytest.raises(ValueError):
             max_isotropic_qzero(fam, mode="banana")
+
+
+class TestQZeroScan:
+    def test_matches_naive_evaluation(self):
+        rng = random.Random(8)
+        for n in range(1, 11):
+            for t in range(1, 4):
+                fam = random_family(n, t, rng.getrandbits(64))
+                assert _qzero_vectors(fam) == naive_qzero_vectors(gram_lists(fam), n), (n, t)
+
+    def test_all_zero_forms(self):
+        for n, t in [(1, 1), (3, 2), (6, 3)]:
+            assert _qzero_vectors(zero_family(n, t)) == list(range(1, 1 << n))
+
+    def test_sampled_vectors_at_n16(self):
+        fam = random_family(16, 2, 77)
+        grams = gram_lists(fam)
+        found = _qzero_vectors(fam)
+        assert found == sorted(set(found)) and found[0] > 0 and found[-1] < 1 << 16
+        zero = set(found)
+        rng = random.Random(9)
+        for _ in range(2000):
+            v = rng.randrange(1, 1 << 16)
+            x = [(v >> i) & 1 for i in range(16)]
+            assert (v in zero) == all(naive_quadratic_value(g, x) == 0 for g in grams), v
 
 
 class TestGroupRank:

@@ -137,6 +137,24 @@ class TestGroupOracle:
         assert all(G.mul(g, oracle._inv[g]) == 0 == G.mul(oracle._inv[g], g)
                    for g in range(G.order))
 
+    def test_stock_table_is_validated_on_its_own_rows(self, monkeypatch):
+        calls = []
+        init = GroupOracle.__init__
+
+        def counting_init(obj, order, mul, *args, **kwargs):
+            def counted(i, j):
+                calls.append(1)
+                return mul(i, j)
+
+            init(obj, order, counted, *args, **kwargs)
+
+        monkeypatch.setattr(GroupOracle, "__init__", counting_init)
+        table = dihedral_table(4)
+        oracle = GroupOracle.from_table(table)
+        assert calls == []
+        assert sorted(oracle._inv) == list(range(8))
+        assert all(table[g][oracle._inv[g]] == 0 == table[oracle._inv[g]][g] for g in range(8))
+
     @pytest.mark.parametrize("entry", [1.0, True, "1", None, [1]])
     def test_rejects_non_integer_entries(self, entry):
         with pytest.raises(SchemaError) as exc:
