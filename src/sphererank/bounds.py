@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .gf2 import _reduce_bits, _rref_bits, fold_rows
@@ -198,30 +198,32 @@ def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([fold_rows(b, row) for row in a])
 
 
+def _invertible_matrices(n: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Stream the invertible n x n matrices whose first rows are `rows`: each
+    next row runs through 1..2^n - 1 in order, skipping the span of the rows
+    before it."""
+    if len(rows) == n:
+        yield rows
+        return
+    basis = _rref_bits(rows)
+    for r in range(1, 1 << n):
+        if _reduce_bits(r, basis):
+            yield from _invertible_matrices(n, rows + (r,))
+
+
 def gl_rank_audit(n: int) -> GlAuditResult:
     """Max elementary abelian rank inside GL(n, 2) versus floor(n^2/4).
 
-    Enumerates invertible matrices, walks commuting sets of involutions
-    closed under span, and asserts the quadratic bound.
+    Streams the invertible matrices, keeping only the involutions, walks
+    commuting sets of involutions closed under span, and asserts the
+    quadratic bound.
     """
     if n > GL_AUDIT_GUARD:
         raise GuardExceeded("gl_rank_audit", f"n={n} exceeds guard {GL_AUDIT_GUARD}")
     identity = tuple(1 << i for i in range(n))
-    full = 1 << n
-
-    all_matrices = []
-
-    def build(rows: list[int]) -> None:
-        if len(rows) == n:
-            all_matrices.append(tuple(rows))
-            return
-        basis = _rref_bits(rows)
-        for r in range(1, full):
-            if _reduce_bits(r, basis):
-                build(rows + [r])
-
-    build([])
-    invs = [m for m in all_matrices if m != identity and _mat_mul(m, m) == identity]
+    invs = [
+        m for m in _invertible_matrices(n, ()) if m != identity and _mat_mul(m, m) == identity
+    ]
 
     bound = (n * n) // 4
     best = 0

@@ -225,18 +225,34 @@ def _rref_bits(rows: Iterable[int]) -> list[int]:
 
     Pivot = lowest set bit (leftmost coordinate).  Result rows are nonzero,
     mutually reduced, pivots strictly increasing.
+
+    A table maps each pivot, keyed by bit_length (column + 1), to its row.
+    The forward pass XORs into an incoming row only the pivot rows it hits,
+    lowest first, until it is zero or has a new pivot.  The back pass runs
+    from the highest pivot down: the rows above a pivot are already reduced,
+    so clearing its row's pivot bits with them introduces no new ones.
     """
-    basis: list[int] = []
+    piv: dict[int, int] = {}
     for v in rows:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
-        if v:
-            pivot = v & -v
-            basis = [b ^ v if b & pivot else b for b in basis]
-            basis.append(v)
-    basis.sort(key=lambda r: r & -r)
-    return basis
+        while v:
+            p = (v & -v).bit_length()
+            b = piv.get(p)
+            if b is None:
+                piv[p] = v
+                break
+            v ^= b
+    pivots = sorted(piv)
+    pivmask = 0
+    for p in reversed(pivots):
+        b = piv[p]
+        hits = (b >> p) & (pivmask >> p)
+        while hits:
+            low = hits & -hits
+            b ^= piv[p + low.bit_length()]
+            hits ^= low
+        piv[p] = b
+        pivmask |= 1 << (p - 1)
+    return [piv[p] for p in pivots]
 
 
 def _reduce_bits(v: int, basis: Sequence[int]) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import NamedTuple, Optional, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, NonSquareSystemError, SchemaError
 from .gf2 import BitMatrix, BitVector, _reduce_bits, _rref_bits, rank
@@ -169,21 +170,36 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
 
 
 def hilbert_function(I: IdealGens, d: int) -> int:
-    """dim_F2 of the degree-d piece of F2[x_1..x_n] / I."""
+    """dim_F2 of the degree-d piece of F2[x_1..x_n] / I.
+
+    A monomial of degree <= d is coded as the int whose base-(d+1) digits are
+    its exponents, so the code of a product is the sum of the codes and each
+    column of the Macaulay matrix is found with one dict lookup.
+    """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    basis = monomials_of_degree(I.nvars, d)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for g in I.gens:
-        if g.degree > d or g.is_zero():
-            continue
-        for m in monomials_of_degree(I.nvars, d - g.degree):
-            row = 0
-            for gm in g.monomials:
-                row ^= 1 << index[tuple(a + b for a, b in zip(m, gm))]
-            rows.append(row)
-    return len(basis) - len(_rref_bits(rows))
+    weights = [(d + 1) ** i for i in range(I.nvars)]
+
+    def codes(degree: int) -> list[int]:  # in the order of monomials_of_degree
+        return [
+            sum(map(weights.__getitem__, combo))
+            for combo in combinations_with_replacement(range(I.nvars), degree)
+        ]
+
+    column = {c: 1 << i for i, c in enumerate(codes(d))}
+
+    def rows() -> Iterator[int]:
+        for g in I.gens:
+            if g.degree > d or g.is_zero():
+                continue
+            gcodes = [sum(map(mul, gm, weights)) for gm in g.monomials]
+            for m in codes(d - g.degree):
+                row = 0
+                for gc in gcodes:
+                    row ^= column[m + gc]
+                yield row
+
+    return len(column) - len(_rref_bits(rows()))
 
 
 def _require_square(I: IdealGens) -> None:

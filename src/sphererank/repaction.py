@@ -364,25 +364,34 @@ def elementary_abelian_search(
     reached once, deduplicated by its element set.  extend(state, gens,
     elements, coset) returns the child's state, or None to prune the child
     and everything below it.  The trivial subgroup {identity} has state root.
+    Elements must be totally ordered (ints, or tuples of ints such as
+    permutations and matrix rows): a subgroup is remembered by its sorted
+    element tuple, which is smaller than a frozenset.
     """
-    visited: set[frozenset] = set()
+    _walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
 
-    def dfs(state: Any, gens: tuple, elements: frozenset, cand: list) -> None:
-        for k, v in enumerate(cand):
-            if v in elements:
-                continue
-            coset = [mul(e, v) for e in elements]
-            child = elements.union(coset)
-            if child in visited:
-                continue
-            visited.add(child)
-            child_gens = gens + (v,)
-            child_state = extend(state, child_gens, child, coset)
-            if child_state is not None:
-                new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
-                dfs(child_state, child_gens, child, new_cand)
 
-    dfs(root, (), frozenset((identity,)), list(involutions))
+def _walk(
+    mul: Callable, extend: Callable, visited: set, state: Any, gens: tuple,
+    elements: frozenset, cand: list,
+) -> None:
+    """The subtree of elementary_abelian_search below one subgroup.  A module
+    function, not a recursive closure, so that the visited set is freed when
+    the search returns rather than at the next cyclic garbage collection."""
+    for k, v in enumerate(cand):
+        if v in elements:
+            continue
+        coset = [mul(e, v) for e in elements]
+        child = elements.union(coset)
+        key = tuple(sorted(child))
+        if key in visited:
+            continue
+        visited.add(key)
+        child_gens = gens + (v,)
+        child_state = extend(state, child_gens, child, coset)
+        if child_state is not None:
+            new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
+            _walk(mul, extend, visited, child_state, child_gens, child, new_cand)
 
 
 class IsotropyResult(NamedTuple):

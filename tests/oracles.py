@@ -33,6 +33,25 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def naive_rref(rows: list[list[int]]) -> list[list[int]]:
+    """Gauss-Jordan on explicit 0/1 lists, taking the lowest-index pivot column
+    first: the nonzero rows of the reduced row echelon form, pivots ascending."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return []
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rows[:rank]
+
+
 def naive_matvec(rows: list[list[int]], v: list[int]) -> list[int]:
     return [sum(a * b for a, b in zip(row, v)) % 2 for row in rows]
 

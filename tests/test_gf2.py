@@ -7,6 +7,7 @@ from sphererank.gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _rref_bits,
     coinvariants_dim,
     enumerate_subspaces,
     fold_rows,
@@ -16,7 +17,13 @@ from sphererank.gf2 import (
     rank,
 )
 
-from oracles import gaussian_binomial_recurrence, naive_kernel_vectors, naive_matvec, naive_rank
+from oracles import (
+    gaussian_binomial_recurrence,
+    naive_kernel_vectors,
+    naive_matvec,
+    naive_rank,
+    naive_rref,
+)
 
 
 def random_matrix(rng, rows, cols):
@@ -25,6 +32,10 @@ def random_matrix(rng, rows, cols):
 
 def as_lists(m: BitMatrix):
     return [[m.entry(i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def bits_to_list(bits: int, n: int) -> list[int]:
+    return [(bits >> j) & 1 for j in range(n)]
 
 
 class TestBitVector:
@@ -100,6 +111,46 @@ class TestRank:
         for _ in range(50):
             m = random_matrix(rng, 6, 6)
             assert rank(m) == naive_rank(as_lists(m))
+
+    def test_rref_matches_naive_oracle_on_wide_rows(self):
+        rng = random.Random(31)
+        for cols in (1, 2, 63, 64, 65, 129, 500, 2000):
+            for _ in range(6):
+                density = rng.choice((0.002, 0.02, 0.2, 0.5))
+                rows = [
+                    sum(1 << j for j in range(cols) if rng.random() < density)
+                    for _ in range(rng.randint(1, 40))
+                ]
+                rows += [0, rows[0], rows[-1] ^ rows[0]]  # zero, duplicate, dependent
+                rng.shuffle(rows)
+                expected = naive_rref([bits_to_list(r, cols) for r in rows])
+                got = _rref_bits(rows)
+                assert [bits_to_list(r, cols) for r in got] == expected
+                assert _rref_bits(r for r in rows) == got
+
+    def test_rref_of_empty_and_zero_input(self):
+        assert _rref_bits([]) == []
+        assert _rref_bits(iter(())) == []
+        assert _rref_bits([0, 0, 0]) == []
+        assert _rref_bits([5, 5, 5]) == [5]
+
+    def test_rref_invariants(self):
+        # rows spanned by k rows with planted, distinct lowest bits: the rank is
+        # k and the pivots are exactly the planted columns
+        rng = random.Random(8)
+        for _ in range(60):
+            cols = rng.choice((3, 64, 300, 2000))
+            planted = sorted(rng.sample(range(cols), rng.randint(1, min(cols, 200))))
+            basis = [(1 << p) | (rng.getrandbits(cols) >> (p + 1) << (p + 1)) for p in planted]
+            rows = [fold_rows(basis, rng.getrandbits(len(basis))) for _ in range(len(basis))]
+            rows += basis
+            rng.shuffle(rows)
+            got = _rref_bits(rows)
+            pivots = [(r & -r).bit_length() - 1 for r in got]
+            assert pivots == planted
+            pivot_mask = sum(1 << p for p in pivots)
+            assert all(r & pivot_mask == 1 << p for r, p in zip(got, pivots))
+            assert all(r >> cols == 0 for r in got)
 
     def test_rank_nullity(self):
         rng = random.Random(5)

@@ -1,16 +1,18 @@
-"""Byte-exact reports for the commands that run on the shared GF(2), group and
-subgroup-search code, pinned in `golden_reports.json`.
+"""Byte-exact reports for the commands that run on the shared GF(2), polynomial,
+group and subgroup-search code, pinned in `golden_reports.json`.
 
 Every case runs through the in-process `dispatch` with the working directory
 set to a fresh temporary directory, so the input file names recorded in the
 reports are the same on every machine.  The family files are written by the
 pinned `forms gen` cases themselves; the table file is a direct product of
-stock tables.  After an intended change of a report, rewrite the pinned file
+stock tables, and the ideal and action files are built from the constants
+below.  After an intended change of a report, rewrite the pinned file
 with `python tests/test_golden_reports.py` from the repository root.
 """
 
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -49,6 +51,44 @@ PRODUCT_REPS = json.dumps(
 )
 
 
+# Order-256 family for the isotropy search over the stock reps.
+ISOTROPY_FAMILY = ("fam_6_2_13.json", (6, 2, 13))
+
+# Power-span data on four variables: a 4-cycle of the coordinates alone, and
+# together with a dense invertible matrix; the coordinate lines are permuted
+# by the cycle, the mixed lines are not.
+CYCLE = ["0100", "0010", "0001", "1000"]
+ACTIONS = {"action_cycle.json": {"nvars": 4, "generators": [CYCLE]},
+           "action_dense.json": {"nvars": 4, "generators": [CYCLE,
+                                                            ["1101", "0110", "0011", "1111"]]}}
+POWER_YS = "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"
+POWER_YS_MIXED = "[[1,1,0,0],[0,1,1,0],[0,0,1,1],[1,0,0,0]]"
+
+
+def _cubics(nvars: int, density: float, seed: int) -> dict:
+    """Ideal of nvars cubics, each monomial kept with the given probability."""
+    rng = random.Random(seed)
+    cubes = [[a, b, c] for a in range(nvars) for b in range(a, nvars) for c in range(b, nvars)]
+    gens = []
+    for _ in range(nvars):
+        monos = []
+        for combo in cubes:
+            if rng.random() < density:
+                exp = [0] * nvars
+                for i in combo:
+                    exp[i] += 1
+                monos.append(exp)
+        gens.append({"degree": 3, "monomials": monos})
+    return {"nvars": nvars, "gens": gens}
+
+
+# Five cubics in five variables: the degree-10 piece has 1001 monomials and the
+# boundary degree 11 has 1365.  The dense ideal is regular (quotient of
+# dimension 3^5); the sparse one is not.
+IDEALS = {"ideal_cubic5_reg.json": _cubics(5, 0.4, 0),
+          "ideal_cubic5_sing.json": _cubics(5, 0.15, 0)}
+
+
 def _cases() -> list[list[str]]:
     cases = []
     for name, (n, t, seed) in FAMILIES.items():
@@ -80,6 +120,19 @@ def _cases() -> list[list[str]]:
         cases.append(["group", "profile", "--family", name, "--mode", "bnb"])
     cases.append(["search", "olshanskii", "--n", "7", "--t", "2", "--k", "2", "--trials", "30",
                   "--seed", "12"])
+    for name in IDEALS:
+        cases.append(["poly", "hilbert", "--ideal", name, "--degree", "10"])
+        cases.append(["poly", "regseq", "--ideal", name])
+    for action in ACTIONS:
+        for ys in (POWER_YS, POWER_YS_MIXED):
+            for p in ("2", "3", "5"):
+                cases.append(["poly", "powertest", "--action", action, "--ys", ys, "--p", p])
+    cases.append(["audit", "sn", "--n", "7"])
+    cases.append(["audit", "gl", "--n", "4"])
+    name, (n, t, seed) = ISOTROPY_FAMILY
+    cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
+                  "--save-family", name])
+    cases.append(["rep", "isotropy", "--family", name])
     return cases
 
 
@@ -96,6 +149,10 @@ def _render(capture) -> list[dict]:
     Path("q8xc2c2.json").write_text(json.dumps(
         {"order": 32, "mul": _product_table(quaternion_table(), elementary_abelian_table(2))}
     ))
+    for name, ideal in IDEALS.items():
+        Path(name).write_text(json.dumps(ideal))
+    for name, action in ACTIONS.items():
+        Path(name).write_text(json.dumps(action))
     out = []
     for argv in _cases():
         code = dispatch(argv)

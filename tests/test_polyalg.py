@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphererank.errors import NonSquareSystemError
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
@@ -118,6 +120,21 @@ class TestHilbertFunction:
                     nvars, [set(g.monomials) for g in gens], [g.degree for g in gens], d
                 )
                 assert hilbert_function(ideal, d) == expected
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(st.data())
+    def test_hypothesis_random_ideals_against_naive_oracle(self, data):
+        nvars = data.draw(st.integers(1, 4), label="nvars")
+        gens = []
+        for deg in data.draw(st.lists(st.integers(0, 3), max_size=4), label="degrees"):
+            monos = monomials_of_degree(nvars, deg)
+            keep = data.draw(st.lists(st.booleans(), min_size=len(monos), max_size=len(monos)))
+            gens.append(GradedPoly(nvars, deg, frozenset(m for m, k in zip(monos, keep) if k)))
+        d = data.draw(st.integers(0, 8), label="d")
+        expected = naive_hilbert(
+            nvars, [set(g.monomials) for g in gens], [g.degree for g in gens], d
+        )
+        assert hilbert_function(IdealGens(nvars, tuple(gens)), d) == expected
 
     def test_vanishing_is_upward_closed(self):
         ideal = IdealGens(2, (var_power(2, 0, 2), var_power(2, 1, 2)))
