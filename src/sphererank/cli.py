@@ -169,12 +169,7 @@ def _load_group_and_reps(args) -> tuple[repaction.GroupOracle, list[repaction.Mo
         return oracle, reps
     if getattr(oracle, "phi", None) is None:
         raise SchemaError(["reps: required when the group comes from a Cayley table"])
-    G = oracle.phi
-    reps = [
-        repaction.build_induced(oracle, [G.element_id(G.generator_b(s))], [-1])
-        for s in range(G.t)
-    ]
-    return oracle, reps
+    return oracle, [repaction.build_induced(oracle, [b], [-1]) for b in oracle.phi.b_ids()]
 
 
 def _load_group(args) -> repaction.GroupOracle:

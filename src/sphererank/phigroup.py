@@ -1,9 +1,11 @@
 """Class-2 nilpotent 2-groups presented by a family of alternating forms.
 
-Elements are normal-form words (a-part in F2^n, b-part in F2^t); the product
-twists the central part by the cocycle beta built from the strictly-lower
+An element is the integer id a | b << n of its normal form (a, b): the a-part
+in F2^n sits in the low n bits and the central b-part in F2^t above them.  The
+product twists the b-part by the cocycle beta built from the strictly-lower
 Gram triangles, so [a_i, a_j] lands on the prescribed form values.  The
-b-generators are central and squares land in them: g^2 = (0, q(g.a)).
+b-generators are central and squares land in them: (a, b)^2 = (0, q(a)), so
+(a, b)^-1 = (a, b + q(a)) and the order is read off q.
 
 The rank computation reduces to the largest subspace of the a-space on which
 every form vanishes and the quadratic refinement is zero; two searches are
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
@@ -26,19 +28,12 @@ ISOTROPIC_EXHAUSTIVE_GUARD = 16
 ISOTROPIC_BNB_GUARD = 20
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Normal form (a-exponents, b-exponents); identity is (0, 0)."""
-
-    a: BitVector
-    b: BitVector
-
-
 class PhiGroup:
     """The group presented by a FormFamily; order 2^(n+t).
 
-    `mul` is the product on element ids (see element_id), caching per a-part
-    the row folds the cocycle needs; `multiply` applies it to GroupElements.
+    Elements are ids a | b << n (see the module docstring): the identity is 0,
+    the generator a_i is 1 << i and the central b_s is 1 << (n + s).  `mul` is
+    the product on ids, caching per a-part the row folds the cocycle needs.
     """
 
     def __init__(self, fam: FormFamily):
@@ -65,52 +60,9 @@ class PhiGroup:
     def order(self) -> int:
         return 1 << (self.n + self.t)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(BitVector.zero(self.n), BitVector.zero(self.t))
-
-    def element(self, a_bits: int, b_bits: int) -> GroupElement:
-        return GroupElement(BitVector(self.n, a_bits), BitVector(self.t, b_bits))
-
-    def generator_a(self, i: int) -> GroupElement:
-        return GroupElement(BitVector.basis(self.n, i), BitVector.zero(self.t))
-
-    def generator_b(self, s: int) -> GroupElement:
-        return GroupElement(BitVector.zero(self.n), BitVector.basis(self.t, s))
-
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        if g.a.n != self.n or h.a.n != self.n or g.b.n != self.t or h.b.n != self.t:
-            raise ValueError("element does not belong to this group")
-        return self.element_from_id(self.mul(self.element_id(g), self.element_id(h)))
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        return GroupElement(g.a, g.b ^ quadratic_refinement(self.fam, g.a))
-
-    def square(self, g: GroupElement) -> GroupElement:
-        return GroupElement(BitVector.zero(self.n), quadratic_refinement(self.fam, g.a))
-
-    def element_order(self, g: GroupElement) -> int:
-        if g.a.is_zero() and g.b.is_zero():
-            return 1
-        return 2 if quadratic_refinement(self.fam, g.a).is_zero() else 4
-
-    def commutator(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        gh = self.multiply(g, h)
-        hg = self.multiply(h, g)
-        return self.multiply(gh, self.inverse(hg))
-
-    def elements(self) -> Iterator[GroupElement]:
-        if self.n + self.t > 24:
-            raise GuardExceeded("phi_group_elements", "group too large to enumerate")
-        for a_bits in range(1 << self.n):
-            for b_bits in range(1 << self.t):
-                yield self.element(a_bits, b_bits)
-
-    def element_id(self, g: GroupElement) -> int:
-        """Integer id a_bits | b_bits << n; the identity gets id 0."""
-        return g.a.bits | (g.b.bits << self.n)
-
-    def element_from_id(self, eid: int) -> GroupElement:
-        return self.element(eid & ((1 << self.n) - 1), eid >> self.n)
+    def b_ids(self) -> list[int]:
+        """Ids of the central generators b_0, ..., b_{t-1}."""
+        return [1 << (self.n + s) for s in range(self.t)]
 
 
 class CenterResult(NamedTuple):
@@ -262,6 +214,41 @@ def _weight_order(vectors: Iterable[int]) -> list[int]:
     return sorted(sorted(vectors), key=int.bit_count)
 
 
+def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
+              basis: tuple[int, ...], cand: list[int]) -> None:
+    """One node of the branch-and-bound; `best` holds [dim, basis] of the incumbent.
+
+    A module function rather than a recursive closure, so the coordinate masks
+    x and the gram rows are freed when the search returns, not at the next
+    cyclic garbage collection.
+    """
+    d = len(basis)
+    if d > best[0]:
+        best[0] = d
+        best[1] = basis
+    # the rank bound applies once at most 96 candidates remain; the suffix
+    # ranks are computed the first time the coset bound does not prune
+    tail = max(len(cand) - 96, 0)
+    ranks = None
+    for k, v in enumerate(cand):
+        # any extension needs 2^e - 1 distinct candidate cosets
+        if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
+            return
+        if k >= tail:
+            if ranks is None:
+                ranks = _suffix_ranks(cand[tail:])
+            if d + ranks[k - tail] <= best[0]:
+                return
+        clash = 0
+        for rows in gram_rows:
+            clash |= fold_rows(x, fold_rows(rows, v))
+        # v and every candidate are reduced modulo the basis, so reducing
+        # modulo basis + v can only clear the lowest bit p of v
+        p = v & -v
+        reduced = {c ^ v if c & p else c for c in cand[k + 1:] if not clash >> c & 1}
+        _bnb_node(x, gram_rows, best, basis + (v,), _weight_order(reduced))
+
+
 def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
     """Branch and bound: weight-ordered candidates, coset counting bound,
     rank bound on small candidate sets.
@@ -271,38 +258,9 @@ def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
     coordinates and dropped with the node.
     """
     n = fam.n
-    x = _coordinate_masks(n)
     gram_rows = [f.gram.row_bits() for f in fam.forms]
     best: list = [0, ()]
-
-    def dfs(basis: tuple[int, ...], cand: list[int]) -> None:
-        d = len(basis)
-        if d > best[0]:
-            best[0] = d
-            best[1] = basis
-        # the rank bound applies once at most 96 candidates remain; the suffix
-        # ranks are computed the first time the coset bound does not prune
-        tail = max(len(cand) - 96, 0)
-        ranks = None
-        for k, v in enumerate(cand):
-            # any extension needs 2^e - 1 distinct candidate cosets
-            if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
-                return
-            if k >= tail:
-                if ranks is None:
-                    ranks = _suffix_ranks(cand[tail:])
-                if d + ranks[k - tail] <= best[0]:
-                    return
-            clash = 0
-            for rows in gram_rows:
-                clash |= fold_rows(x, fold_rows(rows, v))
-            # v and every candidate are reduced modulo the basis, so reducing
-            # modulo basis + v can only clear the lowest bit p of v
-            p = v & -v
-            reduced = {c ^ v if c & p else c for c in cand[k + 1:] if not clash >> c & 1}
-            dfs(basis + (v,), _weight_order(reduced))
-
-    dfs((), _weight_order(_qzero_vectors(fam)))
+    _bnb_node(_coordinate_masks(n), gram_rows, best, (), _weight_order(_qzero_vectors(fam)))
     witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(best[1]))))
     return IsotropicResult(best[0], witness)
 
@@ -380,16 +338,16 @@ def extension_profile(G: PhiGroup, mode: str = "branch_and_bound") -> ExtensionP
     is elementary abelian and normal.
     """
     res = max_isotropic_qzero(G.fam, mode=mode)
-    u_basis = [GroupElement(v, BitVector.zero(G.t)) for v in res.witness.basis]
-    lifts = u_basis + [G.generator_b(s) for s in range(G.t)]
+    amask = (1 << G.n) - 1
+    lifts = [v.bits for v in res.witness.basis] + G.b_ids()
     for g in lifts:
-        if G.element_order(g) > 2:
+        if G.mul(g, g) != 0:
             raise AssertionError("lifted subgroup contains an element of order 4")
         for h in lifts:
-            if G.multiply(g, h) != G.multiply(h, g):
+            if G.mul(g, h) != G.mul(h, g):
                 raise AssertionError("lifted subgroup is not abelian")
         for j in range(G.n):
-            c = G.commutator(g, G.generator_a(j))
-            if not c.a.is_zero():
+            # [g, a_j] is central, so g a_j and a_j g differ only in the b-part
+            if (G.mul(g, 1 << j) ^ G.mul(1 << j, g)) & amask:
                 raise AssertionError("lifted subgroup is not normal")
     return ExtensionProfile(T=G.t + res.dim, N=G.n - res.dim, v_witness=res.witness)

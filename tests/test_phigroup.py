@@ -1,7 +1,9 @@
+import gc
 import random
 
 import pytest
 
+from sphererank import phigroup
 from sphererank.errors import GuardExceeded
 from sphererank.forms import (
     FormFamily,
@@ -11,7 +13,7 @@ from sphererank.forms import (
 )
 from sphererank.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces
 from sphererank.phigroup import (
-    GroupElement,
+    IsotropicResult,
     _qzero_vectors,
     PhiGroup,
     center,
@@ -42,15 +44,35 @@ def zero_family(n, t) -> FormFamily:
 
 
 def random_element(rng, G):
-    return G.element(rng.getrandbits(G.n), rng.getrandbits(G.t))
+    return rng.getrandbits(G.n) | rng.getrandbits(G.t) << G.n
+
+
+def a_part(G: PhiGroup, g: int) -> BitVector:
+    return BitVector(G.n, g & ((1 << G.n) - 1))
+
+
+def b_part(G: PhiGroup, g: int) -> BitVector:
+    return BitVector(G.t, g >> G.n)
+
+
+def inverse(G: PhiGroup, g: int) -> int:
+    """(a, b)^-1 = (a, b + q(a))."""
+    return g ^ quadratic_refinement(G.fam, a_part(G, g)).bits << G.n
+
+
+def commutator(G: PhiGroup, g: int, h: int) -> int:
+    return G.mul(G.mul(g, h), inverse(G, G.mul(h, g)))
+
+
+def element_order(G: PhiGroup, g: int) -> int:
+    """1, 2 or 4, read off q: (a, b)^2 = (0, q(a))."""
+    if g == 0:
+        return 1
+    return 2 if quadratic_refinement(G.fam, a_part(G, g)).is_zero() else 4
 
 
 def phi_mul_table(G: PhiGroup):
-    order = G.order
-    return [
-        [G.element_id(G.multiply(G.element_from_id(i), G.element_from_id(j))) for j in range(order)]
-        for i in range(order)
-    ]
+    return [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
 
 
 def gram_lists(fam: FormFamily) -> list[list[list[int]]]:
@@ -81,18 +103,18 @@ def scan_max_qzero_dim(fam: FormFamily) -> int:
 class TestGroupArithmetic:
     def test_d8_commutator_realizes_form(self):
         G = d8_group()
-        a1, a2 = G.generator_a(0), G.generator_a(1)
-        assert G.multiply(a1, a2) == G.element(0b11, 0)
-        assert G.multiply(a2, a1) == G.element(0b11, 1)
-        assert G.commutator(a2, a1) == G.generator_b(0)
+        a1, a2 = 1 << 0, 1 << 1
+        assert G.mul(a1, a2) == 0b11
+        assert G.mul(a2, a1) == 0b11 | 1 << 2
+        assert commutator(G, a2, a1) == G.b_ids()[0]
 
     def test_identity_is_neutral(self):
         rng = random.Random(0)
         G = PhiGroup(random_family(5, 3, 7))
-        e = G.identity()
+        e = 0
         for _ in range(20):
             g = random_element(rng, G)
-            assert G.multiply(e, g) == g and G.multiply(g, e) == g
+            assert G.mul(e, g) == g and G.mul(g, e) == g
 
     def test_group_laws_random_families(self):
         rng = random.Random(1)
@@ -101,23 +123,24 @@ class TestGroupArithmetic:
             G = PhiGroup(random_family(n, t, rng.getrandbits(64)))
             for _ in range(20):
                 g, h, k = (random_element(rng, G) for _ in range(3))
-                assert G.multiply(G.multiply(g, h), k) == G.multiply(g, G.multiply(h, k))
-                assert G.multiply(g, G.inverse(g)) == G.identity()
+                assert G.mul(G.mul(g, h), k) == G.mul(g, G.mul(h, k))
+                assert G.mul(g, inverse(G, g)) == 0
                 # square law and commutator law
-                sq = G.multiply(g, g)
-                assert sq.a.is_zero() and sq.b == quadratic_refinement(G.fam, g.a)
-                comm = G.commutator(g, h)
+                sq = G.mul(g, g)
+                assert a_part(G, sq).is_zero()
+                assert b_part(G, sq) == quadratic_refinement(G.fam, a_part(G, g))
+                comm = commutator(G, g, h)
                 expected = BitVector.from_coords(
-                    [evaluate(f, g.a, h.a) for f in G.fam.forms]
+                    [evaluate(f, a_part(G, g), a_part(G, h)) for f in G.fam.forms]
                 )
-                assert comm.a.is_zero() and comm.b == expected
+                assert a_part(G, comm).is_zero() and b_part(G, comm) == expected
 
     def test_element_order_examples(self):
         G = d8_group()
-        assert G.element_order(G.identity()) == 1
-        assert G.element_order(G.generator_a(0)) == 2
-        assert G.element_order(G.generator_b(0)) == 2
-        assert G.element_order(G.element(0b11, 0)) == 4
+        assert element_order(G, 0) == 1
+        assert element_order(G, 1 << 0) == 2
+        assert element_order(G, G.b_ids()[0]) == 2
+        assert element_order(G, 0b11) == 4
 
     def test_element_order_matches_repeated_multiplication(self):
         rng = random.Random(2)
@@ -126,16 +149,22 @@ class TestGroupArithmetic:
             for _ in range(10):
                 g = random_element(rng, G)
                 acc, k = g, 1
-                while acc != G.identity():
-                    acc = G.multiply(acc, g)
+                while acc != 0:
+                    acc = G.mul(acc, g)
                     k += 1
-                assert G.element_order(g) == k
+                assert element_order(G, g) == k
 
-    def test_element_id_round_trip(self):
+    def test_id_layout(self):
         G = PhiGroup(random_family(3, 2, 5))
-        for eid in range(G.order):
-            assert G.element_id(G.element_from_id(eid)) == eid
-        assert G.element_id(G.identity()) == 0
+        assert G.b_ids() == [1 << 3, 1 << 4]
+        for i in range(G.order):
+            assert G.mul(0, i) == i == G.mul(i, 0)  # the identity is id 0
+            for j in range(G.order):
+                # a-parts in the low n bits multiply by xor; the cocycle only touches b
+                assert G.mul(i, j) & 0b111 == (i ^ j) & 0b111
+        for b in G.b_ids():  # b_s is central of order 2 and adds to the b-part
+            assert G.mul(b, b) == 0
+            assert all(G.mul(b, g) == G.mul(g, b) == g ^ b for g in range(G.order))
 
 
 class TestD8Oracle:
@@ -167,7 +196,7 @@ class TestCenter:
             central = brute_center(lambda i, j: table[i][j], G.order)
             radical, rank = center(G)
             expected_central = {
-                G.element_id(GroupElement(av, bv))
+                av.bits | bv.bits << G.n
                 for av in radical.vectors()
                 for bv in Subspace.full(G.t).vectors()
             }
@@ -334,3 +363,47 @@ class TestExtensionProfile:
             profile = extension_profile(G)
             assert profile.T + profile.N == G.n + G.t
             assert profile.T == G.t + profile.v_witness.dim
+
+    @staticmethod
+    def _with_witness(monkeypatch, witness: Subspace) -> None:
+        def fake(fam, mode="branch_and_bound"):
+            return IsotropicResult(witness.dim, witness)
+
+        monkeypatch.setattr(phigroup, "max_isotropic_qzero", fake)
+
+    def test_lift_with_an_order_4_element_is_refused(self, monkeypatch):
+        G = d8_group()
+        v = BitVector(2, 0b11)
+        assert not quadratic_refinement(G.fam, v).is_zero()
+        self._with_witness(monkeypatch, Subspace.span(2, [v]))
+        with pytest.raises(AssertionError, match="^lifted subgroup contains an element of order 4$"):
+            extension_profile(G)
+
+    def test_non_abelian_lift_is_refused(self, monkeypatch):
+        G = d8_group()
+        u, v = Subspace.full(2).basis
+        assert quadratic_refinement(G.fam, u).is_zero() and quadratic_refinement(G.fam, v).is_zero()
+        assert evaluate(G.fam.forms[0], u, v) == 1
+        self._with_witness(monkeypatch, Subspace.full(2))
+        with pytest.raises(AssertionError, match="^lifted subgroup is not abelian$"):
+            extension_profile(G)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # each search frees its 2^n-bit masks on return; a recursive closure would
+    # keep them in a reference cycle until the next cyclic collection
+    fam = random_family(12, 4, 3)
+    runs = [
+        (max_isotropic_qzero, fam, "branch_and_bound"),
+        (max_isotropic_qzero, random_family(10, 3, 3), "exhaustive"),
+        (extension_profile, PhiGroup(fam), "branch_and_bound"),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for fn, arg, mode in runs:
+            gc.collect()
+            fn(arg, mode=mode)
+            assert gc.collect() == 0, (fn.__name__, mode)
+    finally:
+        gc.enable()

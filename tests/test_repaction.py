@@ -205,7 +205,7 @@ class TestBuildInduced:
 
     def test_d8_induced_from_center(self):
         oracle = d8_oracle()
-        b_id = oracle.phi.element_id(oracle.phi.generator_b(0))
+        b_id = oracle.phi.b_ids()[0]
         rep = build_induced(oracle, [b_id], [-1])
         assert rep.dim == 4
 
@@ -259,11 +259,7 @@ class TestPlusOneEigenvalue:
         reps = [
             build_induced(oracles_list[0], [2], [-1]),
             build_induced(oracles_list[1], [1], [-1]),
-            build_induced(
-                oracles_list[2],
-                [oracles_list[2].phi.element_id(oracles_list[2].phi.generator_b(0))],
-                [-1],
-            ),
+            build_induced(oracles_list[2], [oracles_list[2].phi.b_ids()[0]], [-1]),
             build_induced(oracles_list[3], [1], [-1]),
         ]
         for oracle, rep in zip(oracles_list, reps):
@@ -280,7 +276,7 @@ class TestFixedSubspaceDim:
 
     def test_central_sign_generator_fixes_nothing(self):
         oracle = d8_oracle()
-        b_id = oracle.phi.element_id(oracle.phi.generator_b(0))
+        b_id = oracle.phi.b_ids()[0]
         rep = build_induced(oracle, [b_id], [-1])
         assert fixed_subspace_dim(rep, [b_id]) == 0
 
@@ -298,7 +294,7 @@ class TestFixedSubspaceDim:
 
     def test_trace_bounds(self):
         oracle = d8_oracle()
-        b_id = oracle.phi.element_id(oracle.phi.generator_b(0))
+        b_id = oracle.phi.b_ids()[0]
         rep = build_induced(oracle, [b_id], [-1])
         assert rep.trace(0) == rep.dim
         assert all(abs(rep.trace(g)) <= rep.dim for g in range(oracle.order))
@@ -408,10 +404,7 @@ class TestMaxIsotropyRank:
         for _ in range(3):
             G = PhiGroup(random_family(3, 2, rng.getrandbits(64)))
             oracle = GroupOracle.from_phi_group(G)
-            reps = [
-                build_induced(oracle, [G.element_id(G.generator_b(s))], [-1])
-                for s in range(G.t)
-            ]
+            reps = [build_induced(oracle, [b], [-1]) for b in G.b_ids()]
             got = max_isotropy_rank(oracle, reps)
             best = 0
             for sub in all_elem_abelian_subgroups(oracle.mul, oracle.order):
