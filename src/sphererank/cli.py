@@ -147,27 +147,43 @@ def _as_dict(obj: Any, path: str) -> dict:
     return obj
 
 
-def _ids(text: str) -> list[int]:
+def _ints(text: str, flag: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError as exc:
-        raise _CliError(f"expected a comma-separated id list, got {text!r}") from exc
+        raise _CliError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+
+
+def _json_list(text: str, name: str, items: str) -> list:
+    """A JSON list given inline (text starting with '[') or in the file it names."""
+    try:
+        data = json.loads(text) if text.lstrip().startswith("[") else _load_json(text)
+    except json.JSONDecodeError as exc:  # inline; a file's is already _BadJson
+        raise _BadJson(f"{name}: {exc}") from exc
+    if not isinstance(data, list):
+        raise SchemaError([f"{name}: must be a list of {items}"])
+    return data
+
+
+def _is_int_list(value: Any, allowed: Optional[tuple[int, ...]] = None) -> bool:
+    """A JSON list of ints (not bools), each in `allowed` if given."""
+    return isinstance(value, list) and all(
+        type(v) is int and (allowed is None or v in allowed) for v in value
+    )
 
 
 def _load_group_and_reps(args) -> tuple[repaction.GroupOracle, list[repaction.MonomialRep]]:
     oracle = _load_group(args)
-    spec = getattr(args, "reps", None)
-    if spec:
-        data = json.loads(spec) if spec.lstrip().startswith("[") else _load_json(spec)
-        if not isinstance(data, list):
-            raise SchemaError(["reps: must be a list of {c_gens, chars} objects"])
+    if args.reps:
         reps = []
-        for i, item in enumerate(data):
-            if "c_gens" not in item or "chars" not in item:
-                raise SchemaError([f"reps[{i}]: needs c_gens and chars"])
+        for i, item in enumerate(_json_list(args.reps, "reps", "{c_gens, chars} objects")):
+            if not (isinstance(item, dict) and _is_int_list(item.get("c_gens"))
+                    and _is_int_list(item.get("chars"), (1, -1))):
+                raise SchemaError([f"reps[{i}]: needs c_gens, a list of integer ids, "
+                                   "and chars, a list of +1/-1 ints"])
             reps.append(repaction.build_induced(oracle, item["c_gens"], item["chars"]))
         return oracle, reps
-    if getattr(oracle, "phi", None) is None:
+    if oracle.phi is None:
         raise SchemaError(["reps: required when the group comes from a Cayley table"])
     return oracle, [repaction.build_induced(oracle, [b], [-1]) for b in oracle.phi.b_ids()]
 
@@ -289,18 +305,19 @@ def _cmd_poly_regseq(args) -> dict:
 
 def _cmd_poly_euler(args) -> dict:
     oracle = _load_group(args)
-    rep = repaction.build_induced(oracle, _ids(args.c_gens), [int(c) for c in args.chars.split(",")])
-    euler = polyalg.euler_class_restriction(rep, _ids(args.e_gens), args.e_rank)
+    c_gens, chars = _ints(args.c_gens, "--c-gens"), _ints(args.chars, "--chars")
+    rep = repaction.build_induced(oracle, c_gens, chars)
+    euler = polyalg.euler_class_restriction(rep, _ints(args.e_gens, "--e-gens"), args.e_rank)
     return {"euler": euler.to_json_dict(), "is_zero": euler.is_zero(), "rep_dim": rep.dim}
 
 
 def _cmd_poly_powertest(args) -> dict:
     action = load_action(args.action)
-    ys_data = json.loads(args.ys) if args.ys.lstrip().startswith("[") else _load_json(args.ys)
-    ys = [
-        polyalg.GradedPoly.linear(action.nvars, BitVector.from_coords(coords))
-        for coords in ys_data
-    ]
+    ys = []
+    for i, coords in enumerate(_json_list(args.ys, "ys", "0/1 coordinate lists")):
+        if not _is_int_list(coords, (0, 1)):
+            raise SchemaError([f"ys[{i}]: must be a list of 0/1 ints"])
+        ys.append(polyalg.GradedPoly.linear(action.nvars, BitVector.from_coords(coords)))
     res = polyalg.power_span_test(action, ys, args.p)
     return {"stable": res.stable, "permuted": res.permuted}
 

@@ -58,18 +58,14 @@ class FormFamily:
     n: int
     t: int
     forms: tuple[AlternatingForm, ...]
-    lower: tuple[BitMatrix, ...] = field(default=())
+    lower: tuple[BitMatrix, ...] = field(init=False)  # derived from the forms
 
     def __post_init__(self):
         if self.t != len(self.forms):
             raise ValueError("family size mismatch")
         if any(f.n != self.n for f in self.forms):
             raise ValueError("forms must share one dimension")
-        if not self.lower:
-            object.__setattr__(self, "lower", tuple(f.lower() for f in self.forms))
-        for f, lo in zip(self.forms, self.lower):
-            if lo.add(lo.transpose()).row_bits() != f.gram.row_bits():
-                raise ValueError("lower triangle inconsistent with gram")
+        object.__setattr__(self, "lower", tuple(f.lower() for f in self.forms))
 
     @classmethod
     def from_grams(cls, grams: Sequence[BitMatrix]) -> FormFamily:

@@ -239,30 +239,28 @@ def quotient_total_dim(I: IdealGens) -> Optional[int]:
 
 def _elementary_abelian_coords(
     G: GroupOracle, e_gens: Sequence[int], expected_rank: int
-) -> tuple[list[int], dict[int, int]]:
-    """Basis (subset of e_gens) and coordinates of <e_gens>, validated rank."""
-    elems = G.closure(e_gens)
-    for e in elems:
-        if e != 0 and G.mul(e, e) != 0:
-            raise ValueError("subgroup is not elementary abelian")
-    for e in elems:
-        for f in elems:
-            if G.mul(e, f) != G.mul(f, e):
-                raise ValueError("subgroup is not elementary abelian")
-    basis: list[int] = []
+) -> dict[int, int]:
+    """F2 coordinates of the elements of <e_gens>, validated rank.
+
+    <e_gens> is elementary abelian iff its generators square to 1 and commute
+    pairwise: O(k^2) products for k generators.  Then each generator outside
+    the span so far doubles it and gets the next coordinate bit.
+    """
+    G.check_ids(e_gens)
+    if any(G.mul(g, g) != 0 for g in e_gens) or any(
+        G.mul(g, h) != G.mul(h, g) for i, g in enumerate(e_gens) for h in e_gens[:i]
+    ):
+        raise ValueError("subgroup is not elementary abelian")
     coords = {0: 0}
     for g in e_gens:
-        if g in coords:
-            continue
-        i = len(basis)
-        basis.append(g)
-        for e, c in list(coords.items()):
-            coords[G.mul(e, g)] = c | (1 << i)
-    if len(coords) != len(elems) or len(elems) != 1 << expected_rank:
+        if g not in coords:
+            bit = len(coords)  # 2^(basis elements so far)
+            coords.update({G.mul(e, g): c | bit for e, c in coords.items()})
+    if len(coords) != 1 << expected_rank:
         raise ValueError(
-            f"generators span rank {len(elems).bit_length() - 1}, expected {expected_rank}"
+            f"generators span rank {len(coords).bit_length() - 1}, expected {expected_rank}"
         )
-    return basis, coords
+    return coords
 
 
 def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int) -> GradedPoly:
@@ -272,7 +270,7 @@ def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int
     summand kills the class (zero marker), otherwise the class is the product
     of the nontrivial character linear forms with their multiplicities.
     """
-    _, coords = _elementary_abelian_coords(rep.group, e_gens, e_rank)
+    coords = _elementary_abelian_coords(rep.group, e_gens, e_rank)
     size = 1 << e_rank
     traces = {e: rep.trace(e) for e in coords}
     mult = []

@@ -23,29 +23,33 @@ ISOTROPY_GUARD = 4096
 
 
 class GroupOracle:
-    """Finite group on integer ids with id 0 the identity."""
+    """Finite group on integer ids with id 0 the identity.
+
+    `mul` is the stored product callback.  `rows`, when given, is its Cayley
+    table, which validation then reads instead of building one from `mul`.
+    """
 
     def __init__(
         self,
         order: int,
         mul: Callable[[int, int], int],
         provenance: str,
-        validate: bool = True,
+        rows: Optional[list[list[int]]] = None,
     ):
         if not 1 <= order <= ORDER_GUARD:
             raise ValueError(f"order must be in 1..{ORDER_GUARD}")
         self.order = order
-        self._mul = mul
+        self.mul = mul
         self.provenance = provenance
         self.phi = None  # set for phi_group provenance
         self._inv: dict[int, int] = {0: 0}
-        if validate and order <= ASSOCIATIVITY_GUARD:
-            self._validate([[mul(g, h) for h in range(order)] for g in range(order)])
+        if order <= ASSOCIATIVITY_GUARD:
+            self._validate(rows or [[mul(g, h) for h in range(order)] for g in range(order)])
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def from_table(cls, table: Sequence[Sequence[int]], validate: bool = True) -> GroupOracle:
+    def from_table(cls, table: Sequence[Sequence[int]]) -> GroupOracle:
         order = len(table)
         failing = []
         if any(not isinstance(row, (list, tuple)) or len(row) != order for row in table):
@@ -55,10 +59,7 @@ class GroupOracle:
         if failing:
             raise SchemaError(failing)
         rows = [list(row) for row in table]
-        oracle = cls(order, lambda i, j: rows[i][j], "cayley_table", validate=False)
-        if validate and order <= ASSOCIATIVITY_GUARD:
-            oracle._validate(rows)
-        return oracle
+        return cls(order, lambda i, j: rows[i][j], "cayley_table", rows)
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
@@ -95,14 +96,11 @@ class GroupOracle:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        return self._mul(i, j)
-
     def inv(self, i: int) -> int:
         if i not in self._inv:
             acc = i
             while True:
-                nxt = self._mul(acc, i)
+                nxt = self.mul(acc, i)
                 if nxt == 0:
                     break
                 acc = nxt
@@ -112,33 +110,32 @@ class GroupOracle:
     def element_order(self, i: int) -> int:
         k, acc = 1, i
         while acc != 0:
-            acc = self._mul(acc, i)
+            acc = self.mul(acc, i)
             k += 1
         return k
 
     def involutions(self) -> list[int]:
-        return [g for g in range(1, self.order) if self._mul(g, g) == 0]
+        return [g for g in range(1, self.order) if self.mul(g, g) == 0]
+
+    def check_ids(self, ids: Sequence[int]) -> None:
+        """Refuse the first id outside 0..order-1."""
+        for g in ids:
+            if not 0 <= g < self.order:
+                raise ValueError(f"element id {g} out of range")
 
     def closure(self, gens: Sequence[int]) -> list[int]:
         """Sorted element ids of the subgroup generated by gens."""
-        for g in gens:
-            if not 0 <= g < self.order:
-                raise ValueError(f"element id {g} out of range")
+        self.check_ids(gens)
         elems = {0}
         frontier = [0]
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = self._mul(x, g)
+                y = self.mul(x, g)
                 if y not in elems:
                     elems.add(y)
                     frontier.append(y)
         return sorted(elems)
-
-    def to_table(self) -> list[list[int]]:
-        if self.order > 4096:
-            raise GuardExceeded("to_table", "order too large to materialize")
-        return [[self._mul(i, j) for j in range(self.order)] for i in range(self.order)]
 
 
 def _generating_set(rows: list[list[int]]) -> list[int]:
@@ -233,37 +230,28 @@ class MonomialRep:
         for g, v in zip(c_gens, character_on_gens):
             if char_on_gens.setdefault(g, v) != v:
                 raise ValueError("inconsistent character on the subgroup")
-        self.group = group
-        self.subgroup_gens = tuple(c_gens)
-        elems = group.closure(c_gens)
-        self.subgroup = tuple(elems)
-        self.character = self._extend_character(char_on_gens)
-        self.cosets, self._loc = self._enumerate_cosets()
-        self.dim = group.order // len(self.subgroup)
-        self._traces: dict[int, int] = {}
-
-    def _extend_character(self, char_on_gens: dict[int, int]) -> dict[int, int]:
-        G = self.group
+        group.check_ids(c_gens)
+        # one walk over C = <c_gens> finds C and extends chi; it checks every
+        # (element, generator) edge once, and consistency on every edge extends
+        # to all products by induction on word length
         chi = {0: 1}
         frontier = [0]
         while frontier:
             x = frontier.pop()
             for g, cg in char_on_gens.items():
-                y = G.mul(x, g)
+                y = group.mul(x, g)
                 val = chi[x] * cg
-                if y in chi:
-                    if chi[y] != val:
-                        raise ValueError("inconsistent character on the subgroup")
-                else:
+                if y not in chi:
                     chi[y] = val
                     frontier.append(y)
-        # closure-consistency on every (element, generator) edge extends to all
-        # products by induction on word length
-        for x in self.subgroup:
-            for g, cg in char_on_gens.items():
-                if chi[G.mul(x, g)] != chi[x] * cg:
+                elif chi[y] != val:
                     raise ValueError("inconsistent character on the subgroup")
-        return chi
+        self.group = group
+        self.subgroup = tuple(sorted(chi))
+        self.character = chi
+        self.cosets, self._loc = self._enumerate_cosets()
+        self.dim = group.order // len(self.subgroup)
+        self._traces: dict[int, int] = {}
 
     def _enumerate_cosets(self) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
         G = self.group
@@ -323,16 +311,13 @@ def has_plus_one_eigenvalue(rep: MonomialRep, g: int) -> bool:
     return False
 
 
-def _fixed_dim_over(rep: MonomialRep, elements: Sequence[int]) -> int:
+def fixed_subspace_dim(rep: MonomialRep, h_gens: Sequence[int]) -> int:
+    """Dimension of the subspace fixed by <h_gens>: (1/|H|) sum of traces."""
+    elements = rep.group.closure(h_gens)
     total = sum(rep.trace(h) for h in elements)
     if total < 0 or total % len(elements):
         raise AssertionError("character sum is not a nonnegative multiple of |H|")
     return total // len(elements)
-
-
-def fixed_subspace_dim(rep: MonomialRep, h_gens: Sequence[int]) -> int:
-    """Dimension of the subspace fixed by <h_gens>: (1/|H|) sum of traces."""
-    return _fixed_dim_over(rep, rep.group.closure(h_gens))
 
 
 class FreenessResult(NamedTuple):

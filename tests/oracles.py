@@ -136,6 +136,15 @@ def dihedral_table(n: int) -> list[list[int]]:
     return [[mul(x, y) for y in range(2 * n)] for x in range(2 * n)]
 
 
+def direct_product_table(ta: list[list[int]], tb: list[list[int]]) -> list[list[int]]:
+    """Cayley table of A x B with id x = a * |B| + b."""
+    m = len(tb)
+    return [
+        [ta[x // m][y // m] * m + tb[x % m][y % m] for y in range(len(ta) * m)]
+        for x in range(len(ta) * m)
+    ]
+
+
 def is_group_table(table: list[list[int]]) -> bool:
     """Group axioms with id 0 the identity, checked on every element, pair and triple."""
     n = len(table)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -38,6 +39,13 @@ def d8_family_file(tmp_path):
 def q8_table_file(tmp_path):
     path = tmp_path / "q8.json"
     path.write_text(json.dumps({"order": 8, "mul": quaternion_table()}))
+    return str(path)
+
+
+@pytest.fixture
+def swap_action_file(tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"nvars": 2, "generators": [["01", "10"]]}))
     return str(path)
 
 
@@ -278,6 +286,112 @@ class TestPolyCommands:
         )
         assert code == EXIT_OK
         assert obj["result"]["stable"] is True and obj["result"]["permuted"] is False
+
+
+PYTHON_TEXT = re.compile(
+    r"of type|object is not|not iterable|unhashable|operand|invalid literal|indices must|"
+    r"'(int|float|str|list|dict|bool|NoneType)'"
+)
+
+
+def assert_clean_validation(code, obj, fields=None):
+    assert code == EXIT_VALIDATION
+    assert obj["error"]["code"] == "validation"
+    if fields is not None:
+        assert obj["error"]["fields"] == fields
+    assert not PYTHON_TEXT.search(obj["error"]["message"]), obj["error"]["message"]
+
+
+class TestArgumentDocuments:
+    """--reps, --ys and the integer lists of poly euler: every bad value is a
+    validation error that names its field or flag."""
+
+    REPS_ITEM = "reps[0]: needs c_gens, a list of integer ids, and chars, a list of +1/-1 ints"
+
+    @pytest.mark.parametrize(
+        "reps",
+        [
+            "[1]",
+            '[{"c_gens": [1]}]',
+            '[{"chars": [-1]}]',
+            '[{"c_gens": [1.5], "chars": [-1]}]',
+            '[{"c_gens": [[1]], "chars": [-1]}]',
+            '[{"c_gens": [true], "chars": [-1]}]',
+            '[{"c_gens": 1, "chars": [-1]}]',
+            '[{"c_gens": [1], "chars": [-1.0]}]',
+            '[{"c_gens": [1], "chars": [true]}]',
+            '[{"c_gens": [1], "chars": [2]}]',
+            '[{"c_gens": [1], "chars": "-1"}]',
+        ],
+    )
+    def test_bad_reps_item(self, capsys, d8_family_file, reps):
+        code, obj = run(capsys, "rep", "free", "--family", d8_family_file, "--reps", reps)
+        assert_clean_validation(code, obj, [self.REPS_ITEM])
+
+    def test_reps_not_a_list(self, capsys, d8_family_file, tmp_path):
+        path = tmp_path / "reps.json"
+        path.write_text('{"c_gens": [1], "chars": [-1]}')
+        code, obj = run(capsys, "rep", "free", "--family", d8_family_file, "--reps", str(path))
+        assert_clean_validation(code, obj, ["reps: must be a list of {c_gens, chars} objects"])
+
+    def test_reps_from_a_file(self, capsys, d8_family_file, tmp_path):
+        path = tmp_path / "reps.json"
+        path.write_text('[{"c_gens": [4], "chars": [-1]}]')
+        inline = run(capsys, "rep", "free", "--family", d8_family_file,
+                     "--reps", '[{"c_gens": [4], "chars": [-1]}]')
+        from_file = run(capsys, "rep", "free", "--family", d8_family_file, "--reps", str(path))
+        assert inline[0] == from_file[0] == EXIT_OK
+        assert inline[1]["result"] == from_file[1]["result"]
+
+    @pytest.mark.parametrize("flag", ["--reps", "--ys"])
+    def test_malformed_document_is_malformed_json_inline_and_in_a_file(
+        self, capsys, tmp_path, flag, d8_family_file, swap_action_file
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text("[{")
+        head = {
+            "--reps": ["rep", "free", "--family", d8_family_file],
+            "--ys": ["poly", "powertest", "--action", swap_action_file, "--p", "2"],
+        }[flag]
+        for value in ("[{", str(path)):
+            code, obj = run(capsys, *head, flag, value)
+            assert code == EXIT_BAD_JSON
+            assert obj["error"]["code"] == "malformed_json"
+
+    @pytest.mark.parametrize(
+        "ys, field",
+        [
+            ("[1]", "ys[0]"),
+            ("[[1, 0], 1]", "ys[1]"),
+            ("[[1, 0.0]]", "ys[0]"),
+            ("[[1, true]]", "ys[0]"),
+            ("[[1, 2]]", "ys[0]"),
+            ('[["1", 0]]', "ys[0]"),
+        ],
+    )
+    def test_bad_ys_item(self, capsys, swap_action_file, ys, field):
+        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                        "--ys", ys, "--p", "2")
+        assert_clean_validation(code, obj, [f"{field}: must be a list of 0/1 ints"])
+
+    def test_ys_not_a_list(self, capsys, tmp_path, swap_action_file):
+        ys = tmp_path / "ys.json"
+        ys.write_text('{"ys": [[1, 0]]}')
+        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                        "--ys", str(ys), "--p", "2")
+        assert_clean_validation(code, obj, ["ys: must be a list of 0/1 coordinate lists"])
+
+    @pytest.mark.parametrize("flag, value", [("--chars", "x"), ("--chars", "-1.0"),
+                                             ("--c-gens", "1,y"), ("--e-gens", "z")])
+    def test_bad_integer_list_names_its_flag(self, capsys, q8_table_file, flag, value):
+        argv = {"--c-gens": "1", "--chars": "-1", "--e-gens": "1"}
+        argv[flag] = value
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--e-rank", "1",
+                        *[tok for item in argv.items() for tok in item])
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == (
+            f"{flag}: expected comma-separated integers, got {value!r}"
+        )
 
 
 class TestLoaders:

@@ -19,6 +19,8 @@ from pathlib import Path
 from sphererank.cli import dispatch
 from sphererank.repaction import elementary_abelian_table, quaternion_table
 
+from oracles import direct_product_table
+
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
 FAMILIES = {  # file name -> (n, t, seed); order 2^(n+t)
@@ -136,18 +138,10 @@ def _cases() -> list[list[str]]:
     return cases
 
 
-def _product_table(ta: list[list[int]], tb: list[list[int]]) -> list[list[int]]:
-    m = len(tb)
-    return [
-        [ta[x // m][y // m] * m + tb[x % m][y % m] for y in range(len(ta) * m)]
-        for x in range(len(ta) * m)
-    ]
-
-
 def _render(capture) -> list[dict]:
     """Run every case in order in the current directory; capture() returns stdout."""
     Path("q8xc2c2.json").write_text(json.dumps(
-        {"order": 32, "mul": _product_table(quaternion_table(), elementary_abelian_table(2))}
+        {"order": 32, "mul": direct_product_table(quaternion_table(), elementary_abelian_table(2))}
     ))
     for name, ideal in IDEALS.items():
         Path(name).write_text(json.dumps(ideal))

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,12 @@ from sphererank.repaction import (
     quaternion_table,
 )
 
-from oracles import naive_hilbert
+from oracles import (
+    all_elem_abelian_subgroups,
+    dihedral_table,
+    direct_product_table,
+    naive_hilbert,
+)
 
 
 def poly(nvars, *monos):
@@ -243,14 +249,64 @@ class TestEulerClassRestriction:
     def test_rank_mismatch_rejected(self):
         e4 = GroupOracle.from_table(elementary_abelian_table(2))
         rep = build_induced(e4, [1], [-1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^generators span rank 2, expected 1$"):
             euler_class_restriction(rep, [1, 2], 1)
+        with pytest.raises(ValueError, match="^generators span rank 1, expected 2$"):
+            euler_class_restriction(rep, [1, 1], 2)
 
     def test_non_elementary_abelian_rejected(self):
         c4 = GroupOracle.from_table(cyclic_table(4))
         rep = build_induced(c4, [2], [-1])
         with pytest.raises(ValueError, match="elementary abelian"):
             euler_class_restriction(rep, [1], 2)
+        # two involutions that do not commute: s and sr in D8, id a*4 + i is s^a r^i
+        d8 = GroupOracle.from_table(dihedral_table(4))
+        rep = build_induced(d8, [2], [-1])
+        assert d8.mul(4, 4) == d8.mul(5, 5) == 0 and d8.mul(4, 5) != d8.mul(5, 4)
+        with pytest.raises(ValueError, match="^subgroup is not elementary abelian$"):
+            euler_class_restriction(rep, [4, 5], 2)
+
+    def test_out_of_range_id_rejected_first(self):
+        c4 = GroupOracle.from_table(cyclic_table(4))
+        rep = build_induced(c4, [2], [-1])
+        with pytest.raises(ValueError, match="^element id 4 out of range$"):
+            euler_class_restriction(rep, [1, 4], 2)
+
+
+@pytest.mark.parametrize(
+    "table, central",
+    [
+        (dihedral_table(4), 2),  # r^2
+        (direct_product_table(quaternion_table(), elementary_abelian_table(2)), 4),  # -1 of Q8
+    ],
+    ids=["d8", "q8xc2^2"],
+)
+def test_restriction_accepts_exactly_the_elementary_abelian_closures(table, central):
+    """Every generator tuple of size <= 3 and every rank 1..3, against the
+    brute-force list of elementary abelian subgroups."""
+    G = GroupOracle.from_table(table)
+    rep = build_induced(G, [central], [-1])
+    subgroups = all_elem_abelian_subgroups(G.mul, G.order)
+    for size in range(4):
+        for gens in product(range(G.order), repeat=size):
+            closure = frozenset(G.closure(gens))
+            true_rank = len(closure).bit_length() - 1
+            for rank in range(1, 4):
+                if closure not in subgroups:
+                    expected = "subgroup is not elementary abelian"
+                elif true_rank != rank:
+                    expected = f"generators span rank {true_rank}, expected {rank}"
+                else:
+                    expected = None
+                try:
+                    euler = euler_class_restriction(rep, gens, rank)
+                except ValueError as exc:
+                    assert str(exc) == expected, (gens, rank)
+                    continue
+                assert expected is None, (gens, rank)
+                assert euler.nvars == rank and euler.degree == rep.dim
+                # the central -1 lies in E exactly when the class is nonzero
+                assert euler.is_zero() == (central not in closure), (gens, rank)
 
 
 def dual_basis_reps(n, r):

@@ -25,6 +25,7 @@ from oracles import (
     all_elem_abelian_subgroups,
     brute_max_elem_abelian_rank,
     dihedral_table,
+    direct_product_table,
     is_group_table,
     rational_fixed_dim,
     rational_has_plus_one_eigenvalue,
@@ -224,6 +225,33 @@ class TestBuildInduced:
         with pytest.raises(ValueError, match="inconsistent"):
             build_induced(cyclic4(), [1, 3], [-1, 1])
 
+    @pytest.mark.parametrize(
+        "c_gens, chars, message",
+        [
+            ([7], [-1, 1], "one character value per generator required"),
+            ([7], [2], "character values must be +1 or -1"),
+            ([7], [-1], "element id 7 out of range"),
+            ([-1], [-1], "element id -1 out of range"),
+            # a duplicate generator with conflicting values is refused before the range check
+            ([7, 7], [1, -1], "inconsistent character on the subgroup"),
+            ([2, 2], [1, -1], "inconsistent character on the subgroup"),
+            # found during the walk: chi(3) = chi(1)^3 = -1, not 1; chi(0) = 1
+            ([1, 3], [-1, 1], "inconsistent character on the subgroup"),
+            ([0], [-1], "inconsistent character on the subgroup"),
+            # the range check comes ahead of the walk
+            ([1, 3, 9], [-1, 1, 1], "element id 9 out of range"),
+        ],
+    )
+    def test_rejection_messages_and_their_precedence(self, c_gens, chars, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_induced(cyclic4(), c_gens, chars)
+
+    def test_subgroup_and_character_come_from_one_walk(self):
+        q8 = quaternion()
+        rep = build_induced(q8, [2, 4], [-1, -1])  # <i, j> = Q8, chi(k) = chi(i) chi(j) = 1
+        assert rep.subgroup == tuple(range(8)) and rep.dim == 1
+        assert rep.character == {0: 1, 1: 1, 2: -1, 3: -1, 4: -1, 5: -1, 6: 1, 7: 1}
+
     def test_coset_representatives_are_smallest_unused(self):
         e8 = GroupOracle.from_table(elementary_abelian_table(3))
         rep = build_induced(e8, [1], [-1])
@@ -343,19 +371,12 @@ class TestFreeness:
             assert free == (max_isotropy_rank(oracle, reps).rank == 0)
 
 
-def _product_table(ta, tb):
-    m = len(tb)
-    return [
-        [ta[x // m][y // m] * m + tb[x % m][y % m] for y in range(len(ta) * m)]
-        for x in range(len(ta) * m)
-    ]
-
 
 class TestElementaryAbelianSearch:
     @pytest.mark.parametrize(
         "table",
         [
-            _product_table(quaternion_table(), elementary_abelian_table(2)),
+            direct_product_table(quaternion_table(), elementary_abelian_table(2)),
             dihedral_table(4),
             elementary_abelian_table(3),
         ],
