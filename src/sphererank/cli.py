@@ -76,6 +76,10 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError([f"{path}: file not found"]) from exc
+    except OSError as exc:  # a directory, no permission, ...
+        raise SchemaError([f"{path}: cannot read file ({exc.strerror or 'I/O error'})"]) from exc
+    except UnicodeDecodeError as exc:
+        raise _BadJson(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise _BadJson(f"{path}: {exc}") from exc
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
-from .gf2 import BitMatrix, BitVector, Subspace, fold_rows, kernel
-from .rng import BitStream
+from .gf2 import BitMatrix, BitVector, Subspace, _transpose_bits, fold_rows, kernel
+from .rng import random_bits
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
 RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_family
@@ -40,7 +40,7 @@ class AlternatingForm:
 
     def lower(self) -> BitMatrix:
         """Strictly lower triangular half of the Gram matrix."""
-        mask_rows = [self.gram.row(i).bits & ((1 << i) - 1) for i in range(self.n)]
+        mask_rows = [r & ((1 << i) - 1) for i, r in enumerate(self.gram.row_bits())]
         return BitMatrix.from_bits(self.n, self.n, mask_rows)
 
 
@@ -144,7 +144,8 @@ def common_radical(fam: FormFamily) -> Subspace:
 def random_family(n: int, t: int, seed: int) -> FormFamily:
     """Family with iid fair strictly-lower Gram bits, deterministic in seed.
 
-    Draw order: form index, then row 1..n-1, then column 0..row-1.
+    Draw order: form index, then row 1..n-1, then column 0..row-1; the
+    draws are the bits of one `random_bits` block, lowest first.
     """
     if n < 1 or t < 1:
         raise ValueError("need n >= 1 and t >= 1")
@@ -152,16 +153,15 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
         raise GuardExceeded(
             "random_family_bits", f"t * n(n-1)/2 Gram bits exceed {RANDOM_FAMILY_GUARD}"
         )
-    stream = BitStream(seed)
+    bits = random_bits(seed, t * (n * (n - 1) // 2))
     grams = []
     for _ in range(t):
-        rows = [0] * n
-        for i in range(1, n):
-            for j in range(i):
-                if stream.next_bit():
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        grams.append(BitMatrix.from_bits(n, n, rows))
+        lower = []
+        for i in range(n):  # row i, columns 0..i-1
+            lower.append(bits & ((1 << i) - 1))
+            bits >>= i
+        upper = _transpose_bits(lower, n)
+        grams.append(BitMatrix.from_bits(n, n, [lo | up for lo, up in zip(lower, upper)]))
     return FormFamily.from_grams(grams)
 
 

@@ -156,13 +156,7 @@ class BitMatrix:
         return self.rows == self.cols
 
     def transpose(self) -> BitMatrix:
-        cols = [0] * self.cols
-        for i, r in enumerate(self.row_data):
-            bits = r.bits
-            while bits:
-                low = bits & -bits
-                cols[low.bit_length() - 1] |= 1 << i
-                bits ^= low
+        cols = _transpose_bits(self.row_bits(), self.cols)
         return BitMatrix.from_bits(self.cols, self.rows, cols)
 
     def mul_vec(self, v: BitVector) -> BitVector:
@@ -189,12 +183,11 @@ class BitMatrix:
         )
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.entry(i, j) == self.entry(j, i) for i in range(self.rows) for j in range(i)
-        )
+        rows = self.row_bits()
+        return self.is_square() and _transpose_bits(rows, self.cols) == rows
 
     def has_zero_diagonal(self) -> bool:
-        return self.is_square() and all(self.entry(i, i) == 0 for i in range(self.rows))
+        return self.is_square() and not any(r >> i & 1 for i, r in enumerate(self.row_bits()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,6 +201,17 @@ class BitMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         m = cls(rows, cols, tuple(BitVector.from_string(s) for s in data))
         return m
+
+
+def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
+    """Columns of int-packed rows: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * cols
+    for i, bits in enumerate(rows):
+        while bits:
+            low = bits & -bits
+            out[low.bit_length() - 1] |= 1 << i
+            bits ^= low
+    return out
 
 
 def fold_rows(rows: Sequence[int], bits: int) -> int:

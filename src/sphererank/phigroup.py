@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
-from .gf2 import BitVector, Subspace, _reduce_bits, _rref_bits, fold_rows
+from .gf2 import BitVector, Subspace, _reduce_bits, _rref_bits, fold_rows, rank
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
@@ -122,24 +122,54 @@ def _coordinate_masks(n: int) -> list[int]:
 _ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _qzero_vectors(fam: FormFamily) -> list[int]:
-    """All nonzero a-vectors with q(v) = 0, ascending.
+def _q_masks(fam: FormFamily, x: list[int]) -> list[int]:
+    """Per form s, the 2^n-bit mask of the vectors v with q_s(v) = 1.
 
-    Bit-sliced over all 2^n vectors at once: q_s(v) = XOR_i v_i parity(L_s[i] & v),
-    so the mask of vectors with q_s(v) = 1 is XOR_i X[i] & fold_rows(X, L_s[i]).
+    Bit-sliced over all 2^n vectors at once from the coordinate masks x:
+    q_s(v) = XOR_i v_i parity(L_s[i] & v), so the mask is XOR_i X[i] & fold_rows(X, L_s[i]).
     """
-    size = 1 << fam.n
-    x = _coordinate_masks(fam.n)
-    nonzero = 0
+    out = []
     for lo in fam.lower:
         q = 0
         for xi, row in zip(x, lo.row_bits()):
             q ^= xi & fold_rows(x, row)
+        out.append(q)
+    return out
+
+
+def _qzero_vectors(fam: FormFamily, q_masks: Optional[list[int]] = None) -> list[int]:
+    """All nonzero a-vectors with q(v) = 0, ascending.
+
+    Read off the masks of `_q_masks`, which are computed here unless the
+    caller already holds them.
+    """
+    if q_masks is None:
+        q_masks = _q_masks(fam, _coordinate_masks(fam.n))
+    nonzero = 0
+    for q in q_masks:
         nonzero |= q
-    zero = ((1 << size) - 1) ^ nonzero ^ 1
+    zero = ((1 << (1 << fam.n)) - 1) ^ nonzero ^ 1
     # one pass over the binary digits, lowest first: flag k is bit k of zero
     flags = bin(zero)[:1:-1].encode().translate(_ONE_BITS)
     return list(compress(range(len(flags)), flags))
+
+
+def _witt_ceiling(fam: FormFamily, q_masks: list[int]) -> int:
+    """min_s witt(q_s): no subspace on which every q_s vanishes is larger.
+
+    A quadratic form on F2^n whose polar form has rank r has Witt index
+    r/2 + (n - r), less one when it is nonzero on the radical or has Arf
+    invariant 1 (Taylor, The Geometry of the Classical Groups, 1992, ch. 11).
+    Those are exactly the forms that take the value 1 on at least half of
+    F2^n: half when nonzero on the radical, more when the Arf invariant is 1,
+    fewer otherwise.  For t = 1 the ceiling is the exact answer.
+    """
+    n = fam.n
+    ceiling = n
+    for f, q in zip(fam.forms, q_masks):
+        r = rank(f.gram)
+        ceiling = min(ceiling, n - r // 2 - (2 * q.bit_count() >= 1 << n))
+    return ceiling
 
 
 def _phi_profile(fam: FormFamily, v: int) -> list[int]:
@@ -192,23 +222,6 @@ def _max_isotropic_exhaustive(fam: FormFamily) -> IsotropicResult:
     return IsotropicResult(best_dim, witness)
 
 
-def _suffix_ranks(vectors: list[int]) -> list[int]:
-    """ranks[k] = rank of vectors[k:], in one pass from the end through a pivot table."""
-    ranks = [0] * len(vectors)
-    pivots: dict[int, int] = {}
-    for k in range(len(vectors) - 1, -1, -1):
-        v = vectors[k]
-        while v:
-            low = v & -v
-            b = pivots.get(low)
-            if b is None:
-                pivots[low] = v
-                break
-            v ^= b
-        ranks[k] = len(pivots)
-    return ranks
-
-
 def _weight_order(vectors: Iterable[int]) -> list[int]:
     """Sorted by (weight, value): a stable sort by weight of the ascending list."""
     return sorted(sorted(vectors), key=int.bit_count)
@@ -216,8 +229,11 @@ def _weight_order(vectors: Iterable[int]) -> list[int]:
 
 def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
               basis: tuple[int, ...], cand: list[int]) -> None:
-    """One node of the branch-and-bound; `best` holds [dim, basis] of the incumbent.
+    """One node of the branch-and-bound; `best` holds [dim, basis, ceiling].
 
+    dim and basis are the incumbent; once dim reaches the ceiling the whole
+    search stops.  `best` changes only on a strictly larger dim, so a ceiling
+    no subspace can exceed cuts only work that could not change the answer.
     A module function rather than a recursive closure, so the coordinate masks
     x and the gram rows are freed when the search returns, not at the next
     cyclic garbage collection.
@@ -226,19 +242,14 @@ def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
     if d > best[0]:
         best[0] = d
         best[1] = basis
-    # the rank bound applies once at most 96 candidates remain; the suffix
-    # ranks are computed the first time the coset bound does not prune
-    tail = max(len(cand) - 96, 0)
-    ranks = None
     for k, v in enumerate(cand):
-        # any extension needs 2^e - 1 distinct candidate cosets
+        if best[0] >= best[2]:
+            return
+        # any extension by e needs 2^e - 1 distinct candidate cosets.  No bound
+        # from the rank of cand[k:] is tighter: m distinct nonzero vectors
+        # span at least m.bit_length() dimensions
         if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
             return
-        if k >= tail:
-            if ranks is None:
-                ranks = _suffix_ranks(cand[tail:])
-            if d + ranks[k - tail] <= best[0]:
-                return
         clash = 0
         for rows in gram_rows:
             clash |= fold_rows(x, fold_rows(rows, v))
@@ -249,20 +260,43 @@ def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
         _bnb_node(x, gram_rows, best, basis + (v,), _weight_order(reduced))
 
 
-def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
-    """Branch and bound: weight-ordered candidates, coset counting bound,
-    rank bound on small candidate sets.
+def _bnb_search(fam: FormFamily, x: list[int], q_masks: list[int], best: list) -> None:
+    """Run the branch-and-bound from the root, updating `best` (see _bnb_node).
 
     Compatibility with a popped v is read off a 2^n-bit mask of the vectors c
     with phi_s(c, v) = 1 for some s, built per node from the bit-sliced
-    coordinates and dropped with the node.
+    coordinates x and dropped with the node.
     """
-    n = fam.n
     gram_rows = [f.gram.row_bits() for f in fam.forms]
-    best: list = [0, ()]
-    _bnb_node(_coordinate_masks(n), gram_rows, best, (), _weight_order(_qzero_vectors(fam)))
+    _bnb_node(x, gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
+
+
+def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
+    """Branch and bound: weight-ordered candidates, the coset counting bound,
+    and a stop at the Witt ceiling."""
+    n = fam.n
+    x = _coordinate_masks(n)
+    q_masks = _q_masks(fam, x)
+    best: list = [0, (), _witt_ceiling(fam, q_masks)]
+    _bnb_search(fam, x, q_masks, best)
     witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(best[1]))))
     return IsotropicResult(best[0], witness)
+
+
+def _isotropic_dim_below(fam: FormFamily, k: int) -> bool:
+    """Whether every q-zero totally isotropic subspace has dim < k.
+
+    Decided by the Witt ceiling when it is below k; otherwise by the
+    branch-and-bound started with incumbent k - 1 and ceiling k, which stops
+    at the first subspace of dim k.
+    """
+    x = _coordinate_masks(fam.n)
+    q_masks = _q_masks(fam, x)
+    if _witt_ceiling(fam, q_masks) < k:
+        return True
+    best = [k - 1, (), k]
+    _bnb_search(fam, x, q_masks, best)
+    return best[0] < k
 
 
 def max_isotropic_qzero(fam: FormFamily, mode: str = "branch_and_bound") -> IsotropicResult:
@@ -308,16 +342,20 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     deterministic in (n, t, k, trials, seed) and the returned family is the
     qualifying one of smallest trial index.  The rank condition 2n < t(k-1)
     is reported so callers can interpret an empty result, but families are
-    searched either way.  Instances beyond the rank-search guard still
-    accept their parameters: the condition is reported, trials are skipped,
-    and the skipped guard is named.
+    searched either way.  Each trial only decides whether the dim is < k
+    (`_isotropic_dim_below`), without computing the maximum.  Instances
+    beyond the rank-search guard still accept their parameters: the
+    condition is reported, trials are skipped, and the skipped guard is
+    named.  A negative trial count raises ValueError.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     condition = 2 * n < t * (k - 1)
     if trials > 0 and n > ISOTROPIC_BNB_GUARD:
         return SearchResult(None, None, condition, 0, "max_isotropic_bnb")
     for trial in range(trials):
         fam = random_family(n, t, derive_seed(seed, trial))
-        if max_isotropic_qzero(fam).dim <= k - 1:
+        if _isotropic_dim_below(fam, k):
             return SearchResult(fam, trial, condition, trial + 1)
     return SearchResult(None, None, condition, trials)
 

@@ -1,4 +1,4 @@
-"""Deterministic randomness: splitmix64 and a fair-bit stream on top of it.
+"""Deterministic randomness: splitmix64 and blocks of fair bits drawn from it.
 
 splitmix64 uses the standard published constants, so any run is reproducible
 from its 64-bit seed alone.  Per-trial streams derive as seed + trial index
@@ -27,22 +27,15 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-class BitStream:
-    """Fair bits drawn from a SplitMix64 word stream, LSB first."""
+def random_bits(seed: int, count: int) -> int:
+    """The first `count` fair bits of seed's splitmix64 word stream, as one int.
 
-    def __init__(self, seed: int):
-        self._gen = SplitMix64(seed)
-        self._word = 0
-        self._left = 0
-
-    def next_bit(self) -> int:
-        if self._left == 0:
-            self._word = self._gen.next_u64()
-            self._left = 64
-        bit = self._word & 1
-        self._word >>= 1
-        self._left -= 1
-        return bit
+    Bit k is the k-th bit drawn: words are consumed LSB first, so the block is
+    the words concatenated little-endian.
+    """
+    gen = SplitMix64(seed)
+    words = b"".join(gen.next_u64().to_bytes(8, "little") for _ in range((count + 63) // 64))
+    return int.from_bytes(words, "little") & ((1 << count) - 1)
 
 
 def derive_seed(seed: int, index: int) -> int:

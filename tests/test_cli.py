@@ -78,6 +78,18 @@ class TestDispatchContract:
         code, obj = run(capsys, "group", "rank", "--family", str(bad))
         assert code == EXIT_BAD_JSON
 
+    def test_directory_path_is_a_validation_error(self, capsys, tmp_path):
+        code, obj = run(capsys, "group", "rank", "--family", str(tmp_path))
+        assert_clean_validation(code, obj, [f"{tmp_path}: cannot read file (Is a directory)"])
+
+    def test_non_utf8_file_is_malformed_json(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"n": 2, "t": 1, "forms": [["01", "10"]], "note": "\xe9"}')
+        code, obj = run(capsys, "group", "rank", "--family", str(bad))
+        assert code == EXIT_BAD_JSON
+        assert obj["error"] == {"code": "malformed_json",
+                                "message": f"{bad}: not UTF-8 text (byte 51)"}
+
     def test_schema_violation_lists_fields(self, capsys, tmp_path):
         bad = tmp_path / "bad_family.json"
         bad.write_text(json.dumps({"n": 2, "t": 1, "forms": [["01", "00"]]}))
@@ -181,6 +193,12 @@ class TestGroupCommands:
         assert res["condition_holds"] and res["found"]
         assert res["rank_target"] == 7
         assert res["family"]["n"] == 5 and res["family"]["t"] == 4
+
+    def test_search_olshanskii_negative_trials(self, capsys):
+        code, obj = run(capsys, "search", "olshanskii", "--n", "5", "--t", "4", "--k", "4",
+                        "--trials", "-1")
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == "trials must be >= 0, got -1"
 
     def test_search_olshanskii_headline_scale_reports_condition(self, capsys):
         code, obj = run(

@@ -14,6 +14,7 @@ from sphererank.forms import (
     random_family,
 )
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
+from sphererank.rng import SplitMix64
 
 from oracles import naive_form_value
 
@@ -134,6 +135,33 @@ class TestRandomFamily:
             with pytest.raises(GuardExceeded) as exc:
                 random_family(n, t, 0)
             assert exc.value.guard == "random_family_bits"
+
+    @staticmethod
+    def _bitstream_family(n, t, seed):
+        """The draw loop of record: one splitmix64 word at a time, LSB first."""
+        gen, word, left = SplitMix64(seed), 0, 0
+        grams = []
+        for _ in range(t):
+            rows = [0] * n
+            for i in range(1, n):
+                for j in range(i):
+                    if left == 0:
+                        word, left = gen.next_u64(), 64
+                    bit, word, left = word & 1, word >> 1, left - 1
+                    if bit:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            grams.append(rows)
+        return grams
+
+    def test_bits_match_word_stream_loop(self):
+        # n = 1 draws no bits; n = 2 one per form
+        rng = random.Random(14)
+        for n in range(1, 21):
+            for t in range(1, 7):
+                seed = rng.getrandbits(64)
+                fam = random_family(n, t, seed)
+                assert [f.gram.row_bits() for f in fam.forms] == self._bitstream_family(n, t, seed)
 
     def test_alternating_by_construction(self):
         fam = random_family(6, 2, 9)

@@ -81,6 +81,31 @@ class TestBitMatrix:
         m = random_matrix(rng, 6, 3)
         assert m.transpose().transpose() == m
 
+    def test_transpose_matches_entries(self):
+        rng = random.Random(12)
+        for rows, cols in [(1, 1), (3, 5), (6, 2), (7, 7)]:
+            m = random_matrix(rng, rows, cols)
+            mt = m.transpose()
+            assert (mt.rows, mt.cols) == (cols, rows)
+            assert as_lists(mt) == [list(col) for col in zip(*as_lists(m))]
+
+    def test_symmetry_and_diagonal_match_entrywise_checks(self):
+        rng = random.Random(13)
+        cases = [random_matrix(rng, 3, 4), random_matrix(rng, 4, 3)]
+        for n in range(1, 8):
+            for _ in range(20):
+                m = random_matrix(rng, n, n)
+                sym = m.add(m.transpose())  # symmetric with zero diagonal
+                diag = BitMatrix.from_bits(n, n, [rng.getrandbits(1) << i for i in range(n)])
+                cases += [m, sym, sym.add(diag)]
+        for m in cases:
+            e = as_lists(m)
+            square = m.rows == m.cols
+            symmetric = square and all(e[i][j] == e[j][i] for i in range(m.rows) for j in range(i))
+            zero_diag = square and all(e[i][i] == 0 for i in range(m.rows))
+            assert m.is_symmetric() == symmetric and m.has_zero_diagonal() == zero_diag
+        assert sum(m.is_symmetric() for m in cases) >= 2 * 140
+
     def test_json_round_trip(self):
         m = BitMatrix.from_strings(["011", "101", "110"])
         assert BitMatrix.from_json_dict(m.to_json_dict()) == m

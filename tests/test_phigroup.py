@@ -14,7 +14,10 @@ from sphererank.forms import (
 from sphererank.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces
 from sphererank.phigroup import (
     IsotropicResult,
+    _coordinate_masks,
+    _q_masks,
     _qzero_vectors,
+    _witt_ceiling,
     PhiGroup,
     center,
     center_order4_dim,
@@ -23,6 +26,7 @@ from sphererank.phigroup import (
     max_isotropic_qzero,
     search_forms,
 )
+from sphererank.rng import derive_seed
 
 from oracles import (
     brute_center,
@@ -288,6 +292,39 @@ class TestQZeroScan:
             assert (v in zero) == all(naive_quadratic_value(g, x) == 0 for g in grams), v
 
 
+class TestWittCeiling:
+    def test_min_witt_index_over_forms(self):
+        rng = random.Random(15)
+        for n in range(1, 10):
+            for t in range(1, 5):
+                for _ in range(3 if n < 9 else 1):
+                    fam = random_family(n, t, rng.getrandbits(64))
+                    q_masks = _q_masks(fam, _coordinate_masks(n))
+                    expected = min(witt_index_single(g) for g in gram_lists(fam))
+                    assert _witt_ceiling(fam, q_masks) == expected, (n, t)
+
+    def test_no_node_starts_once_the_ceiling_is_reached(self, monkeypatch):
+        starts = []
+        node = phigroup._bnb_node
+
+        def watched(x, gram_rows, best, basis, cand):
+            starts.append(best[0] < best[2])
+            node(x, gram_rows, best, basis, cand)
+
+        monkeypatch.setattr(phigroup, "_bnb_node", watched)
+        for seed in range(10):
+            max_isotropic_qzero(random_family(8, 1, seed))
+            search_forms(7, 2, 2, trials=3, seed=seed)
+        assert len(starts) > 100 and all(starts)
+
+    def test_zero_and_symplectic_forms(self):
+        for n, t in [(1, 1), (4, 2), (5, 3)]:
+            fam = zero_family(n, t)
+            assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(n))) == n
+        fam = d8_group().fam  # q = x0 x1: Arf invariant 0
+        assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(2))) == 1
+
+
 class TestGroupRank:
     def test_abelian(self):
         assert group_rank(PhiGroup(zero_family(3, 2))) == 5
@@ -341,6 +378,45 @@ class TestSearchForms:
 
     def test_condition_boundary(self):
         assert not search_forms(1250, 50, 51, trials=0, seed=0).condition_holds
+
+    def test_matches_full_maximum_reference_loop(self):
+        def reference(n, t, k, trials, seed):
+            for trial in range(trials):
+                fam = random_family(n, t, derive_seed(seed, trial))
+                if max_isotropic_qzero(fam).dim <= k - 1:
+                    return trial, trial + 1, fam
+            return None, trials, None
+
+        rng = random.Random(16)
+        found = 0
+        for n in range(1, 10):
+            for t in range(1, 5):
+                for k in range(0, 6):
+                    seed = rng.getrandbits(64)
+                    res = search_forms(n, t, k, trials=4, seed=seed)
+                    index, run, fam = reference(n, t, k, 4, seed)
+                    assert (res.trial_index, res.trials_run) == (index, run), (n, t, k)
+                    assert res.family == fam
+                    found += fam is not None
+        assert 40 < found < 9 * 4 * 6 - 40  # both outcomes are exercised
+
+    def test_trials_come_from_the_module_globals(self, monkeypatch):
+        # the benchmark's tracer wraps these two names to time and count trials
+        calls = {"random_family": 0, "_qzero_vectors": 0}
+        for name in calls:
+            original = getattr(phigroup, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(phigroup, name, counted)
+        res = search_forms(7, 2, 2, trials=5, seed=3)
+        assert res.family is None and calls == {"random_family": 5, "_qzero_vectors": 5}
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials must be >= 0"):
+            search_forms(4, 2, 3, trials=-1, seed=0)
 
     def test_tiny_zero_family_fails_rank_target(self):
         # the only alternative candidate at n=2, t=1: the zero form is too abelian
