@@ -40,7 +40,7 @@ class AlternatingForm:
 
     def lower(self) -> BitMatrix:
         """Strictly lower triangular half of the Gram matrix."""
-        mask_rows = [r & ((1 << i) - 1) for i, r in enumerate(self.gram.row_bits())]
+        mask_rows = [r & ((1 << i) - 1) for i, r in enumerate(self.gram.row_data)]
         return BitMatrix.from_bits(self.n, self.n, mask_rows)
 
 
@@ -48,7 +48,7 @@ def evaluate(form: AlternatingForm, x: BitVector, y: BitVector) -> int:
     """x^T . gram . y in F2."""
     if x.n != form.n or y.n != form.n:
         raise ValueError("length mismatch")
-    return (fold_rows(form.gram.row_bits(), x.bits) & y.bits).bit_count() & 1
+    return (fold_rows(form.gram.row_data, x.bits) & y.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -83,14 +83,14 @@ class FormFamily:
             raise ValueError("length mismatch")
         out = 0
         for s, lo in enumerate(self.lower):
-            out |= ((fold_rows(lo.row_bits(), e.bits) & e2.bits).bit_count() & 1) << s
+            out |= ((fold_rows(lo.row_data, e.bits) & e2.bits).bit_count() & 1) << s
         return BitVector(self.t, out)
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "t": self.t,
-            "forms": [[r.to_string() for r in f.gram.row_data] for f in self.forms],
+            "forms": [f.gram.to_json_dict()["data"] for f in self.forms],
         }
 
     @classmethod
@@ -137,7 +137,7 @@ def quadratic_refinement(fam: FormFamily, e: BitVector) -> BitVector:
 
 def common_radical(fam: FormFamily) -> Subspace:
     """Vectors pairing to zero with everything, for every form in the family."""
-    stacked = [r for f in fam.forms for r in f.gram.row_bits()]
+    stacked = [r for f in fam.forms for r in f.gram.row_data]
     return kernel(BitMatrix.from_bits(len(stacked), fam.n, stacked))
 
 

@@ -105,28 +105,40 @@ class BitVector:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Dense GF(2) matrix stored as a tuple of BitVector rows."""
+    """Dense GF(2) matrix stored as a tuple of int-packed rows (entry j = bit j).
+
+    `row(i)` wraps a row in a BitVector on demand; `row_data` is the tuple
+    itself, for readers that only fold or compare rows.
+    """
 
     rows: int
     cols: int
-    row_data: tuple[BitVector, ...]
+    row_data: tuple[int, ...]
 
     def __post_init__(self):
         if self.rows != len(self.row_data):
             raise ValueError("row count mismatch")
-        for r in self.row_data:
-            if r.n != self.cols:
-                raise ValueError("row length mismatch")
+        for b in self.row_data:
+            if b < 0 or b >> self.cols:
+                raise ValueError(f"bits set beyond dimension {self.cols}")
+
+    @classmethod
+    def _from_vectors(cls, rows: int, cols: int, vectors: Sequence[BitVector]) -> BitMatrix:
+        if rows != len(vectors):
+            raise ValueError("row count mismatch")
+        if any(v.n != cols for v in vectors):
+            raise ValueError("row length mismatch")
+        return cls(rows, cols, tuple(v.bits for v in vectors))
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
         if not rows:
             raise ValueError("cannot infer column count from zero rows")
-        return cls(len(rows), rows[0].n, tuple(rows))
+        return cls._from_vectors(len(rows), rows[0].n, rows)
 
     @classmethod
     def from_bits(cls, rows: int, cols: int, bits: Sequence[int]) -> BitMatrix:
-        return cls(rows, cols, tuple(BitVector(cols, b) for b in bits))
+        return cls(rows, cols, tuple(bits))
 
     @classmethod
     def from_strings(cls, data: Sequence[str]) -> BitMatrix:
@@ -144,63 +156,60 @@ class BitMatrix:
         return cls.from_bits(rows, cols, [0] * rows)
 
     def row(self, i: int) -> BitVector:
-        return self.row_data[i]
+        return BitVector(self.cols, self.row_data[i])
 
     def row_bits(self) -> list[int]:
-        return [r.bits for r in self.row_data]
+        return list(self.row_data)
 
     def entry(self, i: int, j: int) -> int:
-        return self.row_data[i][j]
+        return self.row(i)[j]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self) -> BitMatrix:
-        cols = _transpose_bits(self.row_bits(), self.cols)
-        return BitMatrix.from_bits(self.cols, self.rows, cols)
+        return BitMatrix.from_bits(self.cols, self.rows, _transpose_bits(self.row_data, self.cols))
 
     def mul_vec(self, v: BitVector) -> BitVector:
         if v.n != self.cols:
             raise ValueError("dimension mismatch")
         out = 0
         for i, r in enumerate(self.row_data):
-            out |= ((r.bits & v.bits).bit_count() & 1) << i
+            out |= ((r & v.bits).bit_count() & 1) << i
         return BitVector(self.rows, out)
 
     def matmul(self, other: BitMatrix) -> BitMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        obits = other.row_bits()
         return BitMatrix.from_bits(
-            self.rows, other.cols, [fold_rows(obits, r.bits) for r in self.row_data]
+            self.rows, other.cols, [fold_rows(other.row_data, r) for r in self.row_data]
         )
 
     def add(self, other: BitMatrix) -> BitMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
         return BitMatrix.from_bits(
-            self.rows, self.cols, [a.bits ^ b.bits for a, b in zip(self.row_data, other.row_data)]
+            self.rows, self.cols, [a ^ b for a, b in zip(self.row_data, other.row_data)]
         )
 
     def is_symmetric(self) -> bool:
-        rows = self.row_bits()
-        return self.is_square() and _transpose_bits(rows, self.cols) == rows
+        rows = self.row_data
+        return self.is_square() and tuple(_transpose_bits(rows, self.cols)) == rows
 
     def has_zero_diagonal(self) -> bool:
-        return self.is_square() and not any(r >> i & 1 for i, r in enumerate(self.row_bits()))
+        return self.is_square() and not any(r >> i & 1 for i, r in enumerate(self.row_data))
 
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "data": [r.to_string() for r in self.row_data],
+            "data": [self.row(i).to_string() for i in range(self.rows)],
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> BitMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        m = cls(rows, cols, tuple(BitVector.from_string(s) for s in data))
-        return m
+        return cls._from_vectors(rows, cols, [BitVector.from_string(s) for s in data])
 
 
 def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
@@ -332,12 +341,12 @@ class Subspace:
 
 def rank(m: BitMatrix) -> int:
     """GF(2) row rank."""
-    return len(_rref_bits(m.row_bits()))
+    return len(_rref_bits(m.row_data))
 
 
 def kernel(m: BitMatrix) -> Subspace:
     """Canonical right kernel {v : m.v = 0}; dim = cols - rank."""
-    reduced = _rref_bits(m.row_bits())
+    reduced = _rref_bits(m.row_data)
     pivot_cols = [(r & -r).bit_length() - 1 for r in reduced]
     pivot_set = set(pivot_cols)
     gens = []
@@ -370,7 +379,7 @@ def invariants(action: Sequence[BitMatrix], dim: int | None = None) -> Subspace:
     the kernel of the rows of every g + I stacked together.
     """
     n = _check_action(action, dim)
-    stacked = [g.row(i).bits ^ (1 << i) for g in action for i in range(n)]
+    stacked = [r ^ (1 << i) for g in action for i, r in enumerate(g.row_data)]
     if not stacked:
         return Subspace.full(n)
     return kernel(BitMatrix.from_bits(len(stacked), n, stacked))
@@ -381,8 +390,8 @@ def coinvariants_dim(action: Sequence[BitMatrix], dim: int | None = None) -> int
     n = _check_action(action, dim)
     cols = []
     for g in action:
-        gi = BitMatrix.from_bits(n, n, [g.row(i).bits ^ (1 << i) for i in range(n)])
-        cols.extend(gi.transpose().row_bits())
+        gi = BitMatrix.from_bits(n, n, [r ^ (1 << i) for i, r in enumerate(g.row_data)])
+        cols.extend(gi.transpose().row_data)
     return n - len(_rref_bits(cols))
 
 

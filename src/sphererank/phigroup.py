@@ -41,7 +41,7 @@ class PhiGroup:
         self.n = n = fam.n
         self.t = fam.t
         amask = (1 << n) - 1
-        lower_rows = [lo.row_bits() for lo in fam.lower]
+        lower_rows = [lo.row_data for lo in fam.lower]
         folds: dict[int, list[int]] = {}  # a-part -> per-form row fold, lazily
 
         def mul(i: int, j: int) -> int:
@@ -131,7 +131,7 @@ def _q_masks(fam: FormFamily, x: list[int]) -> list[int]:
     out = []
     for lo in fam.lower:
         q = 0
-        for xi, row in zip(x, lo.row_bits()):
+        for xi, row in zip(x, lo.row_data):
             q ^= xi & fold_rows(x, row)
         out.append(q)
     return out
@@ -174,7 +174,7 @@ def _witt_ceiling(fam: FormFamily, q_masks: list[int]) -> int:
 
 def _phi_profile(fam: FormFamily, v: int) -> list[int]:
     """Per-form masks m_s = gram_s . v; phi_s(u, v) = parity(u & m_s)."""
-    return [fold_rows(f.gram.row_bits(), v) for f in fam.forms]
+    return [fold_rows(f.gram.row_data, v) for f in fam.forms]
 
 
 def _compatible(profile: list[int], u: int) -> bool:
@@ -227,16 +227,16 @@ def _weight_order(vectors: Iterable[int]) -> list[int]:
     return sorted(sorted(vectors), key=int.bit_count)
 
 
-def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
+def _bnb_node(gram_rows: list[tuple[int, ...]], best: list,
               basis: tuple[int, ...], cand: list[int]) -> None:
     """One node of the branch-and-bound; `best` holds [dim, basis, ceiling].
 
     dim and basis are the incumbent; once dim reaches the ceiling the whole
     search stops.  `best` changes only on a strictly larger dim, so a ceiling
     no subspace can exceed cuts only work that could not change the answer.
-    A module function rather than a recursive closure, so the coordinate masks
-    x and the gram rows are freed when the search returns, not at the next
-    cyclic garbage collection.
+    A module function rather than a recursive closure, so the candidate lists
+    are freed when the search returns, not at the next cyclic garbage
+    collection.
     """
     d = len(basis)
     if d > best[0]:
@@ -250,35 +250,36 @@ def _bnb_node(x: list[int], gram_rows: list[list[int]], best: list,
         # span at least m.bit_length() dimensions
         if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
             return
-        clash = 0
+        # c is compatible with v when phi_s(c, v) = parity(c & m_s) is 0 for
+        # every s; each form filters the survivors of the one before
+        rest = cand[k + 1:]
         for rows in gram_rows:
-            clash |= fold_rows(x, fold_rows(rows, v))
+            m = fold_rows(rows, v)
+            rest = [c for c in rest if not (c & m).bit_count() & 1]
         # v and every candidate are reduced modulo the basis, so reducing
         # modulo basis + v can only clear the lowest bit p of v
         p = v & -v
-        reduced = {c ^ v if c & p else c for c in cand[k + 1:] if not clash >> c & 1}
-        _bnb_node(x, gram_rows, best, basis + (v,), _weight_order(reduced))
+        reduced = {c ^ v if c & p else c for c in rest}
+        _bnb_node(gram_rows, best, basis + (v,), _weight_order(reduced))
 
 
-def _bnb_search(fam: FormFamily, x: list[int], q_masks: list[int], best: list) -> None:
+def _bnb_search(fam: FormFamily, q_masks: list[int], best: list) -> None:
     """Run the branch-and-bound from the root, updating `best` (see _bnb_node).
 
-    Compatibility with a popped v is read off a 2^n-bit mask of the vectors c
-    with phi_s(c, v) = 1 for some s, built per node from the bit-sliced
-    coordinates x and dropped with the node.
+    The root candidates are the q-zero vectors read off `q_masks`; every
+    node works on n-bit ints only.
     """
-    gram_rows = [f.gram.row_bits() for f in fam.forms]
-    _bnb_node(x, gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
+    gram_rows = [f.gram.row_data for f in fam.forms]
+    _bnb_node(gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
 
 
 def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
     """Branch and bound: weight-ordered candidates, the coset counting bound,
     and a stop at the Witt ceiling."""
     n = fam.n
-    x = _coordinate_masks(n)
-    q_masks = _q_masks(fam, x)
+    q_masks = _q_masks(fam, _coordinate_masks(n))
     best: list = [0, (), _witt_ceiling(fam, q_masks)]
-    _bnb_search(fam, x, q_masks, best)
+    _bnb_search(fam, q_masks, best)
     witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(best[1]))))
     return IsotropicResult(best[0], witness)
 
@@ -290,12 +291,11 @@ def _isotropic_dim_below(fam: FormFamily, k: int) -> bool:
     branch-and-bound started with incumbent k - 1 and ceiling k, which stops
     at the first subspace of dim k.
     """
-    x = _coordinate_masks(fam.n)
-    q_masks = _q_masks(fam, x)
+    q_masks = _q_masks(fam, _coordinate_masks(fam.n))
     if _witt_ceiling(fam, q_masks) < k:
         return True
     best = [k - 1, (), k]
-    _bnb_search(fam, x, q_masks, best)
+    _bnb_search(fam, q_masks, best)
     return best[0] < k
 
 

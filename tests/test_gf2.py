@@ -111,6 +111,46 @@ class TestBitMatrix:
         assert BitMatrix.from_json_dict(m.to_json_dict()) == m
 
 
+def refused(build, message: str) -> None:
+    """build() raises exactly ValueError(message), not a subclass or another text."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
+class TestBitMatrixShapeChecks:
+    def test_row_wider_than_cols(self):
+        refused(lambda: BitMatrix.from_bits(2, 3, [0b1000, 0b001]), "bits set beyond dimension 3")
+        refused(lambda: BitMatrix.from_bits(1, 3, [1 << 70]), "bits set beyond dimension 3")
+        refused(lambda: BitMatrix.from_rows([BitVector(3, 1), BitVector(4, 1)]),
+                "row length mismatch")
+
+    def test_negative_row(self):
+        refused(lambda: BitMatrix.from_bits(2, 3, [0, -1]), "bits set beyond dimension 3")
+        refused(lambda: BitMatrix.from_bits(1, 0, [-1]), "bits set beyond dimension 0")
+
+    def test_wrong_row_count(self):
+        refused(lambda: BitMatrix.from_bits(3, 3, [0, 0]), "row count mismatch")
+        refused(lambda: BitMatrix.from_bits(0, 2, [1]), "row count mismatch")
+
+    def test_json_dict_cols_disagree_with_strings(self):
+        for cols, data in [(3, ["0110", "1001"]), (5, ["011", "101"]), (0, ["1"])]:
+            obj = {"rows": len(data), "cols": cols, "data": data}
+            refused(lambda: BitMatrix.from_json_dict(obj), "row length mismatch")
+
+    def test_json_dict_rows_disagree_with_strings(self):
+        for rows in (0, 1, 3):
+            obj = {"rows": rows, "cols": 2, "data": ["01", "10"]}
+            refused(lambda: BitMatrix.from_json_dict(obj), "row count mismatch")
+
+    def test_valid_shapes_still_build(self):
+        assert BitMatrix.from_json_dict({"rows": 0, "cols": 3, "data": []}).rows == 0
+        m = BitMatrix.from_bits(2, 3, [0b101, 0b010])
+        assert m.to_json_dict() == {"rows": 2, "cols": 3, "data": ["101", "010"]}
+        assert [m.row(i) for i in range(2)] == [BitVector(3, 0b101), BitVector(3, 0b010)]
+        assert m.row_bits() == [0b101, 0b010]
+
+
 class TestFoldRows:
     def test_matches_naive_transposed_product(self):
         # fold_rows(rows, x) = x . M, i.e. M^T x in coordinates

@@ -43,6 +43,15 @@ BNB_FAMILIES = {
     "fam_11_2_9.json": (11, 2, 9),
 }
 
+# Families at the top of the branch-and-bound's range, pinned in bnb mode: t=1
+# at n=18 and 20, where the root holds over 10^5 q-zero candidates, and t=4 at
+# n=14, where the ceiling is loose and the search runs many nodes.
+GUARD_FAMILIES = {
+    "fam_18_1_18.json": (18, 1, 18),
+    "fam_20_1_20.json": (20, 1, 20),
+    "fam_14_4_14.json": (14, 4, 14),
+}
+
 # Q8 x C2^2 (order 32): id = 4 * q + c; id 4 is the central -1 of Q8
 PRODUCT_REPS = json.dumps(
     [
@@ -135,6 +144,11 @@ def _cases() -> list[list[str]]:
     cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
                   "--save-family", name])
     cases.append(["rep", "isotropy", "--family", name])
+    for name, (n, t, seed) in GUARD_FAMILIES.items():
+        cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
+                      "--save-family", name])
+        cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
+        cases.append(["group", "profile", "--family", name])
     return cases
 
 

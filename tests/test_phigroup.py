@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations
 
 import pytest
 
@@ -18,6 +19,7 @@ from sphererank.phigroup import (
     _q_masks,
     _qzero_vectors,
     _witt_ceiling,
+    ISOTROPIC_BNB_GUARD,
     PhiGroup,
     center,
     center_order4_dim,
@@ -32,8 +34,10 @@ from oracles import (
     brute_center,
     brute_max_elem_abelian_rank,
     dihedral_table,
+    naive_form_value,
     naive_qzero_vectors,
     naive_quadratic_value,
+    naive_rank,
     tables_isomorphic,
     witt_index_single,
 )
@@ -307,9 +311,9 @@ class TestWittCeiling:
         starts = []
         node = phigroup._bnb_node
 
-        def watched(x, gram_rows, best, basis, cand):
+        def watched(gram_rows, best, basis, cand):
             starts.append(best[0] < best[2])
-            node(x, gram_rows, best, basis, cand)
+            node(gram_rows, best, basis, cand)
 
         monkeypatch.setattr(phigroup, "_bnb_node", watched)
         for seed in range(10):
@@ -323,6 +327,26 @@ class TestWittCeiling:
             assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(n))) == n
         fam = d8_group().fam  # q = x0 x1: Arf invariant 0
         assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(2))) == 1
+
+
+class TestGuardHolds:
+    """Searches at the top of the branch-and-bound range finish inside the test."""
+
+    def test_search_at_the_guard_gives_an_isotropic_q_zero_witness(self):
+        n = ISOTROPIC_BNB_GUARD
+        fam = random_family(n, 1, 20)
+        res = max_isotropic_qzero(fam)
+        gram = gram_lists(fam)[0]
+        basis = [[v[j] for j in range(n)] for v in res.witness.basis]
+        assert res.dim == len(basis) == naive_rank(basis) == 9
+        assert all(naive_quadratic_value(gram, x) == 0 for x in basis)
+        assert all(naive_form_value(gram, x, y) == 0 for x, y in combinations(basis, 2))
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_single_form_dim_is_the_witt_index(self, n):
+        for seed in range(2):
+            fam = random_family(n, 1, derive_seed(n, seed))
+            assert max_isotropic_qzero(fam).dim == witt_index_single(gram_lists(fam)[0])
 
 
 class TestGroupRank:
