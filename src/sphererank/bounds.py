@@ -157,6 +157,8 @@ def perm_rank_audit(n: int) -> PermAuditResult:
     the worst case reported is the first subgroup (in search order) of
     maximal rank.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n > PERM_AUDIT_GUARD:
         raise GuardExceeded("perm_rank_audit", f"n={n} exceeds guard {PERM_AUDIT_GUARD}")
     identity = tuple(range(n))
@@ -173,18 +175,17 @@ def perm_rank_audit(n: int) -> PermAuditResult:
     checked = 1  # the trivial subgroup: rank 0, n orbits
     worst = (0, n)  # (rank, orbits) of the first subgroup of maximal rank
 
-    def extend(rank_h: int, gens: tuple, elements: frozenset, coset: list) -> int:
+    def extend(state: bool, gens: tuple, elements: frozenset, coset: list) -> bool:
         nonlocal checked, worst
         checked += 1
-        rank_h += 1
         orbits = _perm_orbits(list(elements), n)
-        if rank_h > n - orbits:
-            raise AssertionError(f"rank {rank_h} exceeds {n} - {orbits} orbits")
-        if rank_h > worst[0]:
-            worst = (rank_h, orbits)
-        return rank_h
+        if len(gens) > n - orbits:
+            raise AssertionError(f"rank {len(gens)} exceeds {n} - {orbits} orbits")
+        if len(gens) > worst[0]:
+            worst = (len(gens), orbits)
+        return True
 
-    elementary_abelian_search(compose, identity, invs, 0, extend)
+    elementary_abelian_search(compose, identity, invs, True, extend)
     return PermAuditResult(True, worst[0], worst[1], checked)
 
 
@@ -218,6 +219,8 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     commuting sets of involutions closed under span, and asserts the
     quadratic bound.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n > GL_AUDIT_GUARD:
         raise GuardExceeded("gl_rank_audit", f"n={n} exceeds guard {GL_AUDIT_GUARD}")
     identity = tuple(1 << i for i in range(n))
@@ -229,15 +232,14 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     best = 0
     checked = 1  # the trivial subgroup
 
-    def extend(rank_h: int, gens: tuple, elements: frozenset, coset: list) -> int:
+    def extend(state: bool, gens: tuple, elements: frozenset, coset: list) -> bool:
         nonlocal best, checked
         checked += 1
-        rank_h += 1
-        if rank_h > best:
-            best = rank_h
+        if len(gens) > best:
+            best = len(gens)
             if best > bound:
                 raise AssertionError(f"rank {best} exceeds the bound {bound}")
-        return rank_h
+        return True
 
-    elementary_abelian_search(_mat_mul, identity, invs, 0, extend)
+    elementary_abelian_search(_mat_mul, identity, invs, True, extend)
     return GlAuditResult(best, bound, checked)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 from . import __version__, bounds, forms, phigroup, polyalg, repaction
-from .errors import GuardExceeded, SchemaError
+from .errors import GuardExceeded, SchemaError, require_keys
 from .gf2 import BitMatrix, BitVector
 
 EXIT_OK = 0
@@ -44,14 +44,12 @@ class Report:
     version: str = __version__
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "result": self.result,
-            "provenance": self.provenance,
-            "version": self.version,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return _canonical(asdict(self))
+
+
+def _canonical(obj: Any) -> str:
+    """Canonical JSON: sorted keys, fixed separators, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -63,8 +61,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _error_json(code: str, message: str, **extra: Any) -> str:
-    obj = {"error": {"code": code, "message": message, **extra}}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical({"error": {"code": code, "message": message, **extra}})
 
 
 # -- input loading -------------------------------------------------------------
@@ -94,9 +91,7 @@ def load_family(path: str) -> forms.FormFamily:
 
 def load_table(path: str) -> repaction.GroupOracle:
     obj = _as_dict(_load_json(path), path)
-    failing = [f"missing key {k!r}" for k in ("order", "mul") if k not in obj]
-    if failing:
-        raise SchemaError(failing)
+    require_keys(obj, "order", "mul")
     if not isinstance(obj["mul"], list) or len(obj["mul"]) != obj["order"]:
         raise SchemaError(["mul: must be an order x order table"])
     try:
@@ -109,16 +104,21 @@ def load_table(path: str) -> repaction.GroupOracle:
 
 def load_ideal(path: str) -> polyalg.IdealGens:
     obj = _as_dict(_load_json(path), path)
-    failing = [f"missing key {k!r}" for k in ("nvars", "gens") if k not in obj]
-    if failing:
-        raise SchemaError(failing)
+    require_keys(obj, "nvars", "gens")
+    nvars, gen_objs = obj["nvars"], obj["gens"]
+    if type(nvars) is not int:
+        raise SchemaError(["nvars: must be an integer"])
+    if not isinstance(gen_objs, list):
+        raise SchemaError(["gens: must be a list of objects"])
     gens = []
-    for i, g in enumerate(obj["gens"]):
+    for i, g in enumerate(gen_objs):
+        if not isinstance(g, dict):
+            raise SchemaError([f"gens[{i}]: must be an object"])
         try:
-            gens.append(polyalg.GradedPoly.from_json_dict({"nvars": obj["nvars"], **g}))
+            gens.append(polyalg.GradedPoly.from_json_dict({"nvars": nvars, **g}))
         except SchemaError as exc:
             raise SchemaError([f"gens[{i}].{f}" for f in exc.fields]) from exc
-    return polyalg.IdealGens(obj["nvars"], tuple(gens))
+    return polyalg.IdealGens(nvars, tuple(gens))
 
 
 def load_system(path: str) -> forms.QuadraticSystem:
@@ -127,20 +127,23 @@ def load_system(path: str) -> forms.QuadraticSystem:
 
 def load_action(path: str) -> polyalg.LinearAction:
     obj = _as_dict(_load_json(path), path)
-    failing = [f"missing key {k!r}" for k in ("nvars", "generators") if k not in obj]
-    if failing:
-        raise SchemaError(failing)
+    require_keys(obj, "nvars", "generators")
+    nvars, matrices = obj["nvars"], obj["generators"]
+    if type(nvars) is not int:
+        raise SchemaError(["nvars: must be an integer"])
+    if not isinstance(matrices, list):
+        raise SchemaError(["generators: must be a list of matrices"])
     gens = []
-    for i, rows in enumerate(obj["generators"]):
+    for i, rows in enumerate(matrices):
         try:
             m = BitMatrix.from_strings(rows)
-            if m.rows != obj["nvars"] or m.cols != obj["nvars"]:
+            if m.rows != nvars or m.cols != nvars:
                 raise ValueError("wrong shape")
             gens.append(m)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise SchemaError([f"generators[{i}]: {exc}"]) from exc
     try:
-        return polyalg.LinearAction(obj["nvars"], tuple(gens))
+        return polyalg.LinearAction(nvars, tuple(gens))
     except ValueError as exc:
         raise SchemaError([f"generators: {exc}"]) from exc
 
@@ -193,12 +196,11 @@ def _load_group_and_reps(args) -> tuple[repaction.GroupOracle, list[repaction.Mo
 
 
 def _load_group(args) -> repaction.GroupOracle:
-    family, table = getattr(args, "family", None), getattr(args, "table", None)
-    if (family is None) == (table is None):
+    if (args.family is None) == (args.table is None):
         raise _CliError("exactly one of --family or --table is required")
-    if family:
-        return repaction.GroupOracle.from_phi_group(phigroup.PhiGroup(load_family(family)))
-    return load_table(table)
+    if args.family:
+        return repaction.GroupOracle.from_phi_group(phigroup.PhiGroup(load_family(args.family)))
+    return load_table(args.table)
 
 
 # -- command handlers ----------------------------------------------------------
@@ -209,8 +211,7 @@ _MODES = {"exhaustive": "exhaustive", "bnb": "branch_and_bound"}
 def _cmd_forms_gen(args) -> dict:
     fam = forms.random_family(args.n, args.t, args.seed)
     if args.save_family:
-        _emit(json.dumps(fam.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n",
-              args.save_family)
+        _emit(_canonical(fam.to_json_dict()), args.save_family)
     return {"family": fam.to_json_dict()}
 
 
@@ -261,10 +262,7 @@ def _cmd_group_profile(args) -> dict:
 def _cmd_search_olshanskii(args) -> dict:
     res = phigroup.search_forms(args.n, args.t, args.k, args.trials, args.seed)
     if res.family is not None and args.save_family:
-        _emit(
-            json.dumps(res.family.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n",
-            args.save_family,
-        )
+        _emit(_canonical(res.family.to_json_dict()), args.save_family)
     return {
         "condition_holds": res.condition_holds,
         "found": res.family is not None,
@@ -299,12 +297,8 @@ def _cmd_poly_hilbert(args) -> dict:
 
 
 def _cmd_poly_regseq(args) -> dict:
-    ideal = load_ideal(args.ideal)
-    regular = polyalg.is_regular_sequence(ideal)
-    return {
-        "regular": regular,
-        "total_dim": polyalg.quotient_total_dim(ideal) if regular else None,
-    }
+    total_dim = polyalg.quotient_total_dim(load_ideal(args.ideal))
+    return {"regular": total_dim is not None, "total_dim": total_dim}
 
 
 def _cmd_poly_euler(args) -> dict:
@@ -387,6 +381,11 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--out", default=None)
 
 
+def _add_group(p: _Parser) -> None:  # _load_group requires exactly one
+    p.add_argument("--family", default=None)
+    p.add_argument("--table", default=None)
+
+
 def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
     table: dict[str, tuple[_Parser, Callable]] = {}
 
@@ -425,19 +424,14 @@ def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
         p.add_argument("--save-family", default=None),
     ))
     cmd("rep free", _cmd_rep_free, lambda p: (
-        p.add_argument("--family", default=None),
-        p.add_argument("--table", default=None),
+        _add_group(p),
         p.add_argument("--reps", default=None),
     ))
     cmd("rep isotropy", _cmd_rep_isotropy, lambda p: (
-        p.add_argument("--family", default=None),
-        p.add_argument("--table", default=None),
+        _add_group(p),
         p.add_argument("--reps", default=None),
     ))
-    cmd("rep twocentral", _cmd_rep_twocentral, lambda p: (
-        p.add_argument("--family", default=None),
-        p.add_argument("--table", default=None),
-    ))
+    cmd("rep twocentral", _cmd_rep_twocentral, _add_group)
     cmd("poly hilbert", _cmd_poly_hilbert, lambda p: (
         p.add_argument("--ideal", required=True),
         p.add_argument("--degree", type=int, required=True),
@@ -446,8 +440,7 @@ def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
         p.add_argument("--ideal", required=True),
     ))
     cmd("poly euler", _cmd_poly_euler, lambda p: (
-        p.add_argument("--family", default=None),
-        p.add_argument("--table", default=None),
+        _add_group(p),
         p.add_argument("--c-gens", dest="c_gens", required=True),
         p.add_argument("--chars", required=True),
         p.add_argument("--e-gens", dest="e_gens", required=True),
@@ -509,7 +502,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_VALIDATION
 
     guards_hit = []
-    if name == "bounds rp-rank" and args.m <= bounds.SMALL_SPHERE_CAVEAT:
+    if result.get("caveat_small_m"):
         guards_hit.append("small_sphere_caveat")
     if result.get("skipped_guard"):
         guards_hit.append(result["skipped_guard"])

@@ -21,6 +21,13 @@ class SchemaError(ValueError):
         self.fields = list(fields)
 
 
+def require_keys(obj: dict, *keys: str) -> None:
+    """Raise a SchemaError naming every one of `keys` that `obj` lacks."""
+    missing = [f"missing key {k!r}" for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(missing)
+
+
 class NonSquareSystemError(ValueError):
     """Regularity was requested for a system with #generators != #variables.
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import GuardExceeded, SchemaError
+from .errors import GuardExceeded, SchemaError, require_keys
 from .gf2 import BitMatrix, BitVector, Subspace, _transpose_bits, fold_rows, kernel
 from .rng import random_bits
 
@@ -74,9 +74,6 @@ class FormFamily:
         n = grams[0].rows
         return cls(n, len(grams), tuple(AlternatingForm(n, g) for g in grams))
 
-    def phi(self, s: int, x: BitVector, y: BitVector) -> int:
-        return evaluate(self.forms[s], x, y)
-
     def beta(self, e: BitVector, e2: BitVector) -> BitVector:
         """Cocycle (e^T L_s e2)_s, a vector of t bits."""
         if e.n != self.n or e2.n != self.n:
@@ -95,18 +92,14 @@ class FormFamily:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> FormFamily:
-        failing: list[str] = []
-        for key in ("n", "t", "forms"):
-            if key not in obj:
-                failing.append(f"missing key {key!r}")
-        if failing:
-            raise SchemaError(failing)
+        require_keys(obj, "n", "t", "forms")
         n, t, forms = obj["n"], obj["t"], obj["forms"]
-        if not isinstance(n, int) or n < 1:
+        failing = []
+        if type(n) is not int or n < 1:
             failing.append("n: must be a positive integer")
-        if not isinstance(t, int) or t < 1:
+        if type(t) is not int or t < 1:
             failing.append("t: must be a positive integer")
-        if not isinstance(forms, list) or (isinstance(t, int) and len(forms) != t):
+        if not isinstance(forms, list) or (type(t) is int and len(forms) != t):
             failing.append("forms: must be a list of t matrices")
         if failing:
             raise SchemaError(failing)
@@ -114,7 +107,7 @@ class FormFamily:
         for s, rows in enumerate(forms):
             try:
                 g = BitMatrix.from_strings(rows)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 failing.append(f"forms[{s}]: {exc}")
                 continue
             if g.rows != n or g.cols != n:
@@ -199,12 +192,20 @@ class QuadraticSystem:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> QuadraticSystem:
-        failing = [f"missing key {k!r}" for k in ("v", "polys") if k not in obj]
-        if failing:
-            raise SchemaError(failing)
+        require_keys(obj, "v", "polys")
+        v, polys = obj["v"], obj["polys"]
+        if type(v) is not int or v < 0:
+            raise SchemaError(["v: must be a non-negative integer"])
+        # each polynomial is a list of monomials, each a list of variable indices
+        if not isinstance(polys, list) or not all(
+            isinstance(p, list) and all(isinstance(m, list) and all(type(i) is int for i in m)
+                                        for m in p)
+            for p in polys
+        ):
+            raise SchemaError(["polys: must be a list of lists of integer index lists"])
         try:
-            return cls.from_lists(obj["v"], obj["polys"])
-        except (ValueError, TypeError) as exc:
+            return cls.from_lists(v, polys)
+        except ValueError as exc:
             raise SchemaError([f"polys: {exc}"]) from exc
 
     def evaluate(self, point: int) -> tuple[int, ...]:

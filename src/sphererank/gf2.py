@@ -54,10 +54,6 @@ class BitVector:
             raise ValueError("basis index out of range")
         return cls(n, 1 << i)
 
-    @classmethod
-    def zero(cls, n: int) -> BitVector:
-        return cls(n, 0)
-
     def __len__(self) -> int:
         return self.n
 
@@ -142,6 +138,8 @@ class BitMatrix:
 
     @classmethod
     def from_strings(cls, data: Sequence[str]) -> BitMatrix:
+        if not isinstance(data, (list, tuple)) or not all(isinstance(s, str) for s in data):
+            raise ValueError("must be a list of '0'/'1' strings")
         rows = [BitVector.from_string(s) for s in data]
         if len({r.n for r in rows}) > 1:
             raise ValueError("ragged rows")
@@ -177,13 +175,6 @@ class BitMatrix:
         for i, r in enumerate(self.row_data):
             out |= ((r & v.bits).bit_count() & 1) << i
         return BitVector(self.rows, out)
-
-    def matmul(self, other: BitMatrix) -> BitMatrix:
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        return BitMatrix.from_bits(
-            self.rows, other.cols, [fold_rows(other.row_data, r) for r in self.row_data]
-        )
 
     def add(self, other: BitMatrix) -> BitMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -326,9 +317,6 @@ class Subspace:
         if v.n != self.ambient_dim:
             raise ValueError("length mismatch")
         return _reduce_bits(v.bits, [r.bits for r in self.basis]) == 0
-
-    def contains_space(self, other: Subspace) -> bool:
-        return all(self.contains(v) for v in other.basis)
 
     def vectors(self) -> Iterator[BitVector]:
         """Enumerate all 2^dim elements (small subspaces only)."""

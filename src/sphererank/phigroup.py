@@ -346,8 +346,11 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     (`_isotropic_dim_below`), without computing the maximum.  Instances
     beyond the rank-search guard still accept their parameters: the
     condition is reported, trials are skipped, and the skipped guard is
-    named.  A negative trial count raises ValueError.
+    named.  n, t or k below 1, or a negative trial count, raises ValueError.
     """
+    for name, value in (("n", n), ("t", t), ("k", k)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     condition = 2 * n < t * (k - 1)

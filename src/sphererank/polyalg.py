@@ -13,11 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import GuardExceeded, NonSquareSystemError, SchemaError
+from .errors import GuardExceeded, NonSquareSystemError, SchemaError, require_keys
 from .gf2 import BitMatrix, BitVector, _reduce_bits, _rref_bits, rank
-from .repaction import GroupOracle, MonomialRep
+
+if TYPE_CHECKING:
+    from .repaction import GroupOracle, MonomialRep
 
 NVARS_GUARD = 16
 DEGREE_GUARD = 64
@@ -131,15 +133,21 @@ class GradedPoly:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> GradedPoly:
-        failing = [f"missing key {k!r}" for k in ("nvars", "monomials") if k not in obj]
-        if failing:
-            raise SchemaError(failing)
-        monos = obj["monomials"]
+        require_keys(obj, "nvars", "monomials")
+        nvars, monos = obj["nvars"], obj["monomials"]
+        if type(nvars) is not int:
+            raise SchemaError(["nvars: must be an integer"])
+        if not isinstance(monos, list) or not all(
+            isinstance(m, list) and all(type(e) is int for e in m) for m in monos
+        ):
+            raise SchemaError(["monomials: must be a list of integer exponent lists"])
+        if type(obj.get("degree", 0)) is not int:
+            raise SchemaError(["degree: must be an integer"])
         try:
             if not monos:
-                return cls.zero(obj["nvars"], obj.get("degree", 0))
-            poly = cls.from_monomials(obj["nvars"], monos)
-        except (ValueError, TypeError) as exc:
+                return cls.zero(nvars, obj.get("degree", 0))
+            poly = cls.from_monomials(nvars, monos)
+        except ValueError as exc:
             raise SchemaError([f"monomials: {exc}"]) from exc
         if "degree" in obj and obj["degree"] != poly.degree:
             raise SchemaError(["degree: does not match monomials"])
@@ -202,16 +210,6 @@ def hilbert_function(I: IdealGens, d: int) -> int:
     return len(column) - len(_rref_bits(rows()))
 
 
-def _require_square(I: IdealGens) -> None:
-    if len(I.gens) != I.nvars:
-        raise NonSquareSystemError(
-            f"{len(I.gens)} generators in {I.nvars} variables: regularity is only "
-            "decidable here for square systems"
-        )
-    if any(g.degree < 1 for g in I.gens):
-        raise ValueError("generators must be homogeneous of degree >= 1")
-
-
 def is_regular_sequence(I: IdealGens) -> bool:
     """Regularity of n homogeneous generators in n variables.
 
@@ -220,14 +218,19 @@ def is_regular_sequence(I: IdealGens) -> bool:
     boundary sum(d_i - 1) as soon as it vanishes there, so one Hilbert value
     decides.
     """
-    _require_square(I)
+    if len(I.gens) != I.nvars:
+        raise NonSquareSystemError(
+            f"{len(I.gens)} generators in {I.nvars} variables: regularity is only "
+            "decidable here for square systems"
+        )
+    if any(g.degree < 1 for g in I.gens):
+        raise ValueError("generators must be homogeneous of degree >= 1")
     cutoff = sum(g.degree - 1 for g in I.gens) + 1
     return hilbert_function(I, cutoff) == 0
 
 
 def quotient_total_dim(I: IdealGens) -> Optional[int]:
     """Total dimension of the quotient when regular (= prod d_i), else None."""
-    _require_square(I)
     if not is_regular_sequence(I):
         return None
     boundary = sum(g.degree - 1 for g in I.gens)
@@ -270,6 +273,8 @@ def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int
     summand kills the class (zero marker), otherwise the class is the product
     of the nontrivial character linear forms with their multiplicities.
     """
+    if e_rank < 0:
+        raise ValueError(f"e_rank must be >= 0, got {e_rank}")
     coords = _elementary_abelian_coords(rep.group, e_gens, e_rank)
     size = 1 << e_rank
     traces = {e: rep.trace(e) for e in coords}
@@ -349,6 +354,8 @@ class PowerSpanResult(NamedTuple):
 
 def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> PowerSpanResult:
     """Stability of span{y_i^p} and permutation of {y_i} under the action."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     if any(y.degree != 1 or y.nvars != act.nvars for y in ys):
         raise ValueError("ys must be degree-1 forms in the action's variables")
     coeffs = [y.linear_coeffs().bits for y in ys]
@@ -369,8 +376,9 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
     line_set = set(coeffs)
     for g in act.generators:
         for y in ys:
-            if _reduce_bits(pack(apply_linear(y.power(p), g)), span):
+            gy = apply_linear(y, g)  # a ring map, so g(y^p) = g(y)^p
+            if _reduce_bits(pack(gy.power(p)), span):
                 stable = False
-            if apply_linear(y, g).linear_coeffs().bits not in line_set:
+            if gy.linear_coeffs().bits not in line_set:
                 permuted = False
     return PowerSpanResult(stable, permuted)

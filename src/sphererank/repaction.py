@@ -12,10 +12,12 @@ involved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
-from .phigroup import PhiGroup
+
+if TYPE_CHECKING:
+    from .phigroup import PhiGroup
 
 ASSOCIATIVITY_GUARD = 512  # full structural validation below this order
 ORDER_GUARD = 1 << 16
@@ -33,18 +35,15 @@ class GroupOracle:
         self,
         order: int,
         mul: Callable[[int, int], int],
-        provenance: str,
         rows: Optional[list[list[int]]] = None,
     ):
         if not 1 <= order <= ORDER_GUARD:
             raise ValueError(f"order must be in 1..{ORDER_GUARD}")
         self.order = order
         self.mul = mul
-        self.provenance = provenance
-        self.phi = None  # set for phi_group provenance
-        self._inv: dict[int, int] = {0: 0}
+        self.phi = None  # the PhiGroup, when built from one
         if order <= ASSOCIATIVITY_GUARD:
-            self._validate(rows or [[mul(g, h) for h in range(order)] for g in range(order)])
+            _validate(rows or [[mul(g, h) for h in range(order)] for g in range(order)])
 
     # -- construction ----------------------------------------------------
 
@@ -59,53 +58,22 @@ class GroupOracle:
         if failing:
             raise SchemaError(failing)
         rows = [list(row) for row in table]
-        return cls(order, lambda i, j: rows[i][j], "cayley_table", rows)
+        return cls(order, lambda i, j: rows[i][j], rows)
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
-        oracle = cls(G.order, G.mul, "phi_group")
+        oracle = cls(G.order, G.mul)
         oracle.phi = G
         return oracle
-
-    # -- validation --------------------------------------------------------
-
-    def _validate(self, rows: list[list[int]]) -> None:
-        """Group axioms on the Cayley table `rows`: identity, Latin square,
-        two-sided inverses (filling the inverse map) and Light's associativity
-        test.  A stock table is checked on its own rows; any other oracle's
-        table is built once with order^2 products and dropped afterwards, so a
-        validated oracle holds no order^2 memory of its own.
-        """
-        ids = list(range(self.order))
-        if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
-            raise ValueError("id 0 is not a two-sided identity")
-        for g in ids:
-            if sorted(rows[g]) != ids or sorted([row[g] for row in rows]) != ids:
-                raise ValueError(f"row/column of element {g} is not a permutation")
-        for g in ids:
-            h = rows[g].index(0)
-            if rows[h][g] != 0:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            self._inv[g] = h
-        # Light's associativity test on a generating set: for a generator s,
-        # a(sb) = (as)b for every b says row a composed with row s is row as.
-        for s in _generating_set(rows):
-            for row_a in rows:
-                if list(map(row_a.__getitem__, rows[s])) != rows[row_a[s]]:
-                    raise ValueError("multiplication is not associative")
 
     # -- arithmetic ---------------------------------------------------------
 
     def inv(self, i: int) -> int:
-        if i not in self._inv:
-            acc = i
-            while True:
-                nxt = self.mul(acc, i)
-                if nxt == 0:
-                    break
-                acc = nxt
-            self._inv[i] = acc
-        return self._inv[i]
+        """The inverse i^(ord(i) - 1), by walking the powers of i."""
+        acc = i
+        while (nxt := self.mul(acc, i)) != 0:
+            acc = nxt
+        return acc
 
     def element_order(self, i: int) -> int:
         k, acc = 1, i
@@ -126,34 +94,58 @@ class GroupOracle:
     def closure(self, gens: Sequence[int]) -> list[int]:
         """Sorted element ids of the subgroup generated by gens."""
         self.check_ids(gens)
-        elems = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    frontier.append(y)
-        return sorted(elems)
+        return sorted(_closure(self.mul, gens))
+
+
+def _closure(mul: Callable[[int, int], int], gens: Sequence[int]) -> set[int]:
+    """Ids reached from 0 by right multiplications with gens: in a group, the
+    subgroup they generate."""
+    elems = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = mul(x, g)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return elems
+
+
+def _validate(rows: list[list[int]]) -> None:
+    """Group axioms on the Cayley table `rows`: identity, Latin square,
+    two-sided inverses and Light's associativity test.  A stock table is
+    checked on its own rows; any other oracle's table is built once with
+    order^2 products and dropped afterwards, so a validated oracle holds no
+    order^2 memory of its own.
+    """
+    ids = list(range(len(rows)))
+    if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
+        raise ValueError("id 0 is not a two-sided identity")
+    for g in ids:
+        if sorted(rows[g]) != ids or sorted([row[g] for row in rows]) != ids:
+            raise ValueError(f"row/column of element {g} is not a permutation")
+    for g in ids:
+        if rows[rows[g].index(0)][g] != 0:
+            raise ValueError(f"element {g} has no two-sided inverse")
+    # Light's associativity test on a generating set: for a generator s,
+    # a(sb) = (as)b for every b says row a composed with row s is row as.
+    for s in _generating_set(rows):
+        for row_a in rows:
+            if list(map(row_a.__getitem__, rows[s])) != rows[row_a[s]]:
+                raise ValueError("multiplication is not associative")
 
 
 def _generating_set(rows: list[list[int]]) -> list[int]:
-    """Greedy generators: each id not yet in the closure of the earlier ones."""
+    """Greedy generators: each id not yet in the closure of the earlier ones.
+    The s passing Light's test are closed under products, so these decide
+    associativity also for a table that is not a group."""
     gens: list[int] = []
-    closure = {0}
+    reached = {0}
     for g in range(1, len(rows)):
-        if g in closure:
-            continue
-        gens.append(g)
-        frontier = [g]
-        while frontier:
-            x = frontier.pop()
-            if x in closure:
-                continue
-            closure.add(x)
-            frontier.extend(rows[x][h] for h in list(closure))
-            frontier.extend(rows[h][x] for h in list(closure))
+        if g not in reached:
+            gens.append(g)
+            reached = _closure(lambda i, j: rows[i][j], gens)
     return gens
 
 

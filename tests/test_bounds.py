@@ -144,6 +144,10 @@ class TestPermRankAudit:
         with pytest.raises(GuardExceeded):
             perm_rank_audit(8)
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            perm_rank_audit(-1)
+
 
 class TestGlRankAudit:
     @pytest.mark.parametrize("n,expected_rank", [(1, 0), (2, 1), (3, 2)])
@@ -155,3 +159,7 @@ class TestGlRankAudit:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             gl_rank_audit(5)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
+            gl_rank_audit(-1)

@@ -412,6 +412,119 @@ class TestArgumentDocuments:
         )
 
 
+class TestInputDocuments:
+    """Ideal, action, system and family documents: a value of the wrong type,
+    booleans included, is a validation error on its field."""
+
+    @staticmethod
+    def write(tmp_path, doc) -> str:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"nvars": 2, "gens": 5}, "gens: must be a list of objects"),
+            ({"nvars": 2, "gens": [5]}, "gens[0]: must be an object"),
+            ({"nvars": "x", "gens": [{"monomials": [[1, 0]]}]}, "nvars: must be an integer"),
+            ({"nvars": "x", "gens": []}, "nvars: must be an integer"),
+            ({"nvars": 2, "gens": [{"monomials": [[1.0, 0.0]]}]},
+             "gens[0].monomials: must be a list of integer exponent lists"),
+            ({"nvars": 2, "gens": [{"monomials": [[True, False]]}]},
+             "gens[0].monomials: must be a list of integer exponent lists"),
+            ({"nvars": 2, "gens": [{"monomials": [], "degree": "x"}]},
+             "gens[0].degree: must be an integer"),
+        ],
+    )
+    def test_bad_ideal(self, capsys, tmp_path, doc, field):
+        code, obj = run(capsys, "poly", "hilbert", "--ideal", self.write(tmp_path, doc),
+                        "--degree", "2")
+        assert_clean_validation(code, obj, [field])
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"nvars": 2, "generators": 3}, "generators: must be a list of matrices"),
+            ({"nvars": 2, "generators": [3]},
+             "generators[0]: must be a list of '0'/'1' strings"),
+            ({"nvars": 2, "generators": [[1, "10"]]},
+             "generators[0]: must be a list of '0'/'1' strings"),
+            ({"nvars": "x", "generators": []}, "nvars: must be an integer"),
+        ],
+    )
+    def test_bad_action(self, capsys, tmp_path, doc, field):
+        code, obj = run(capsys, "poly", "powertest", "--action", self.write(tmp_path, doc),
+                        "--ys", "[[1, 0]]", "--p", "2")
+        assert_clean_validation(code, obj, [field])
+
+    POLYS = "polys: must be a list of lists of integer index lists"
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"v": 2, "polys": 3}, POLYS),
+            ({"v": 2, "polys": [[["a", 1], [0]]]}, POLYS),
+            ({"v": 2, "polys": [[[1.0]]]}, POLYS),
+            ({"v": 2, "polys": [[[True]]]}, POLYS),
+            ({"v": -1, "polys": []}, "v: must be a non-negative integer"),
+            ({"v": True, "polys": []}, "v: must be a non-negative integer"),
+        ],
+    )
+    def test_bad_system(self, capsys, tmp_path, doc, field):
+        code, obj = run(capsys, "forms", "czero", "--system", self.write(tmp_path, doc))
+        assert_clean_validation(code, obj, [field])
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"n": 2, "t": 1, "forms": [[1, "10"]]}, "forms[0]: must be a list of '0'/'1' strings"),
+            ({"n": 2, "t": 1, "forms": [3]}, "forms[0]: must be a list of '0'/'1' strings"),
+            ({"n": True, "t": 1, "forms": [["0"]]}, "n: must be a positive integer"),
+            ({"n": 2, "t": True, "forms": [["01", "10"]]}, "t: must be a positive integer"),
+        ],
+    )
+    def test_bad_family(self, capsys, tmp_path, doc, field):
+        code, obj = run(capsys, "group", "rank", "--family", self.write(tmp_path, doc))
+        assert_clean_validation(code, obj, [field])
+
+
+class TestNumericFlags:
+    """Out-of-range numbers are refused by the library function the flag feeds."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["search", "olshanskii", "--n", "3", "--t", "1", "--k", "-4", "--trials", "2"],
+             "k must be >= 1, got -4"),
+            (["search", "olshanskii", "--n", "3", "--t", "1", "--k", "0", "--trials", "2"],
+             "k must be >= 1, got 0"),
+            (["search", "olshanskii", "--n", "0", "--t", "1", "--k", "2", "--trials", "0"],
+             "n must be >= 1, got 0"),
+            (["search", "olshanskii", "--n", "3", "--t", "0", "--k", "2", "--trials", "0"],
+             "t must be >= 1, got 0"),
+            (["audit", "sn", "--n", "-1"], "n must be >= 0, got -1"),
+            (["audit", "gl", "--n", "-1"], "n must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range(self, capsys, argv, message):
+        code, obj = run(capsys, *argv)
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == message
+
+    def test_negative_e_rank(self, capsys, q8_table_file):
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "1",
+                        "--chars", "-1", "--e-gens", "1", "--e-rank", "-1")
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == "e_rank must be >= 0, got -1"
+
+    def test_negative_power(self, capsys, swap_action_file):
+        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                        "--ys", "[[1, 0]]", "--p", "-1")
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == "p must be >= 0, got -1"
+
+
 class TestLoaders:
     def test_load_table_validates(self, tmp_path):
         path = tmp_path / "bad_table.json"
@@ -434,10 +547,12 @@ class TestLoaders:
     def test_load_dihedral_table(self, tmp_path):
         from oracles import dihedral_table
 
+        table = dihedral_table(4)
         path = tmp_path / "d8_table.json"
-        path.write_text(json.dumps({"order": 8, "mul": dihedral_table(4)}))
+        path.write_text(json.dumps({"order": 8, "mul": table}))
         oracle = load_table(str(path))
-        assert oracle.order == 8 and oracle.provenance == "cayley_table"
+        assert oracle.order == 8 and oracle.phi is None
+        assert all(oracle.mul(i, j) == table[i][j] for i in range(8) for j in range(8))
 
     def test_load_ideal_reports_failing_gen(self, tmp_path):
         path = tmp_path / "bad_ideal.json"

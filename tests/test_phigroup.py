@@ -417,6 +417,10 @@ class TestSearchForms:
             for t in range(1, 5):
                 for k in range(0, 6):
                     seed = rng.getrandbits(64)
+                    if k == 0:  # refused; the reference finds nothing at k = 0
+                        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+                            search_forms(n, t, k, trials=4, seed=seed)
+                        continue
                     res = search_forms(n, t, k, trials=4, seed=seed)
                     index, run, fam = reference(n, t, k, 4, seed)
                     assert (res.trial_index, res.trials_run) == (index, run), (n, t, k)
@@ -441,6 +445,17 @@ class TestSearchForms:
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 0"):
             search_forms(4, 2, 3, trials=-1, seed=0)
+
+    @pytest.mark.parametrize("n, t, k, message", [
+        (0, 1, 2, "n must be >= 1, got 0"),
+        (3, 0, 2, "t must be >= 1, got 0"),
+        (3, 1, -4, "k must be >= 1, got -4"),
+        (1249, 50, 0, "k must be >= 1, got 0"),  # beyond the guard too
+    ])
+    @pytest.mark.parametrize("trials", [0, 2])
+    def test_parameters_below_one_rejected_at_any_trial_count(self, n, t, k, message, trials):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            search_forms(n, t, k, trials=trials, seed=0)
 
     def test_tiny_zero_family_fails_rank_target(self):
         # the only alternative candidate at n=2, t=1: the zero form is too abelian

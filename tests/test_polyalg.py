@@ -272,6 +272,11 @@ class TestEulerClassRestriction:
         with pytest.raises(ValueError, match="^element id 4 out of range$"):
             euler_class_restriction(rep, [1, 4], 2)
 
+    def test_negative_rank_rejected(self):
+        rep = build_induced(GroupOracle.from_table(cyclic_table(4)), [2], [-1])
+        with pytest.raises(ValueError, match="^e_rank must be >= 0, got -1$"):
+            euler_class_restriction(rep, [2], -1)
+
 
 @pytest.mark.parametrize(
     "table, central",
@@ -402,3 +407,17 @@ class TestPowerSpanTest:
         ys = [GradedPoly.variable(2, 0), GradedPoly.variable(2, 0)]
         with pytest.raises(ValueError, match="independent"):
             power_span_test(swap_action(), ys, 2)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="^p must be >= 0, got -1$"):
+            power_span_test(swap_action(), [GradedPoly.variable(2, 0)], -1)
+
+    def test_substitution_commutes_with_powers(self):
+        # power_span_test substitutes into y and then raises to p
+        rng = random.Random(6)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            g = random_invertible(rng, n)
+            y = GradedPoly.linear(n, BitVector(n, rng.randrange(1, 1 << n)))
+            p = rng.randint(0, 5)
+            assert apply_linear(y.power(p), g) == apply_linear(y, g).power(p)

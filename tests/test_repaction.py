@@ -19,6 +19,7 @@ from sphererank.repaction import (
     is_two_central,
     max_isotropy_rank,
     quaternion_table,
+    _generating_set,
 )
 
 from oracles import (
@@ -41,6 +42,10 @@ LOOP5 = [
     [3, 2, 4, 0, 1],
     [4, 3, 1, 2, 0],
 ]
+# its opposite loop (the transpose): right multiplications of one are left
+# multiplications of the other; these two are the only order-5 loops with
+# two-sided inverses that are not groups
+LOOP5_OPPOSITE = [list(col) for col in zip(*LOOP5)]
 
 
 def accepts(table: list[list[int]]) -> bool:
@@ -88,6 +93,28 @@ class TestGroupOracle:
         with pytest.raises(ValueError, match="^multiplication is not associative$"):
             GroupOracle.from_table(LOOP5)
 
+    def test_rejects_the_opposite_loop(self):
+        with pytest.raises(ValueError, match="^multiplication is not associative$"):
+            GroupOracle.from_table(LOOP5_OPPOSITE)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [cyclic_table(m) for m in (1, 2, 6, 16)]
+        + [elementary_abelian_table(r) for r in (1, 3, 5)]
+        + [quaternion_table(), dihedral_table(4), dihedral_table(5)],
+    )
+    def test_generating_set_is_greedy_and_generates(self, rows):
+        def generated(gens):  # all products of what is reached, until nothing is new
+            elems = {0, *gens}
+            while new := {rows[a][b] for a in elems for b in elems} - elems:
+                elems |= new
+            return elems
+
+        gens = _generating_set(rows)
+        assert generated(gens) == set(range(len(rows)))
+        for k, g in enumerate(gens):  # each generator lies outside the subgroup before it
+            assert g not in generated(gens[:k])
+
     @pytest.mark.parametrize(
         "table, message",
         [
@@ -124,7 +151,7 @@ class TestGroupOracle:
                     table[g][0] = g
             assert accepts(table) == is_group_table(table), table
 
-    def test_validation_uses_order_squared_products_and_fills_inverses(self):
+    def test_validation_uses_order_squared_products(self):
         G = PhiGroup(random_family(4, 2, 3))
         calls = []
 
@@ -132,10 +159,9 @@ class TestGroupOracle:
             calls.append(1)
             return G.mul(i, j)
 
-        oracle = GroupOracle(G.order, counted, "phi_group")
+        oracle = GroupOracle(G.order, counted)
         assert len(calls) == G.order ** 2
-        assert sorted(oracle._inv) == list(range(G.order))
-        assert all(G.mul(g, oracle._inv[g]) == 0 == G.mul(oracle._inv[g], g)
+        assert all(G.mul(g, oracle.inv(g)) == 0 == G.mul(oracle.inv(g), g)
                    for g in range(G.order))
 
     def test_stock_table_is_validated_on_its_own_rows(self, monkeypatch):
@@ -153,8 +179,7 @@ class TestGroupOracle:
         table = dihedral_table(4)
         oracle = GroupOracle.from_table(table)
         assert calls == []
-        assert sorted(oracle._inv) == list(range(8))
-        assert all(table[g][oracle._inv[g]] == 0 == table[oracle._inv[g]][g] for g in range(8))
+        assert all(table[g][oracle.inv(g)] == 0 == table[oracle.inv(g)][g] for g in range(8))
 
     @pytest.mark.parametrize("entry", [1.0, True, "1", None, [1]])
     def test_rejects_non_integer_entries(self, entry):
