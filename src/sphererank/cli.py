@@ -92,6 +92,8 @@ def load_family(path: str) -> forms.FormFamily:
 def load_table(path: str) -> repaction.GroupOracle:
     obj = _as_dict(_load_json(path), path)
     require_keys(obj, "order", "mul")
+    if type(obj["order"]) is not int:
+        raise SchemaError(["order: must be an integer"])
     if not isinstance(obj["mul"], list) or len(obj["mul"]) != obj["order"]:
         raise SchemaError(["mul: must be an order x order table"])
     try:

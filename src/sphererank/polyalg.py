@@ -27,6 +27,11 @@ DEGREE_GUARD = 64
 Exponents = tuple[int, ...]
 
 
+def _check_nvars(nvars: int) -> None:
+    if nvars < 1 or nvars > NVARS_GUARD:
+        raise GuardExceeded("poly_nvars", f"nvars must be in 1..{NVARS_GUARD}")
+
+
 @dataclass(frozen=True)
 class GradedPoly:
     """Homogeneous polynomial: set of exponent tuples sharing a total degree.
@@ -40,8 +45,7 @@ class GradedPoly:
     monomials: frozenset[Exponents]
 
     def __post_init__(self):
-        if self.nvars < 1 or self.nvars > NVARS_GUARD:
-            raise GuardExceeded("poly_nvars", f"nvars must be in 1..{NVARS_GUARD}")
+        _check_nvars(self.nvars)
         if self.degree < 0 or self.degree > DEGREE_GUARD:
             raise GuardExceeded("poly_degree", f"degree must be in 0..{DEGREE_GUARD}")
         for m in self.monomials:
@@ -162,6 +166,7 @@ class IdealGens:
     gens: tuple[GradedPoly, ...]
 
     def __post_init__(self):
+        _check_nvars(self.nvars)
         if any(g.nvars != self.nvars for g in self.gens):
             raise ValueError("generators must share the variable count")
 
@@ -325,6 +330,7 @@ class LinearAction:
     generators: tuple[BitMatrix, ...]
 
     def __post_init__(self):
+        _check_nvars(self.nvars)
         for m in self.generators:
             if m.rows != self.nvars or m.cols != self.nvars:
                 raise ValueError("generators must be nvars x nvars")

@@ -2,16 +2,22 @@
 
 A GroupOracle is a group on ids 0..order-1 (0 = identity) given by a Cayley
 table or a callback.  MonomialRep realizes the representation induced from a
-+-1 character of a subgroup as signed permutations of the left cosets; the
-fixed-point structure of the action on a product of unit spheres is then a
-purely combinatorial matter: an element fixes a sphere point iff some cycle
-of its signed permutation has sign product +1, and no floating point is ever
-involved.
++-1 character of a subgroup on the left cosets, g . e_r = chi(c) e_r' where
+g * rep_r = rep_r' * c.  The fixed-point structure of the action on a product
+of unit spheres is then a purely combinatorial matter, read off integer
+traces with no floating point: an element fixes a sphere point iff the
+average of the traces over the cyclic group it generates is positive.
+
+Traces come from Frobenius' formula, with no matrix built: for a central C
+the trace of h is [G:C] * chi(h) on C and 0 off it, and otherwise it is the
+sum of chi(c) over the cosets r with h * rep_r = rep_r * c.  The isotropy
+walk over a form group stops as soon as it reaches rank_2(G), or
+rank_2(G) - 1 when some central involution acts as -1 on a factor; no larger
+rank exists, so the answer is the full walk's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
@@ -29,6 +35,9 @@ class GroupOracle:
 
     `mul` is the stored product callback.  `rows`, when given, is its Cayley
     table, which validation then reads instead of building one from `mul`.
+    `generators` generate the group, so an element that commutes with each of
+    them is central: the greedy set that validation uses, the n + t basis ids
+    of a form group, and every non-identity id of a table taken on trust.
     """
 
     def __init__(
@@ -42,8 +51,11 @@ class GroupOracle:
         self.order = order
         self.mul = mul
         self.phi = None  # the PhiGroup, when built from one
+        self.generators: Sequence[int] = range(1, order)
         if order <= ASSOCIATIVITY_GUARD:
-            _validate(rows or [[mul(g, h) for h in range(order)] for g in range(order)])
+            self.generators = _validate(
+                rows or [[mul(g, h) for h in range(order)] for g in range(order)]
+            )
 
     # -- construction ----------------------------------------------------
 
@@ -64,6 +76,7 @@ class GroupOracle:
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
         oracle = cls(G.order, G.mul)
         oracle.phi = G
+        oracle.generators = [1 << i for i in range(G.n + G.t)]
         return oracle
 
     # -- arithmetic ---------------------------------------------------------
@@ -84,6 +97,11 @@ class GroupOracle:
 
     def involutions(self) -> list[int]:
         return [g for g in range(1, self.order) if self.mul(g, g) == 0]
+
+    def is_central(self, z: int) -> bool:
+        """True iff z commutes with every element, read on the generators."""
+        mul = self.mul
+        return all(mul(z, g) == mul(g, z) for g in self.generators)
 
     def check_ids(self, ids: Sequence[int]) -> None:
         """Refuse the first id outside 0..order-1."""
@@ -112,12 +130,12 @@ def _closure(mul: Callable[[int, int], int], gens: Sequence[int]) -> set[int]:
     return elems
 
 
-def _validate(rows: list[list[int]]) -> None:
+def _validate(rows: list[list[int]]) -> list[int]:
     """Group axioms on the Cayley table `rows`: identity, Latin square,
     two-sided inverses and Light's associativity test.  A stock table is
     checked on its own rows; any other oracle's table is built once with
     order^2 products and dropped afterwards, so a validated oracle holds no
-    order^2 memory of its own.
+    order^2 memory of its own.  Returns the generating set of the test.
     """
     ids = list(range(len(rows)))
     if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
@@ -130,10 +148,12 @@ def _validate(rows: list[list[int]]) -> None:
             raise ValueError(f"element {g} has no two-sided inverse")
     # Light's associativity test on a generating set: for a generator s,
     # a(sb) = (as)b for every b says row a composed with row s is row as.
-    for s in _generating_set(rows):
+    gens = _generating_set(rows)
+    for s in gens:
         for row_a in rows:
             if list(map(row_a.__getitem__, rows[s])) != rows[row_a[s]]:
                 raise ValueError("multiplication is not associative")
+    return gens
 
 
 def _generating_set(rows: list[list[int]]) -> list[int]:
@@ -151,11 +171,7 @@ def _generating_set(rows: list[list[int]]) -> list[int]:
 
 def is_two_central(G: GroupOracle) -> bool:
     """True iff every involution commutes with every element."""
-    for g in G.involutions():
-        for h in range(G.order):
-            if G.mul(g, h) != G.mul(h, g):
-                return False
-    return True
+    return all(G.is_central(g) for g in G.involutions())
 
 
 # -- stock Cayley tables ------------------------------------------------------
@@ -194,23 +210,13 @@ def quaternion_table() -> list[list[int]]:
 # -- induced monomial representations -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    dim: int
-    image: tuple[int, ...]
-    signs: tuple[int, ...]  # entries +-1
-
-    def __post_init__(self):
-        if sorted(self.image) != list(range(self.dim)):
-            raise ValueError("image is not a bijection")
-
-
 class MonomialRep:
     """Representation induced from a +-1 character of a subgroup.
 
     Basis vectors are indexed by the left cosets of C, enumerated with the
     smallest unused element id as representative: g . e_r = chi(c) e_r'
-    where g * rep_r = rep_r' * c.
+    where g * rep_r = rep_r' * c.  `central` records whether C is central,
+    that is, whether each generator of C commutes with each generator of G.
     """
 
     def __init__(self, group: GroupOracle, c_gens: Sequence[int], character_on_gens: Sequence[int]):
@@ -243,7 +249,11 @@ class MonomialRep:
         self.character = chi
         self.cosets, self._loc = self._enumerate_cosets()
         self.dim = group.order // len(self.subgroup)
-        self._traces: dict[int, int] = {}
+        self.central = all(group.is_central(g) for g in char_on_gens)
+        # memo of traces; for a central C it starts as the whole support, C
+        self._traces: dict[int, int] = (
+            {c: self.dim * v for c, v in chi.items()} if self.central else {}
+        )
 
     def _enumerate_cosets(self) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
         G = self.group
@@ -258,21 +268,19 @@ class MonomialRep:
                 loc[G.mul(g, c)] = (idx, c)
         return tuple(reps), loc
 
-    def action(self, g: int) -> SignedPermutation:
-        image = []
-        signs = []
-        for rep in self.cosets:
-            idx, c = self._loc[self.group.mul(g, rep)]
-            image.append(idx)
-            signs.append(self.character[c])
-        return SignedPermutation(self.dim, tuple(image), tuple(signs))
-
     def trace(self, g: int) -> int:
+        """Frobenius' formula: the sum of chi(c) over the cosets r with
+        g * rep_r = rep_r * c.  For a central C that is dim * chi(g) on C,
+        already in the memo, and 0 off it."""
         if g not in self._traces:
-            sp = self.action(g)
-            self._traces[g] = sum(
-                s for i, (im, s) in enumerate(zip(sp.image, sp.signs)) if im == i
-            )
+            total = 0
+            if not self.central:
+                mul, loc, chi = self.group.mul, self._loc, self.character
+                for idx, rep in enumerate(self.cosets):
+                    j, c = loc[mul(g, rep)]
+                    if j == idx:
+                        total += chi[c]
+            self._traces[g] = total
         return self._traces[g]
 
     def __repr__(self) -> str:
@@ -286,21 +294,9 @@ def build_induced(
 
 
 def has_plus_one_eigenvalue(rep: MonomialRep, g: int) -> bool:
-    """True iff the signed permutation of g has a cycle with sign product +1."""
-    sp = rep.action(g)
-    seen = [False] * sp.dim
-    for start in range(sp.dim):
-        if seen[start]:
-            continue
-        prod = 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            prod *= sp.signs[i]
-            i = sp.image[i]
-        if prod == 1:
-            return True
-    return False
+    """True iff g has a +1 eigenvalue: the fixed space of <g>, read off the
+    traces over <g>, is nonzero."""
+    return fixed_subspace_dim(rep, [g]) > 0
 
 
 def fixed_subspace_dim(rep: MonomialRep, h_gens: Sequence[int]) -> int:
@@ -376,12 +372,39 @@ class IsotropyResult(NamedTuple):
     witness_gens: tuple[int, ...]
 
 
+class _CeilingReached(Exception):
+    """Ends the isotropy walk once its incumbent reaches the ceiling."""
+
+
+def _isotropy_ceiling(G: GroupOracle, reps: Sequence[MonomialRep]) -> Optional[int]:
+    """An upper bound on the isotropy rank of a form group, None otherwise.
+
+    Every elementary abelian subgroup has rank at most rank_2(G).  A central
+    involution z with trace -dim on some factor acts there as -1, so it lies
+    in no H that fixes a point of that factor, and H<z> is still elementary
+    abelian: then the bound is rank_2(G) - 1.  Such a z lies in C.
+    """
+    if G.phi is None:
+        return None
+    from .phigroup import group_rank  # at call time: importing repaction stays light
+
+    mul = G.mul
+    acts_as_minus_one = any(
+        rep.trace(z) == -rep.dim and mul(z, z) == 0 and G.is_central(z)
+        for rep in reps
+        for z in rep.subgroup
+    )
+    return group_rank(G.phi) - acts_as_minus_one
+
+
 def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyResult:
     """Largest rank of an elementary abelian subgroup fixing a product point.
 
     H fixes a point iff every factor has positive H-fixed dimension.  The
     search walks the commuting-involution graph, extending subgroups only
-    while the fixed-point condition holds (it is hereditary downward).
+    while the fixed-point condition holds (it is hereditary downward).  It
+    stops when the incumbent reaches `_isotropy_ceiling`; the incumbent only
+    changes on a strictly larger rank, so the witness is the full walk's.
     """
     if G.order > ISOTROPY_GUARD:
         raise GuardExceeded("max_isotropy_rank", f"order {G.order} exceeds {ISOTROPY_GUARD}")
@@ -396,6 +419,7 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
         if all(rep.trace(0) + rep.trace(g) > 0 for rep in reps)
     ]
     best = IsotropyResult(0, ())
+    ceiling = _isotropy_ceiling(G, reps)
 
     def extend(sums: list[int], gens: tuple[int, ...], elements, coset: list[int]):
         nonlocal best
@@ -404,7 +428,12 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
             return None
         if len(gens) > best.rank:
             best = IsotropyResult(len(gens), gens)
+            if best.rank == ceiling:
+                raise _CeilingReached
         return new_sums
 
-    elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend)
+    try:
+        elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend)
+    except _CeilingReached:
+        pass
     return best

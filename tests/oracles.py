@@ -7,8 +7,10 @@ eigenvalue questions go through exact rational arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from weakref import WeakKeyDictionary
 
 
 # -- naive GF(2) linear algebra -------------------------------------------------
@@ -265,7 +267,36 @@ def brute_center(mul, order: int) -> set[int]:
     }
 
 
-# -- exact rational eigen-checks -------------------------------------------------
+# -- signed permutations and exact rational eigen-checks ---------------------------
+
+
+@dataclass(frozen=True)
+class SignedPermutation:
+    dim: int
+    image: tuple[int, ...]
+    signs: tuple[int, ...]  # entries +-1
+
+    def __post_init__(self):
+        if sorted(self.image) != list(range(self.dim)):
+            raise ValueError("image is not a bijection")
+
+
+_COSET_LOOKUPS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def signed_action(rep, g: int) -> SignedPermutation:
+    """g on the cosets of an induced rep: g . e_r = chi(c) e_r' where
+    g * rep_r = rep_r' * c, with the coset of each element looked up in a
+    table built from the coset representatives and the subgroup alone."""
+    mul = rep.group.mul
+    loc = _COSET_LOOKUPS.get(rep)
+    if loc is None:
+        loc = {mul(r, c): (j, c) for j, r in enumerate(rep.cosets) for c in rep.subgroup}
+        _COSET_LOOKUPS[rep] = loc
+    located = [loc[mul(g, r)] for r in rep.cosets]
+    return SignedPermutation(
+        rep.dim, tuple(j for j, _ in located), tuple(rep.character[c] for _, c in located)
+    )
 
 
 def signed_perm_matrix(sp) -> list[list[Fraction]]:

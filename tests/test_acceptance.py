@@ -45,6 +45,7 @@ from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
     rational_has_plus_one_eigenvalue,
+    signed_action,
     tables_isomorphic,
 )
 
@@ -256,7 +257,7 @@ def test_criterion_09_freeness_checker_vs_eigen_oracle():
         for rep in reps:
             for g in range(oracle.order):
                 assert has_plus_one_eigenvalue(rep, g) == rational_has_plus_one_eigenvalue(
-                    rep.action(g)
+                    signed_action(rep, g)
                 )
                 checked += 1
     c4, q8, e4 = corpus[0], corpus[1], corpus[3]
@@ -269,7 +270,7 @@ def test_criterion_09_freeness_checker_vs_eigen_oracle():
     oracle_witnesses = [
         g
         for g in range(1, e_oracle.order)
-        if all(rational_has_plus_one_eigenvalue(rep.action(g)) for rep in e_reps)
+        if all(rational_has_plus_one_eigenvalue(signed_action(rep, g)) for rep in e_reps)
     ]
     assert verdict.free == (not oracle_witnesses)
     if oracle_witnesses:

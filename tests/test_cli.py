@@ -458,6 +458,26 @@ class TestInputDocuments:
                         "--ys", "[[1, 0]]", "--p", "2")
         assert_clean_validation(code, obj, [field])
 
+    @pytest.mark.parametrize("order", [True, False, 1.0, "1", None])
+    def test_table_order_must_be_an_integer(self, capsys, tmp_path, order):
+        path = self.write(tmp_path, {"order": order, "mul": [[0]]})
+        code, obj = run(capsys, "rep", "twocentral", "--table", path)
+        assert_clean_validation(code, obj, ["order: must be an integer"])
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["poly", "hilbert", "--degree", "3", "--ideal"], {"nvars": 1000000, "gens": []}),
+            (["poly", "regseq", "--ideal"], {"nvars": -1, "gens": []}),
+            (["poly", "powertest", "--ys", "[]", "--p", "2", "--action"],
+             {"nvars": 100000, "generators": []}),
+        ],
+    )
+    def test_nvars_guard_holds_without_generators(self, capsys, tmp_path, argv, doc):
+        code, obj = run(capsys, *argv, self.write(tmp_path, doc))
+        assert code == EXIT_GUARD
+        assert obj["error"]["guard"] == "poly_nvars"
+
     POLYS = "polys: must be a list of lists of integer index lists"
 
     @pytest.mark.parametrize(

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphererank.errors import NonSquareSystemError
+from sphererank.errors import GuardExceeded, NonSquareSystemError
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
 from sphererank.polyalg import (
+    NVARS_GUARD,
     GradedPoly,
     IdealGens,
     LinearAction,
@@ -93,6 +94,14 @@ class TestGradedPoly:
     def test_mixed_degrees_rejected(self):
         with pytest.raises(ValueError):
             poly(2, (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("nvars", [0, NVARS_GUARD + 1, 10**6])
+def test_ideal_and_action_check_the_nvars_guard(nvars):
+    for build in (lambda: IdealGens(nvars, ()), lambda: LinearAction(nvars, ())):
+        with pytest.raises(GuardExceeded) as exc:
+            build()
+        assert exc.value.guard == "poly_nvars"
 
 
 class TestHilbertFunction:

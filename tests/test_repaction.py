@@ -1,12 +1,15 @@
+import copy
 import random
 import re
+import time
 
 import pytest
 
 from sphererank.errors import SchemaError
 from sphererank.forms import FormFamily, random_family
 from sphererank.gf2 import BitMatrix, BitVector
-from sphererank.phigroup import PhiGroup
+from sphererank import repaction
+from sphererank.phigroup import PhiGroup, group_rank, max_isotropic_qzero
 from sphererank.repaction import (
     GroupOracle,
     build_induced,
@@ -30,6 +33,7 @@ from oracles import (
     is_group_table,
     rational_fixed_dim,
     rational_has_plus_one_eigenvalue,
+    signed_action,
     reduced_latin_squares,
 )
 
@@ -240,7 +244,7 @@ class TestBuildInduced:
         rep = build_induced(q8, list(range(8)), [1] * 8)
         assert rep.dim == 1
         for g in range(8):
-            sp = rep.action(g)
+            sp = signed_action(rep, g)
             assert sp.image == (0,) and sp.signs == (1,)
 
     def test_inconsistent_character_rejected(self):
@@ -288,7 +292,8 @@ class TestBuildInduced:
         rng = random.Random(1)
         for _ in range(30):
             g, h = rng.randrange(8), rng.randrange(8)
-            sp_g, sp_h, sp_gh = rep.action(g), rep.action(h), rep.action(oracle.mul(g, h))
+            sp_g, sp_h = signed_action(rep, g), signed_action(rep, h)
+            sp_gh = signed_action(rep, oracle.mul(g, h))
             image = tuple(sp_g.image[sp_h.image[i]] for i in range(rep.dim))
             signs = tuple(sp_h.signs[i] * sp_g.signs[sp_h.image[i]] for i in range(rep.dim))
             assert (image, signs) == (sp_gh.image, sp_gh.signs)
@@ -318,7 +323,7 @@ class TestPlusOneEigenvalue:
         for oracle, rep in zip(oracles_list, reps):
             for g in range(oracle.order):
                 assert has_plus_one_eigenvalue(rep, g) == rational_has_plus_one_eigenvalue(
-                    rep.action(g)
+                    signed_action(rep, g)
                 )
 
 
@@ -342,7 +347,7 @@ class TestFixedSubspaceDim:
         rep = build_induced(oracle, [1], [-1])
         for gens in ([1], [2], [4], [6], [1, 2]):
             elems = oracle.closure(gens)
-            expected = rational_fixed_dim([rep.action(h) for h in elems])
+            expected = rational_fixed_dim([signed_action(rep, h) for h in elems])
             assert fixed_subspace_dim(rep, gens) == expected
 
     def test_trace_bounds(self):
@@ -455,7 +460,7 @@ class TestMaxIsotropyRank:
             best = 0
             for sub in all_elem_abelian_subgroups(oracle.mul, oracle.order):
                 elems = sorted(sub)
-                if all(rational_fixed_dim([r.action(h) for h in elems]) > 0 for r in reps):
+                if all(rational_fixed_dim([signed_action(r, h) for h in elems]) > 0 for r in reps):
                     best = max(best, len(sub).bit_length() - 1)
             assert got.rank == best
             witness_elems = oracle.closure(list(got.witness_gens))
@@ -463,3 +468,135 @@ class TestMaxIsotropyRank:
                 fixed_subspace_dim(rep, list(got.witness_gens)) > 0 for rep in reps
             )
             assert len(witness_elems) == 1 << got.rank
+
+
+# stock form-group reps: one factor per b_s, induced from <b_s> with chi(b_s) = -1
+def stock(n: int, t: int, seed: int) -> tuple[GroupOracle, list]:
+    G = GroupOracle.from_phi_group(PhiGroup(random_family(n, t, seed)))
+    return G, [build_induced(G, [b], [-1]) for b in G.phi.b_ids()]
+
+
+def generic_copy(rep):
+    """The same representation with its central-C shortcut switched off."""
+    clone = copy.copy(rep)
+    clone.central = False
+    clone._traces = {}
+    return clone
+
+
+def action_trace(rep, g: int) -> int:
+    sp = signed_action(rep, g)
+    return sum(s for i, (im, s) in enumerate(zip(sp.image, sp.signs)) if im == i)
+
+
+# every (n, t) up to order 256, seeds 0 and 1
+SMALL_FAMILIES = [(n, t, seed) for t in range(1, 5) for n in range(1, 9 - t) for seed in (0, 1)]
+# Orders 512 and 1024.  A walk without the ceiling over t >= 2 takes at most a few
+# seconds there, but over (8, 1, 0) 5 s and over (9, 1, 0) nearly 5 minutes, so the
+# early stop of t = 1 is checked against rank_2(G) - 1 instead of the full walk.
+LARGE_ONE_CENTRAL = [(n, 1, seed) for n in (8, 9) for seed in (0, 1)]
+LARGE_MULTI_CENTRAL = [(n, t, seed) for t in (2, 3, 4) for n in (9 - t, 10 - t) for seed in (0, 1)]
+TRACE_FAMILIES = [f for f in SMALL_FAMILIES + LARGE_ONE_CENTRAL + LARGE_MULTI_CENTRAL if f[2] == 0]
+CEILING_FAMILIES = SMALL_FAMILIES + LARGE_MULTI_CENTRAL
+
+Q8_C2_2 = direct_product_table(quaternion_table(), elementary_abelian_table(2))
+# (table, rep specs): ids of Q8 x C2^2 are 4 * q8_id + c2_id, -1 being q8 id 1; in the
+# dihedral tables s^a r^i is a * n + i
+TABLE_REPS = {
+    "q8xc2^2": (Q8_C2_2, [([4], [-1]), ([1], [-1]), ([5], [-1]), ([4, 1], [-1, -1]),
+                          ([4, 3], [1, -1]), ([8], [-1]), ([8, 1], [-1, 1])]),
+    "d8": (dihedral_table(4), [([4], [-1]), ([5], [-1]), ([4, 2], [-1, 1]), ([1], [-1]),
+                               ([2], [-1])]),
+    "d16": (dihedral_table(8), [([8], [-1]), ([9], [1]), ([1], [-1]), ([2], [-1]),
+                                ([8, 4], [1, -1]), ([4], [-1])]),
+}
+
+
+def table_reps(name: str) -> tuple[GroupOracle, list]:
+    table, specs = TABLE_REPS[name]
+    G = GroupOracle.from_table(table)
+    return G, [build_induced(G, c, x) for c, x in specs]
+
+
+class TestFrobeniusTraces:
+    @pytest.mark.parametrize("n, t, seed", TRACE_FAMILIES, ids=str)
+    def test_stock_reps_take_the_central_path_and_match_the_action(self, n, t, seed):
+        G, reps = stock(n, t, seed)
+        for rep in reps:
+            assert rep.central
+            generic = generic_copy(rep)
+            for g in range(G.order):
+                expected = action_trace(rep, g)
+                assert rep.trace(g) == generic.trace(g) == expected
+
+    @pytest.mark.parametrize("name", sorted(TABLE_REPS))
+    def test_table_reps_match_the_action(self, name):
+        G, reps = table_reps(name)
+        for rep in reps:
+            generic = generic_copy(rep)
+            for g in range(G.order):
+                assert rep.trace(g) == generic.trace(g) == action_trace(rep, g)
+
+    def test_both_paths_are_covered(self):
+        central = {name: [rep.central for rep in table_reps(name)[1]] for name in TABLE_REPS}
+        assert central == {
+            "q8xc2^2": [True] * 5 + [False] * 2,
+            "d8": [False, False, False, False, True],
+            "d16": [False, False, False, False, False, True],
+        }
+
+    @pytest.mark.parametrize("name", sorted(TABLE_REPS) + ["stock"])
+    def test_plus_one_eigenvalue_matches_rational_nullspace(self, name):
+        if name == "stock":  # dimension at most 16, where the rational oracle is quick
+            pairs = [stock(n, t, seed) for n, t, seed in SMALL_FAMILIES if n + t <= 5]
+        else:
+            pairs = [table_reps(name)]
+        for G, reps in pairs:
+            for rep in reps:
+                for g in range(G.order):
+                    expected = rational_has_plus_one_eigenvalue(signed_action(rep, g))
+                    assert has_plus_one_eigenvalue(rep, g) == expected
+                    assert has_plus_one_eigenvalue(generic_copy(rep), g) == expected
+
+    def test_central_test_reads_the_generators(self):
+        q8, d8 = quaternion(), GroupOracle.from_table(dihedral_table(4))
+        assert [q8.is_central(g) for g in range(8)] == [True, True] + [False] * 6
+        assert [d8.is_central(g) for g in range(8)] == [g in (0, 2) for g in range(8)]
+        assert d8_oracle().generators == [1, 2, 4]
+
+
+class TestIsotropyCeiling:
+    @pytest.mark.parametrize("n, t, seed", CEILING_FAMILIES, ids=str)
+    def test_early_stop_returns_the_full_walk(self, n, t, seed, monkeypatch):
+        G, reps = stock(n, t, seed)
+        ceiling = repaction._isotropy_ceiling(G, reps)
+        assert ceiling == group_rank(G.phi) - 1
+        fast = max_isotropy_rank(G, reps)
+        monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda G, reps: None)
+        assert max_isotropy_rank(G, reps) == fast
+        assert fast.rank == ceiling
+
+    @pytest.mark.parametrize("n, t, seed", LARGE_ONE_CENTRAL, ids=str)
+    def test_early_stop_of_one_central_sign_reaches_the_bound(self, n, t, seed):
+        G, reps = stock(n, t, seed)
+        res = max_isotropy_rank(G, reps)
+        assert res.rank == t + max_isotropic_qzero(G.phi.fam, "exhaustive").dim - 1
+        gens = res.witness_gens
+        # commuting involutions that generate 2^rank elements: an elementary abelian witness
+        assert all(G.mul(g, g) == 0 for g in gens)
+        assert all(G.mul(g, h) == G.mul(h, g) for g in gens for h in gens)
+        assert len(G.closure(list(gens))) == 1 << res.rank
+        assert all(fixed_subspace_dim(rep, list(gens)) > 0 for rep in reps)
+
+    def test_no_minus_one_without_a_central_sign(self):
+        G = d8_oracle()
+        trivial = build_induced(G, list(range(8)), [1] * 8)
+        assert repaction._isotropy_ceiling(G, [trivial]) == group_rank(G.phi) == 2
+        assert repaction._isotropy_ceiling(quaternion(), []) is None
+
+    def test_order_4096_finishes_in_desk_time(self):
+        G, reps = stock(10, 2, 0)
+        start = time.perf_counter()
+        res = max_isotropy_rank(G, reps)
+        assert time.perf_counter() - start < 20  # under 0.1 s with the ceiling, 161 s without
+        assert res == (5, (1, 40, 84, 414, 438))
