@@ -60,6 +60,28 @@ class PhiGroup:
     def order(self) -> int:
         return 1 << (self.n + self.t)
 
+    def rows(self) -> list[list[int]]:
+        """The Cayley table, from 4^n products rather than order^2.
+
+        `mul` adds the b-parts by XOR, so the product of a1 | b1 << n and
+        a2 | b2 << n is mul(a1, a2) ^ (b1 ^ b2) << n: one row of products per
+        a-part, shifted per b-part, fills in every row.
+        """
+        n, size = self.n, 1 << self.t
+        mul, a_ids = self.mul, range(1 << n)
+        blocks = []  # per a1, the products (a1, 0)(a2, b) over a2, one list per b
+        for a1 in a_ids:
+            base = [mul(a1, a2) for a2 in a_ids]
+            blocks.append([[x ^ b << n for x in base] for b in range(size)])
+        table = []
+        for b1 in range(size):  # row a1 | b1 << n, in id order
+            for own in blocks:
+                row: list[int] = []
+                for b2 in range(size):
+                    row += own[b1 ^ b2]
+                table.append(row)
+        return table
+
     def b_ids(self) -> list[int]:
         """Ids of the central generators b_0, ..., b_{t-1}."""
         return [1 << (self.n + s) for s in range(self.t)]

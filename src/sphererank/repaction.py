@@ -11,13 +11,15 @@ average of the traces over the cyclic group it generates is positive.
 Traces come from Frobenius' formula, with no matrix built: for a central C
 the trace of h is [G:C] * chi(h) on C and 0 off it, and otherwise it is the
 sum of chi(c) over the cosets r with h * rep_r = rep_r * c.  The isotropy
-walk over a form group stops as soon as it reaches rank_2(G), or
-rank_2(G) - 1 when some central involution acts as -1 on a factor; no larger
-rank exists, so the answer is the full walk's.
+walk stops as soon as it reaches a bound on rank_2(G) (rank_2(G) itself for
+a form group, floor(log2(#involutions + 1)) for a table), or that bound less
+one when some central involution acts as -1 on a factor; no larger rank
+exists, so the answer is the full walk's.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
@@ -74,7 +76,8 @@ class GroupOracle:
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
-        oracle = cls(G.order, G.mul)
+        """The oracle of G, validated up to ASSOCIATIVITY_GUARD on `G.rows()`."""
+        oracle = cls(G.order, G.mul, G.rows() if G.order <= ASSOCIATIVITY_GUARD else None)
         oracle.phi = G
         oracle.generators = [1 << i for i in range(G.n + G.t)]
         return oracle
@@ -133,15 +136,16 @@ def _closure(mul: Callable[[int, int], int], gens: Sequence[int]) -> set[int]:
 def _validate(rows: list[list[int]]) -> list[int]:
     """Group axioms on the Cayley table `rows`: identity, Latin square,
     two-sided inverses and Light's associativity test.  A stock table is
-    checked on its own rows; any other oracle's table is built once with
-    order^2 products and dropped afterwards, so a validated oracle holds no
-    order^2 memory of its own.  Returns the generating set of the test.
+    checked on its own rows and a form group's on `PhiGroup.rows()`; any
+    other oracle's table is built once with order^2 products.  The table is
+    dropped afterwards, so a validated oracle holds no order^2 memory of its
+    own.  Returns the generating set of the test.
     """
     ids = list(range(len(rows)))
     if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
         raise ValueError("id 0 is not a two-sided identity")
-    for g in ids:
-        if sorted(rows[g]) != ids or sorted([row[g] for row in rows]) != ids:
+    for g, (row, col) in enumerate(zip(rows, zip(*rows))):
+        if sorted(row) != ids or sorted(col) != ids:
             raise ValueError(f"row/column of element {g} is not a permutation")
     for g in ids:
         if rows[rows[g].index(0)][g] != 0:
@@ -217,6 +221,8 @@ class MonomialRep:
     smallest unused element id as representative: g . e_r = chi(c) e_r'
     where g * rep_r = rep_r' * c.  `central` records whether C is central,
     that is, whether each generator of C commutes with each generator of G.
+    The coset table is built on first use, so a rep over a central C, whose
+    traces never read it, does not build it at all.
     """
 
     def __init__(self, group: GroupOracle, c_gens: Sequence[int], character_on_gens: Sequence[int]):
@@ -247,7 +253,6 @@ class MonomialRep:
         self.group = group
         self.subgroup = tuple(sorted(chi))
         self.character = chi
-        self.cosets, self._loc = self._enumerate_cosets()
         self.dim = group.order // len(self.subgroup)
         self.central = all(group.is_central(g) for g in char_on_gens)
         # memo of traces; for a central C it starts as the whole support, C
@@ -255,7 +260,14 @@ class MonomialRep:
             {c: self.dim * v for c, v in chi.items()} if self.central else {}
         )
 
-    def _enumerate_cosets(self) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+    @property
+    def cosets(self) -> tuple[int, ...]:
+        """The coset representatives rep_r, in the order of the basis."""
+        return self._coset_table[0]
+
+    @cached_property
+    def _coset_table(self) -> tuple[tuple[int, ...], dict[int, tuple[int, int]]]:
+        """The representatives and, per element g * c, its place (r, c)."""
         G = self.group
         loc: dict[int, tuple[int, int]] = {}
         reps = []
@@ -275,8 +287,9 @@ class MonomialRep:
         if g not in self._traces:
             total = 0
             if not self.central:
-                mul, loc, chi = self.group.mul, self._loc, self.character
-                for idx, rep in enumerate(self.cosets):
+                mul, chi = self.group.mul, self.character
+                cosets, loc = self._coset_table
+                for idx, rep in enumerate(cosets):
                     j, c = loc[mul(g, rep)]
                     if j == idx:
                         total += chi[c]
@@ -376,25 +389,31 @@ class _CeilingReached(Exception):
     """Ends the isotropy walk once its incumbent reaches the ceiling."""
 
 
-def _isotropy_ceiling(G: GroupOracle, reps: Sequence[MonomialRep]) -> Optional[int]:
-    """An upper bound on the isotropy rank of a form group, None otherwise.
+def _isotropy_ceiling(
+    G: GroupOracle, reps: Sequence[MonomialRep], involutions: Sequence[int]
+) -> int:
+    """An upper bound on the isotropy rank, from a bound on rank_2(G).
 
-    Every elementary abelian subgroup has rank at most rank_2(G).  A central
-    involution z with trace -dim on some factor acts there as -1, so it lies
-    in no H that fixes a point of that factor, and H<z> is still elementary
-    abelian: then the bound is rank_2(G) - 1.  Such a z lies in C.
+    For a form group the bound is rank_2(G) itself, from `group_rank`.  For
+    a table it is floor(log2(#involutions + 1)): an elementary abelian
+    subgroup of rank r holds 2^r - 1 involutions.  A central involution z
+    with trace -dim on some factor acts there as -1, so it lies in no H that
+    fixes a point of that factor, and H<z> is still elementary abelian: then
+    the ceiling is the bound less one.  Such a z lies in C.
     """
     if G.phi is None:
-        return None
-    from .phigroup import group_rank  # at call time: importing repaction stays light
+        bound = (len(involutions) + 1).bit_length() - 1
+    else:
+        from .phigroup import group_rank  # at call time: importing repaction stays light
 
+        bound = group_rank(G.phi)
     mul = G.mul
     acts_as_minus_one = any(
         rep.trace(z) == -rep.dim and mul(z, z) == 0 and G.is_central(z)
         for rep in reps
         for z in rep.subgroup
     )
-    return group_rank(G.phi) - acts_as_minus_one
+    return bound - acts_as_minus_one
 
 
 def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyResult:
@@ -413,13 +432,10 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
 
     # trace sums per factor carry down the search: sum over H equals
     # |H| * fixed dim, so H fixes a product point iff every sum is positive
-    invs = [
-        g
-        for g in G.involutions()
-        if all(rep.trace(0) + rep.trace(g) > 0 for rep in reps)
-    ]
+    involutions = G.involutions()
+    invs = [g for g in involutions if all(rep.trace(0) + rep.trace(g) > 0 for rep in reps)]
     best = IsotropyResult(0, ())
-    ceiling = _isotropy_ceiling(G, reps)
+    ceiling = _isotropy_ceiling(G, reps, involutions)
 
     def extend(sums: list[int], gens: tuple[int, ...], elements, coset: list[int]):
         nonlocal best

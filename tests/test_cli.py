@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from sphererank.cli import (
 )
 from sphererank.errors import SchemaError
 from sphererank.forms import random_family
-from sphererank.repaction import quaternion_table
+from sphererank.repaction import elementary_abelian_table, quaternion_table
 
 
 def run(capsys, *argv):
@@ -267,6 +268,19 @@ class TestRepCommands:
         code, obj = run(capsys, "rep", "isotropy", "--family", d8_family_file)
         assert code == EXIT_OK
         assert obj["result"]["rank"] >= 1  # reflections fix product points
+
+    def test_isotropy_on_a_table_stops_at_its_ceiling(self, capsys, tmp_path):
+        path = tmp_path / "c2_8.json"
+        path.write_text(json.dumps({"order": 256, "mul": elementary_abelian_table(8)}))
+        start = time.perf_counter()
+        code, obj = run(
+            capsys, "rep", "isotropy", "--table", str(path),
+            "--reps", '[{"c_gens": [1], "chars": [-1]}]',
+        )
+        assert time.perf_counter() - start < 10  # under 0.2 s; the full walk ran past 30 s
+        assert code == EXIT_OK
+        assert obj["result"]["rank"] == 7
+        assert obj["result"]["witness_gens"] == [2, 4, 8, 16, 32, 64, 128]
 
     def test_twocentral(self, capsys, d8_family_file, q8_table_file):
         _, d8 = run(capsys, "rep", "twocentral", "--family", d8_family_file)

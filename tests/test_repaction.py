@@ -569,10 +569,10 @@ class TestIsotropyCeiling:
     @pytest.mark.parametrize("n, t, seed", CEILING_FAMILIES, ids=str)
     def test_early_stop_returns_the_full_walk(self, n, t, seed, monkeypatch):
         G, reps = stock(n, t, seed)
-        ceiling = repaction._isotropy_ceiling(G, reps)
+        ceiling = repaction._isotropy_ceiling(G, reps, G.involutions())
         assert ceiling == group_rank(G.phi) - 1
         fast = max_isotropy_rank(G, reps)
-        monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda G, reps: None)
+        monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda *args: None)
         assert max_isotropy_rank(G, reps) == fast
         assert fast.rank == ceiling
 
@@ -591,8 +591,28 @@ class TestIsotropyCeiling:
     def test_no_minus_one_without_a_central_sign(self):
         G = d8_oracle()
         trivial = build_induced(G, list(range(8)), [1] * 8)
-        assert repaction._isotropy_ceiling(G, [trivial]) == group_rank(G.phi) == 2
-        assert repaction._isotropy_ceiling(quaternion(), []) is None
+        assert repaction._isotropy_ceiling(G, [trivial], G.involutions()) == group_rank(G.phi) == 2
+        q8 = quaternion()  # one involution, -1: rank_2(Q8) = 1
+        assert repaction._isotropy_ceiling(q8, [], q8.involutions()) == 1
+        assert repaction._isotropy_ceiling(q8, [build_induced(q8, [1], [-1])], [1]) == 0
+
+    @pytest.mark.parametrize(
+        "name", sorted(TABLE_REPS) + [f"c2^{r}" for r in range(1, 7)]
+    )
+    def test_table_ceiling_returns_the_full_walk(self, name, monkeypatch):
+        if name.startswith("c2^"):
+            G = GroupOracle.from_table(elementary_abelian_table(int(name[3:])))
+            factor_sets = [[build_induced(G, [1], [-1])]]
+        else:
+            G, reps = table_reps(name)
+            factor_sets = [[rep] for rep in reps] + [reps]
+        fast = [max_isotropy_rank(G, reps) for reps in factor_sets]
+        ceilings = [repaction._isotropy_ceiling(G, reps, G.involutions()) for reps in factor_sets]
+        monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda *args: None)
+        assert [max_isotropy_rank(G, reps) for reps in factor_sets] == fast
+        assert all(res.rank <= ceiling for res, ceiling in zip(fast, ceilings))
+        if name.startswith("c2^"):  # <1> acts as -1, so the ceiling r - 1 is the answer
+            assert fast[0].rank == ceilings[0] == int(name[3:]) - 1
 
     def test_order_4096_finishes_in_desk_time(self):
         G, reps = stock(10, 2, 0)
@@ -600,3 +620,47 @@ class TestIsotropyCeiling:
         res = max_isotropy_rank(G, reps)
         assert time.perf_counter() - start < 20  # under 0.1 s with the ceiling, 161 s without
         assert res == (5, (1, 40, 84, 414, 438))
+
+
+class TestFormGroupBuild:
+    @pytest.mark.parametrize("n, t, seed", SMALL_FAMILIES + [(8, 1, 0), (6, 3, 0)], ids=str)
+    def test_rows_are_the_cayley_table_of_mul(self, n, t, seed):
+        G = PhiGroup(random_family(n, t, seed))
+        order = G.order
+        assert G.rows() == [[G.mul(g, h) for h in range(order)] for g in range(order)]
+
+    def test_oracle_is_validated_on_the_rows(self, monkeypatch):
+        G = PhiGroup(random_family(4, 2, 3))
+        seen = []
+        validate = repaction._validate
+        monkeypatch.setattr(repaction, "_validate", lambda rows: seen.append(rows) or validate(rows))
+        GroupOracle.from_phi_group(G)
+        assert seen == [[[G.mul(g, h) for h in range(G.order)] for g in range(G.order)]]
+
+    @pytest.mark.parametrize("flip", ["a", "b"])
+    def test_a_wrong_product_is_refused(self, flip, monkeypatch):
+        G = PhiGroup(random_family(4, 2, 3))
+        mul = G.mul
+        wrong = 1 if flip == "a" else 1 << G.n  # one a-bit, or b_0
+
+        def corrupted(i, j):
+            return mul(i, j) ^ wrong if (i, j) == (3, 5) else mul(i, j)
+
+        monkeypatch.setattr(G, "mul", corrupted)
+        with pytest.raises(ValueError):
+            GroupOracle.from_phi_group(G)
+
+    def test_validated_oracle_keeps_no_table(self):
+        G = GroupOracle.from_phi_group(PhiGroup(random_family(6, 3, 0)))
+        assert G.order == 512
+        assert set(vars(G)) == {"order", "mul", "phi", "generators"}
+
+    def test_coset_table_is_built_on_first_use(self):
+        G, reps = stock(10, 2, 0)
+        assert max_isotropy_rank(G, reps).rank == 5
+        assert all("_coset_table" not in vars(rep) for rep in reps)
+        generic = generic_copy(reps[0])
+        assert generic.trace(3) == 0 and "_coset_table" in vars(generic)
+        assert "_coset_table" not in vars(reps[0])
+        assert len(reps[0].cosets) == reps[0].dim == 2048
+        assert "_coset_table" in vars(reps[0])
