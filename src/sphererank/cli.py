@@ -94,6 +94,8 @@ def load_table(path: str) -> repaction.GroupOracle:
     require_keys(obj, "order", "mul")
     if type(obj["order"]) is not int:
         raise SchemaError(["order: must be an integer"])
+    if not 1 <= obj["order"] <= repaction.ORDER_GUARD:
+        raise SchemaError([f"order: must be in 1..{repaction.ORDER_GUARD}"])
     if not isinstance(obj["mul"], list) or len(obj["mul"]) != obj["order"]:
         raise SchemaError(["mul: must be an order x order table"])
     try:

@@ -87,7 +87,7 @@ class FormFamily:
         return {
             "n": self.n,
             "t": self.t,
-            "forms": [f.gram.to_json_dict()["data"] for f in self.forms],
+            "forms": [[f.gram.row(i).to_string() for i in range(self.n)] for f in self.forms],
         }
 
     @classmethod
@@ -183,12 +183,6 @@ class QuadraticSystem:
     @classmethod
     def from_lists(cls, v: int, polys: Sequence[Sequence[Sequence[int]]]) -> QuadraticSystem:
         return cls(v, tuple(frozenset(tuple(sorted(m)) for m in p) for p in polys))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "polys": [sorted([list(m) for m in p]) for p in self.polys],
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> QuadraticSystem:

@@ -1,9 +1,8 @@
 """Exact linear algebra over GF(2): bit-packed vectors, matrices, subspaces.
 
 Coordinate i of a vector lives at bit position i of an arbitrary-precision
-integer (LSB first; equivalently bit i % 64 of 64-bit word i // 64, words
-little-endian).  Subspaces carry a canonical reduced-row-echelon basis with
-strictly increasing pivot columns, so set-level equality is plain tuple
+integer (LSB first).  Subspaces carry a canonical reduced-row-echelon basis
+with strictly increasing pivot columns, so set-level equality is plain tuple
 equality.  Everything here is immutable and pure; no floating point.
 """
 
@@ -54,29 +53,6 @@ class BitVector:
             raise ValueError("basis index out of range")
         return cls(n, 1 << i)
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: BitVector) -> BitVector:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    __add__ = __xor__  # characteristic 2
-
-    def dot(self, other: BitVector) -> int:
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -87,16 +63,8 @@ class BitVector:
             yield low.bit_length() - 1
             bits ^= low
 
-    def words(self) -> tuple[int, ...]:
-        """64-bit little-endian words of the packed coordinates."""
-        nwords = (self.n + 63) // 64
-        return tuple((self.bits >> (64 * w)) & ((1 << 64) - 1) for w in range(nwords))
-
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 @dataclass(frozen=True)
@@ -119,18 +87,13 @@ class BitMatrix:
                 raise ValueError(f"bits set beyond dimension {self.cols}")
 
     @classmethod
-    def _from_vectors(cls, rows: int, cols: int, vectors: Sequence[BitVector]) -> BitMatrix:
-        if rows != len(vectors):
-            raise ValueError("row count mismatch")
-        if any(v.n != cols for v in vectors):
-            raise ValueError("row length mismatch")
-        return cls(rows, cols, tuple(v.bits for v in vectors))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
         if not rows:
             raise ValueError("cannot infer column count from zero rows")
-        return cls._from_vectors(len(rows), rows[0].n, rows)
+        cols = rows[0].n
+        if any(v.n != cols for v in rows):
+            raise ValueError("row length mismatch")
+        return cls(len(rows), cols, tuple(v.bits for v in rows))
 
     @classmethod
     def from_bits(cls, rows: int, cols: int, bits: Sequence[int]) -> BitMatrix:
@@ -145,22 +108,11 @@ class BitMatrix:
             raise ValueError("ragged rows")
         return cls.from_rows(rows)
 
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls.from_bits(n, n, [1 << i for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> BitMatrix:
-        return cls.from_bits(rows, cols, [0] * rows)
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_data[i])
 
     def row_bits(self) -> list[int]:
         return list(self.row_data)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.row(i)[j]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -168,39 +120,12 @@ class BitMatrix:
     def transpose(self) -> BitMatrix:
         return BitMatrix.from_bits(self.cols, self.rows, _transpose_bits(self.row_data, self.cols))
 
-    def mul_vec(self, v: BitVector) -> BitVector:
-        if v.n != self.cols:
-            raise ValueError("dimension mismatch")
-        out = 0
-        for i, r in enumerate(self.row_data):
-            out |= ((r & v.bits).bit_count() & 1) << i
-        return BitVector(self.rows, out)
-
-    def add(self, other: BitMatrix) -> BitMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return BitMatrix.from_bits(
-            self.rows, self.cols, [a ^ b for a, b in zip(self.row_data, other.row_data)]
-        )
-
     def is_symmetric(self) -> bool:
         rows = self.row_data
         return self.is_square() and tuple(_transpose_bits(rows, self.cols)) == rows
 
     def has_zero_diagonal(self) -> bool:
         return self.is_square() and not any(r >> i & 1 for i, r in enumerate(self.row_data))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": [self.row(i).to_string() for i in range(self.rows)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> BitMatrix:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        return cls._from_vectors(rows, cols, [BitVector.from_string(s) for s in data])
 
 
 def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
@@ -302,29 +227,12 @@ class Subspace:
         return cls(ambient_dim, tuple(BitVector(ambient_dim, b) for b in _rref_bits(bits)))
 
     @classmethod
-    def zero_space(cls, n: int) -> Subspace:
-        return cls(n, ())
-
-    @classmethod
     def full(cls, n: int) -> Subspace:
         return cls(n, tuple(BitVector.basis(n, i) for i in range(n)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: BitVector) -> bool:
-        if v.n != self.ambient_dim:
-            raise ValueError("length mismatch")
-        return _reduce_bits(v.bits, [r.bits for r in self.basis]) == 0
-
-    def vectors(self) -> Iterator[BitVector]:
-        """Enumerate all 2^dim elements (small subspaces only)."""
-        if self.dim > 24:
-            raise GuardExceeded("subspace_vectors", "subspace too large to enumerate")
-        rows = [r.bits for r in self.basis]
-        for mask in range(1 << self.dim):
-            yield BitVector(self.ambient_dim, fold_rows(rows, mask))
 
 
 def rank(m: BitMatrix) -> int:

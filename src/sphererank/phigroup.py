@@ -285,40 +285,23 @@ def _bnb_node(gram_rows: list[tuple[int, ...]], best: list,
         _bnb_node(gram_rows, best, basis + (v,), _weight_order(reduced))
 
 
-def _bnb_search(fam: FormFamily, q_masks: list[int], best: list) -> None:
-    """Run the branch-and-bound from the root, updating `best` (see _bnb_node).
+def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
+    """Branch and bound from the root: weight-ordered candidates, the coset
+    counting bound, and a stop at the ceiling.
 
-    The root candidates are the q-zero vectors read off `q_masks`; every
-    node works on n-bit ints only.
-    """
-    gram_rows = [f.gram.row_data for f in fam.forms]
-    _bnb_node(gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
-
-
-def _max_isotropic_bnb(fam: FormFamily) -> IsotropicResult:
-    """Branch and bound: weight-ordered candidates, the coset counting bound,
-    and a stop at the Witt ceiling."""
-    n = fam.n
-    q_masks = _q_masks(fam, _coordinate_masks(n))
-    best: list = [0, (), _witt_ceiling(fam, q_masks)]
-    _bnb_search(fam, q_masks, best)
-    witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(best[1]))))
-    return IsotropicResult(best[0], witness)
-
-
-def _isotropic_dim_below(fam: FormFamily, k: int) -> bool:
-    """Whether every q-zero totally isotropic subspace has dim < k.
-
-    Decided by the Witt ceiling when it is below k; otherwise by the
-    branch-and-bound started with incumbent k - 1 and ceiling k, which stops
-    at the first subspace of dim k.
+    Returns `best` = [dim, basis, ceiling] (see _bnb_node).  The incumbent
+    starts at dim `floor` with an empty basis, and the ceiling is the smaller
+    of `ceiling` and the Witt ceiling.  The root candidates, the q-zero
+    vectors, are read only when floor < ceiling, so a decision the Witt
+    ceiling settles builds no candidate list.  Every node works on n-bit ints
+    only.
     """
     q_masks = _q_masks(fam, _coordinate_masks(fam.n))
-    if _witt_ceiling(fam, q_masks) < k:
-        return True
-    best = [k - 1, (), k]
-    _bnb_search(fam, q_masks, best)
-    return best[0] < k
+    best: list = [floor, (), min(ceiling, _witt_ceiling(fam, q_masks))]
+    if floor < best[2]:
+        gram_rows = [f.gram.row_data for f in fam.forms]
+        _bnb_node(gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
+    return best
 
 
 def max_isotropic_qzero(fam: FormFamily, mode: str = "branch_and_bound") -> IsotropicResult:
@@ -340,7 +323,10 @@ def max_isotropic_qzero(fam: FormFamily, mode: str = "branch_and_bound") -> Isot
                 "max_isotropic_bnb",
                 f"n={fam.n} exceeds branch-and-bound guard {ISOTROPIC_BNB_GUARD}",
             )
-        return _max_isotropic_bnb(fam)
+        n = fam.n
+        dim, basis, _ = _bnb(fam, 0, n)
+        witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(basis))))
+        return IsotropicResult(dim, witness)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -364,8 +350,9 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     deterministic in (n, t, k, trials, seed) and the returned family is the
     qualifying one of smallest trial index.  The rank condition 2n < t(k-1)
     is reported so callers can interpret an empty result, but families are
-    searched either way.  Each trial only decides whether the dim is < k
-    (`_isotropic_dim_below`), without computing the maximum.  Instances
+    searched either way.  Each trial only decides whether the dim is < k,
+    with a branch-and-bound that starts at k - 1 and stops at the first
+    subspace of dim k, without computing the maximum.  Instances
     beyond the rank-search guard still accept their parameters: the
     condition is reported, trials are skipped, and the skipped guard is
     named.  n, t or k below 1, or a negative trial count, raises ValueError.
@@ -380,7 +367,7 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
         return SearchResult(None, None, condition, 0, "max_isotropic_bnb")
     for trial in range(trials):
         fam = random_family(n, t, derive_seed(seed, trial))
-        if _isotropic_dim_below(fam, k):
+        if _bnb(fam, k - 1, k)[0] < k:
             return SearchResult(fam, trial, condition, trial + 1)
     return SearchResult(None, None, condition, trials)
 

@@ -278,8 +278,8 @@ def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int
     summand kills the class (zero marker), otherwise the class is the product
     of the nontrivial character linear forms with their multiplicities.
     """
-    if e_rank < 0:
-        raise ValueError(f"e_rank must be >= 0, got {e_rank}")
+    if e_rank < 1:
+        raise ValueError(f"e_rank must be >= 1, got {e_rank}")
     coords = _elementary_abelian_coords(rep.group, e_gens, e_rank)
     size = 1 << e_rank
     traces = {e: rep.trace(e) for e in coords}

@@ -84,20 +84,6 @@ class GroupOracle:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def inv(self, i: int) -> int:
-        """The inverse i^(ord(i) - 1), by walking the powers of i."""
-        acc = i
-        while (nxt := self.mul(acc, i)) != 0:
-            acc = nxt
-        return acc
-
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != 0:
-            acc = self.mul(acc, i)
-            k += 1
-        return k
-
     def involutions(self) -> list[int]:
         return [g for g in range(1, self.order) if self.mul(g, g) == 0]
 
@@ -144,8 +130,10 @@ def _validate(rows: list[list[int]]) -> list[int]:
     ids = list(range(len(rows)))
     if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
         raise ValueError("id 0 is not a two-sided identity")
+    # every row has len(rows) entries, so holding every id makes it a permutation
+    id_set = set(ids)
     for g, (row, col) in enumerate(zip(rows, zip(*rows))):
-        if sorted(row) != ids or sorted(col) != ids:
+        if set(row) != id_set or set(col) != id_set:
             raise ValueError(f"row/column of element {g} is not a permutation")
     for g in ids:
         if rows[rows[g].index(0)][g] != 0:

@@ -62,6 +62,14 @@ def all_vectors(n: int):
     return product((0, 1), repeat=n)
 
 
+def span_bits(rows: list[int]) -> set[int]:
+    """Every XOR of a subset of the int-packed rows: their span, listed."""
+    out = {0}
+    for r in rows:
+        out |= {v ^ r for v in out}
+    return out
+
+
 def naive_kernel_vectors(rows: list[list[int]], n: int) -> set[tuple[int, ...]]:
     return {
         tuple(v) for v in all_vectors(n) if all(x == 0 for x in naive_matvec(rows, list(v)))

@@ -157,7 +157,7 @@ def test_criterion_05_rank_formula_oracle_equivalence():
         assert group_rank(G) == brute_max_elem_abelian_rank(lambda i, j: table[i][j], G.order)
         checked += 1
     # abelian edge case: every form zero means the group is (Z/2)^(n+t)
-    zero = FormFamily.from_grams([BitMatrix.zero(4, 4), BitMatrix.zero(4, 4)])
+    zero = FormFamily.from_grams([BitMatrix.from_bits(4, 4, [0] * 4)] * 2)
     Gz = PhiGroup(zero)
     tz = phi_table(Gz)
     assert group_rank(Gz) == 6 == brute_max_elem_abelian_rank(lambda i, j: tz[i][j], 64)

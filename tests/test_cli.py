@@ -550,7 +550,14 @@ class TestNumericFlags:
         code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "1",
                         "--chars", "-1", "--e-gens", "1", "--e-rank", "-1")
         assert_clean_validation(code, obj)
-        assert obj["error"]["message"] == "e_rank must be >= 0, got -1"
+        assert obj["error"]["message"] == "e_rank must be >= 1, got -1"
+
+    def test_zero_e_rank(self, capsys, q8_table_file):
+        # a validation error, not the poly_nvars guard of an empty variable set
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "1",
+                        "--chars", "-1", "--e-gens", "", "--e-rank", "0")
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == "e_rank must be >= 1, got 0"
 
     def test_negative_power(self, capsys, swap_action_file):
         code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
@@ -577,6 +584,13 @@ class TestLoaders:
         assert code == EXIT_VALIDATION
         assert obj["error"]["fields"] == ["mul: entries must be integer ids in 0..order-1"]
         assert "indices" not in json.dumps(obj)
+
+    @pytest.mark.parametrize("order", [0, -3, (1 << 16) + 1])
+    def test_table_order_out_of_range_names_order(self, capsys, tmp_path, order):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"order": order, "mul": []}))
+        code, obj = run(capsys, "rep", "twocentral", "--table", str(path))
+        assert_clean_validation(code, obj, ["order: must be in 1..65536"])
 
     def test_load_dihedral_table(self, tmp_path):
         from oracles import dihedral_table

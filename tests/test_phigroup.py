@@ -38,6 +38,7 @@ from oracles import (
     naive_qzero_vectors,
     naive_quadratic_value,
     naive_rank,
+    span_bits,
     tables_isomorphic,
     witt_index_single,
 )
@@ -48,7 +49,7 @@ def d8_group() -> PhiGroup:
 
 
 def zero_family(n, t) -> FormFamily:
-    return FormFamily.from_grams([BitMatrix.zero(n, n) for _ in range(t)])
+    return FormFamily.from_grams([BitMatrix.from_bits(n, n, [0] * n) for _ in range(t)])
 
 
 def random_element(rng, G):
@@ -204,9 +205,9 @@ class TestCenter:
             central = brute_center(lambda i, j: table[i][j], G.order)
             radical, rank = center(G)
             expected_central = {
-                av.bits | bv.bits << G.n
-                for av in radical.vectors()
-                for bv in Subspace.full(G.t).vectors()
+                a | b << G.n
+                for a in span_bits([v.bits for v in radical.basis])
+                for b in range(1 << G.t)
             }
             assert central == expected_central
             involutions_central = sum(
@@ -321,6 +322,22 @@ class TestWittCeiling:
             search_forms(7, 2, 2, trials=3, seed=seed)
         assert len(starts) > 100 and all(starts)
 
+    def test_one_entry_reads_candidates_only_below_its_ceiling(self, monkeypatch):
+        reads = []
+        scan = phigroup._qzero_vectors
+        monkeypatch.setattr(phigroup, "_qzero_vectors", lambda *a: reads.append(a) or scan(*a))
+        for seed in range(6):
+            fam = random_family(7, 2, seed)
+            witt = _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(7)))
+            dim, _, ceiling = phigroup._bnb(fam, 0, fam.n)
+            assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, witt)
+            reads.clear()
+            # a decision at k = witt + 1 is settled by the Witt ceiling alone
+            assert phigroup._bnb(fam, witt, witt + 1) == [witt, (), witt]
+            assert reads == []
+            phigroup._bnb(fam, dim - 1, dim)
+            assert len(reads) == 1
+
     def test_zero_and_symplectic_forms(self):
         for n, t in [(1, 1), (4, 2), (5, 3)]:
             fam = zero_family(n, t)
@@ -337,7 +354,7 @@ class TestGuardHolds:
         fam = random_family(n, 1, 20)
         res = max_isotropic_qzero(fam)
         gram = gram_lists(fam)[0]
-        basis = [[v[j] for j in range(n)] for v in res.witness.basis]
+        basis = [[(v.bits >> j) & 1 for j in range(n)] for v in res.witness.basis]
         assert res.dim == len(basis) == naive_rank(basis) == 9
         assert all(naive_quadratic_value(gram, x) == 0 for x in basis)
         assert all(naive_form_value(gram, x, y) == 0 for x, y in combinations(basis, 2))

@@ -35,6 +35,7 @@ from oracles import (
     dihedral_table,
     direct_product_table,
     naive_hilbert,
+    span_bits,
 )
 
 
@@ -283,8 +284,14 @@ class TestEulerClassRestriction:
 
     def test_negative_rank_rejected(self):
         rep = build_induced(GroupOracle.from_table(cyclic_table(4)), [2], [-1])
-        with pytest.raises(ValueError, match="^e_rank must be >= 0, got -1$"):
+        with pytest.raises(ValueError, match="^e_rank must be >= 1, got -1$"):
             euler_class_restriction(rep, [2], -1)
+
+    def test_rank_zero_rejected(self):
+        # a rank-0 E has no variables to carry a class
+        rep = build_induced(GroupOracle.from_table(cyclic_table(4)), [2], [-1])
+        with pytest.raises(ValueError, match="^e_rank must be >= 1, got 0$"):
+            euler_class_restriction(rep, [], 0)
 
 
 @pytest.mark.parametrize(
@@ -394,9 +401,9 @@ class TestPowerSpanTest:
                     break
             ys = [GradedPoly.linear(n, c) for c in coeffs]
             res = power_span_test(act, ys, 1)
-            span = Subspace.span(n, coeffs)
+            span = span_bits([c.bits for c in coeffs])
             images_inside = all(
-                span.contains(apply_linear(y, act.generators[0]).linear_coeffs()) for y in ys
+                apply_linear(y, act.generators[0]).linear_coeffs().bits in span for y in ys
             )
             assert res.stable == images_inside
             if res.permuted:
