@@ -52,12 +52,17 @@ def _canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+def _emit(text: str, out: Optional[str], flag: str) -> None:
+    """Write to the file named by `flag` when it is given, else to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # a missing directory, a directory, no permission, ...
+        reason = exc.strerror or "I/O error"
+        raise SchemaError([f"{flag} {out}: cannot write file ({reason})"]) from exc
 
 
 def _error_json(code: str, message: str, **extra: Any) -> str:
@@ -215,7 +220,7 @@ _MODES = {"exhaustive": "exhaustive", "bnb": "branch_and_bound"}
 def _cmd_forms_gen(args) -> dict:
     fam = forms.random_family(args.n, args.t, args.seed)
     if args.save_family:
-        _emit(_canonical(fam.to_json_dict()), args.save_family)
+        _emit(_canonical(fam.to_json_dict()), args.save_family, "--save-family")
     return {"family": fam.to_json_dict()}
 
 
@@ -266,7 +271,7 @@ def _cmd_group_profile(args) -> dict:
 def _cmd_search_olshanskii(args) -> dict:
     res = phigroup.search_forms(args.n, args.t, args.k, args.trials, args.seed)
     if res.family is not None and args.save_family:
-        _emit(_canonical(res.family.to_json_dict()), args.save_family)
+        _emit(_canonical(res.family.to_json_dict()), args.save_family, "--save-family")
     return {
         "condition_holds": res.condition_holds,
         "found": res.family is not None,
@@ -476,6 +481,21 @@ def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
 _PARSERS = _build_parsers()
 
 
+def _report(name: str, args, result: dict) -> Report:
+    guards_hit = []
+    if result.get("caveat_small_m"):
+        guards_hit.append("small_sphere_caveat")
+    if result.get("skipped_guard"):
+        guards_hit.append(result["skipped_guard"])
+    provenance = {
+        "seed": str(getattr(args, "seed", 0)),
+        "trials": getattr(args, "trials", None),
+        "guards_hit": guards_hit,
+    }
+    inputs = {k: v for k, v in sorted(vars(args).items()) if k != "out" and v is not None}
+    return Report(command=name, inputs=inputs, result=result, provenance=provenance)
+
+
 def dispatch(argv: list[str]) -> int:
     if len(argv) < 2 or " ".join(argv[:2]) not in _PARSERS:
         known = ", ".join(sorted(_PARSERS))
@@ -491,7 +511,7 @@ def dispatch(argv: list[str]) -> int:
         sys.stdout.write(_error_json("validation", str(exc)))
         return EXIT_VALIDATION
     try:
-        result = handler(args)
+        _emit(_report(name, args, handler(args)).to_json(), args.out, "--out")
     except _BadJson as exc:
         sys.stdout.write(_error_json("malformed_json", str(exc)))
         return EXIT_BAD_JSON
@@ -504,24 +524,6 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, TypeError, KeyError, _CliError) as exc:
         sys.stdout.write(_error_json("validation", str(exc)))
         return EXIT_VALIDATION
-
-    guards_hit = []
-    if result.get("caveat_small_m"):
-        guards_hit.append("small_sphere_caveat")
-    if result.get("skipped_guard"):
-        guards_hit.append(result["skipped_guard"])
-    provenance = {
-        "seed": str(getattr(args, "seed", 0)),
-        "trials": getattr(args, "trials", None),
-        "guards_hit": guards_hit,
-    }
-    inputs = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("out",) and v is not None
-    }
-    report = Report(command=name, inputs=inputs, result=result, provenance=provenance)
-    _emit(report.to_json(), args.out)
     return EXIT_OK
 
 

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError, require_keys
-from .gf2 import BitMatrix, BitVector, Subspace, _transpose_bits, fold_rows, kernel
+from .gf2 import (BitMatrix, BitVector, Subspace, _coordinate_masks, _quadratic_mask,
+                  _transpose_bits, fold_rows, kernel)
 from .rng import random_bits
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
+_BLOCK_VARS = 16  # the zero scan bit-slices 2^16 points at a time
 RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_family
 
 
@@ -202,47 +204,41 @@ class QuadraticSystem:
         except ValueError as exc:
             raise SchemaError([f"polys: {exc}"]) from exc
 
-    def evaluate(self, point: int) -> tuple[int, ...]:
-        """Value of every polynomial at the point (bitmask of coordinates)."""
-        masks = _poly_masks(self)
-        return tuple(_eval_masks(m, point) for m in masks)
-
-
-def _poly_masks(sys: QuadraticSystem) -> list[list[int]]:
-    # monomial -> single mask m; value at point p is [p & m == m]
-    out = []
-    for p in sys.polys:
-        masks = []
-        for mono in p:
-            m = 0
-            for i in mono:
-                m |= 1 << i
-            masks.append(m)
-        out.append(masks)
-    return out
-
-
-def _eval_masks(masks: list[int], point: int) -> int:
-    acc = 0
-    for m in masks:
-        if point & m == m:
-            acc ^= 1
-    return acc
-
 
 def common_zero_quadratics(sys: QuadraticSystem) -> Optional[BitVector]:
     """Some nonzero common zero of all polynomials, or None if none exists.
 
     Exhaustive over all 2^v - 1 nonzero points, so None is a proof of
     nonexistence.  Returns the numerically smallest zero.
+
+    Each polynomial becomes `_quadratic_mask` rows plus a constant, scanned
+    over blocks of 2^16 points: the low 16 coordinates are bit-sliced, the
+    high ones fixed per block to all-ones or zero masks.
     """
     if sys.v > COMMON_ZERO_GUARD:
         raise GuardExceeded(
             "common_zero_quadratics",
             f"{sys.v} variables exceed exhaustive-scan guard {COMMON_ZERO_GUARD}",
         )
-    masks = _poly_masks(sys)
-    for point in range(1, 1 << sys.v):
-        if all(_eval_masks(m, point) == 0 for m in masks):
-            return BitVector(sys.v, point)
+    v = sys.v
+    polys = []  # (rows, constant): monomial (i, j), i <= j, is bit i of row j
+    for p in sys.polys:
+        rows = [0] * v
+        for mono in p:
+            if mono:
+                rows[mono[-1]] ^= 1 << mono[0]
+        polys.append((rows, () in p))
+    low = min(v, _BLOCK_VARS)
+    full = (1 << (1 << low)) - 1
+    x = _coordinate_masks(low)
+    for block in range(1 << (v - low)):
+        x[low:] = [full if block >> k & 1 else 0 for k in range(v - low)]
+        zero = full ^ (block == 0)  # the point 0 is not a candidate
+        for rows, const in polys:
+            quad = _quadratic_mask(x, rows)  # the poly vanishes where quad == const
+            zero &= quad if const else ~quad
+            if not zero:
+                break
+        if zero:
+            return BitVector(v, block << low | (zero & -zero).bit_length() - 1)
     return None

@@ -149,6 +149,39 @@ def fold_rows(rows: Sequence[int], bits: int) -> int:
     return acc
 
 
+def _coordinate_masks(n: int) -> list[int]:
+    """Bit-sliced coordinates: X[i] has bit v set iff bit i of v is set, v < 2^n.
+
+    fold_rows(X, m) is then the 2^n-bit indicator of parity(m & v), a linear
+    functional evaluated at every v at once.  Built by doubling a block of
+    period 2^(i+1), so each mask costs n - i shifts.
+    """
+    size = 1 << n
+    out = []
+    for i in range(n):
+        half = 1 << i
+        mask, width = ((1 << half) - 1) << half, half << 1
+        while width < size:
+            mask |= mask << width
+            width <<= 1
+        out.append(mask)
+    return out
+
+
+def _quadratic_mask(x: Sequence[int], rows: Sequence[int]) -> int:
+    """The points where XOR_i v_i parity(rows[i] & v) is 1, as a mask over x.
+
+    Bit j of row i is the monomial v_j v_i, so bit i is the linear term v_i.
+    With the coordinate masks x of `_coordinate_masks` the mask is
+    XOR_i x[i] & fold_rows(x, rows[i]), every point at once.
+    """
+    acc = 0
+    for xi, row in zip(x, rows):
+        if row:
+            acc ^= xi & fold_rows(x, row)
+    return acc
+
+
 def _rref_bits(rows: Iterable[int]) -> list[int]:
     """Reduced row echelon form of int-packed rows, sorted by pivot.
 

@@ -21,7 +21,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
-from .gf2 import BitVector, Subspace, _reduce_bits, _rref_bits, fold_rows, rank
+from .gf2 import (BitVector, Subspace, _coordinate_masks, _quadratic_mask, _reduce_bits,
+                  _rref_bits, fold_rows, rank)
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
@@ -122,41 +123,17 @@ class IsotropicResult(NamedTuple):
     witness: Subspace
 
 
-def _coordinate_masks(n: int) -> list[int]:
-    """Bit-sliced coordinates: X[i] has bit v set iff bit i of v is set, v < 2^n.
-
-    fold_rows(X, m) is then the 2^n-bit indicator of parity(m & v), a linear
-    functional evaluated at every v at once.  Built by doubling a block of
-    period 2^(i+1), so each mask costs n - i shifts.
-    """
-    size = 1 << n
-    out = []
-    for i in range(n):
-        half = 1 << i
-        mask, width = ((1 << half) - 1) << half, half << 1
-        while width < size:
-            mask |= mask << width
-            width <<= 1
-        out.append(mask)
-    return out
-
-
 _ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _q_masks(fam: FormFamily, x: list[int]) -> list[int]:
+def _q_masks(fam: FormFamily) -> list[int]:
     """Per form s, the 2^n-bit mask of the vectors v with q_s(v) = 1.
 
-    Bit-sliced over all 2^n vectors at once from the coordinate masks x:
-    q_s(v) = XOR_i v_i parity(L_s[i] & v), so the mask is XOR_i X[i] & fold_rows(X, L_s[i]).
+    Bit-sliced over all 2^n vectors at once: q_s(v) = XOR_i v_i parity(L_s[i] & v)
+    is the quadratic of `_quadratic_mask` with rows L_s, whose diagonal is zero.
     """
-    out = []
-    for lo in fam.lower:
-        q = 0
-        for xi, row in zip(x, lo.row_data):
-            q ^= xi & fold_rows(x, row)
-        out.append(q)
-    return out
+    x = _coordinate_masks(fam.n)
+    return [_quadratic_mask(x, lo.row_data) for lo in fam.lower]
 
 
 def _qzero_vectors(fam: FormFamily, q_masks: Optional[list[int]] = None) -> list[int]:
@@ -166,7 +143,7 @@ def _qzero_vectors(fam: FormFamily, q_masks: Optional[list[int]] = None) -> list
     caller already holds them.
     """
     if q_masks is None:
-        q_masks = _q_masks(fam, _coordinate_masks(fam.n))
+        q_masks = _q_masks(fam)
     nonzero = 0
     for q in q_masks:
         nonzero |= q
@@ -296,7 +273,7 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
     ceiling settles builds no candidate list.  Every node works on n-bit ints
     only.
     """
-    q_masks = _q_masks(fam, _coordinate_masks(fam.n))
+    q_masks = _q_masks(fam)
     best: list = [floor, (), min(ceiling, _witt_ceiling(fam, q_masks))]
     if floor < best[2]:
         gram_rows = [f.gram.row_data for f in fam.forms]

@@ -171,17 +171,6 @@ class IdealGens:
             raise ValueError("generators must share the variable count")
 
 
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent tuples of the given total degree, in a fixed order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exp = [0] * nvars
-        for i in combo:
-            exp[i] += 1
-        out.append(tuple(exp))
-    return out
-
-
 def hilbert_function(I: IdealGens, d: int) -> int:
     """dim_F2 of the degree-d piece of F2[x_1..x_n] / I.
 
@@ -193,7 +182,7 @@ def hilbert_function(I: IdealGens, d: int) -> int:
         raise ValueError("degree must be nonnegative")
     weights = [(d + 1) ** i for i in range(I.nvars)]
 
-    def codes(degree: int) -> list[int]:  # in the order of monomials_of_degree
+    def codes(degree: int) -> list[int]:  # each monomial of the degree, once
         return [
             sum(map(weights.__getitem__, combo))
             for combo in combinations_with_replacement(range(I.nvars), degree)
@@ -367,13 +356,12 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
     coeffs = [y.linear_coeffs().bits for y in ys]
     if len(_rref_bits(coeffs)) != len(ys):
         raise ValueError("ys must be linearly independent")
-    basis = monomials_of_degree(act.nvars, p)
-    index = {m: i for i, m in enumerate(basis)}
+    index: dict[Exponents, int] = {}  # a column per monomial, given when first seen
 
     def pack(poly: GradedPoly) -> int:
         bits = 0
         for m in poly.monomials:
-            bits |= 1 << index[m]
+            bits |= 1 << index.setdefault(m, len(index))
         return bits
 
     span = _rref_bits([pack(y.power(p)) for y in ys])

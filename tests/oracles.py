@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from weakref import WeakKeyDictionary
 
 
@@ -130,6 +130,27 @@ def witt_index_single(gram: list[list[int]]) -> int:
         return m + r - 1
     zeros = sum(1 for x in all_vectors(n) if naive_quadratic_value(gram, list(x)) == 0)
     return m + r if 2 * zeros > 1 << n else m + r - 1
+
+
+# -- quadratic systems ----------------------------------------------------------
+
+
+def naive_poly_values(polys, point: int) -> tuple[int, ...]:
+    """Value of each polynomial over F2 at a point (bit i = x_i).
+
+    A polynomial is a list of monomials, each a list of variable indices;
+    the empty monomial is the constant 1 and repeats multiply a variable by
+    itself.
+    """
+    return tuple(sum(all(point >> i & 1 for i in mono) for mono in p) % 2 for p in polys)
+
+
+def brute_smallest_common_zero(v: int, polys) -> int | None:
+    """Smallest nonzero point of F2^v where every polynomial vanishes, or None."""
+    for point in range(1, 1 << v):
+        if not any(naive_poly_values(polys, point)):
+            return point
+    return None
 
 
 # -- small-group machinery ------------------------------------------------------
@@ -353,6 +374,17 @@ def rational_fixed_dim(sps) -> Fraction:
 
 
 # -- naive graded polynomial algebra ---------------------------------------------
+
+
+def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of the given total degree, in a fixed order."""
+    out = []
+    for combo in combinations_with_replacement(range(nvars), degree):
+        exp = [0] * nvars
+        for i in combo:
+            exp[i] += 1
+        out.append(tuple(exp))
+    return out
 
 
 def naive_hilbert(nvars: int, gens: list[set[tuple]], degrees: list[int], d: int) -> int:

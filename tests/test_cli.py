@@ -83,6 +83,20 @@ class TestDispatchContract:
         code, obj = run(capsys, "group", "rank", "--family", str(tmp_path))
         assert_clean_validation(code, obj, [f"{tmp_path}: cannot read file (Is a directory)"])
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--out", ["bounds", "rp-rank", "--m", "3", "--n", "2"]),
+        ("--save-family", ["forms", "gen", "--n", "3", "--t", "1"]),
+    ])
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/x.json", "No such file or directory"),
+        ("", "Is a directory"),
+    ])
+    def test_unwritable_output_is_a_validation_error(self, capsys, tmp_path, flag, argv,
+                                                      target, reason):
+        path = str(tmp_path / target)
+        code, obj = run(capsys, *argv, flag, path)
+        assert_clean_validation(code, obj, [f"{flag} {path}: cannot write file ({reason})"])
+
     def test_non_utf8_file_is_malformed_json(self, capsys, tmp_path):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b'{"n": 2, "t": 1, "forms": [["01", "10"]], "note": "\xe9"}')
@@ -564,6 +578,14 @@ class TestNumericFlags:
                         "--ys", "[[1, 0]]", "--p", "-1")
         assert_clean_validation(code, obj)
         assert obj["error"]["message"] == "p must be >= 0, got -1"
+
+    def test_power_beyond_the_degree_guard(self, capsys, swap_action_file):
+        # refused by the first power past degree 64, before any work of degree p
+        t0 = time.perf_counter()
+        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                        "--ys", "[[1, 0]]", "--p", "100000")
+        assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_degree"
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestLoaders:

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 
 from sphererank.errors import GuardExceeded, SchemaError
 from sphererank.forms import (
+    COMMON_ZERO_GUARD,
     AlternatingForm,
     FormFamily,
     QuadraticSystem,
@@ -16,7 +18,7 @@ from sphererank.forms import (
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
 from sphererank.rng import SplitMix64
 
-from oracles import naive_form_value
+from oracles import brute_smallest_common_zero, naive_form_value, naive_poly_values
 
 SYMPLECTIC_2 = BitMatrix.from_strings(["01", "10"])
 
@@ -198,15 +200,15 @@ def random_quadratic_system(v, q, rng) -> QuadraticSystem:
 
 class TestCommonZero:
     def test_single_product_has_zero(self):
-        sys_ = QuadraticSystem.from_lists(3, [[(0, 1)]])
-        z = common_zero_quadratics(sys_)
+        polys = [[(0, 1)]]
+        z = common_zero_quadratics(QuadraticSystem.from_lists(3, polys))
         assert z is not None and not z.is_zero()
-        assert sys_.evaluate(z.bits) == (0,)
+        assert naive_poly_values(polys, z.bits) == (0,)
 
     def test_anisotropic_form_has_none(self):
-        sys_ = QuadraticSystem.from_lists(2, [[(0, 0), (0, 1), (1, 1)]])
-        assert common_zero_quadratics(sys_) is None
-        assert all(sys_.evaluate(p) == (1,) for p in (1, 2, 3))
+        polys = [[(0, 0), (0, 1), (1, 1)]]
+        assert common_zero_quadratics(QuadraticSystem.from_lists(2, polys)) is None
+        assert all(naive_poly_values(polys, p) == (1,) for p in (1, 2, 3))
 
     def test_enough_variables_force_zero(self):
         rng = random.Random(7)
@@ -215,11 +217,34 @@ class TestCommonZero:
                 sys_ = random_quadratic_system(2 * q + 1, q, rng)
                 z = common_zero_quadratics(sys_)
                 assert z is not None and not z.is_zero()
-                assert sys_.evaluate(z.bits) == (0,) * q
+                assert naive_poly_values(sys_.polys, z.bits) == (0,) * q
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            v = rng.randint(0, 10)
+            monos = [(), *((i,) for i in range(v)), *quadratic_monomials(v)]
+            density = rng.choice((0.1, 0.3, 0.5))
+            polys = [[m for m in monos if rng.random() < density] for _ in range(rng.randint(0, 4))]
+            z = common_zero_quadratics(QuadraticSystem.from_lists(v, polys))
+            assert (z.bits if z else None) == brute_smallest_common_zero(v, polys), (v, polys)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             common_zero_quadratics(QuadraticSystem.from_lists(25, [[(0, 1)]]))
+
+    def test_guard_holds(self):
+        # at the guard, two systems whose only common zero is 0: the coordinates,
+        # and p_i = x_i + random quadratics in x_0..x_{i-1}
+        v = COMMON_ZERO_GUARD
+        rng = random.Random(24)
+        coordinates = [[(i,)] for i in range(v)]
+        triangular = [[(i,)] + [m for m in quadratic_monomials(i) if rng.random() < 0.5]
+                      for i in range(v)]
+        for polys in (coordinates, triangular):
+            t0 = time.perf_counter()
+            assert common_zero_quadratics(QuadraticSystem.from_lists(v, polys)) is None
+            assert time.perf_counter() - t0 < 10.0
 
     def test_json_document_loads(self):
         sys_ = QuadraticSystem.from_lists(3, [[(0, 1), (2, 2)], [()]])

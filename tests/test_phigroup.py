@@ -15,7 +15,6 @@ from sphererank.forms import (
 from sphererank.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces
 from sphererank.phigroup import (
     IsotropicResult,
-    _coordinate_masks,
     _q_masks,
     _qzero_vectors,
     _witt_ceiling,
@@ -304,7 +303,7 @@ class TestWittCeiling:
             for t in range(1, 5):
                 for _ in range(3 if n < 9 else 1):
                     fam = random_family(n, t, rng.getrandbits(64))
-                    q_masks = _q_masks(fam, _coordinate_masks(n))
+                    q_masks = _q_masks(fam)
                     expected = min(witt_index_single(g) for g in gram_lists(fam))
                     assert _witt_ceiling(fam, q_masks) == expected, (n, t)
 
@@ -328,7 +327,7 @@ class TestWittCeiling:
         monkeypatch.setattr(phigroup, "_qzero_vectors", lambda *a: reads.append(a) or scan(*a))
         for seed in range(6):
             fam = random_family(7, 2, seed)
-            witt = _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(7)))
+            witt = _witt_ceiling(fam, _q_masks(fam))
             dim, _, ceiling = phigroup._bnb(fam, 0, fam.n)
             assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, witt)
             reads.clear()
@@ -341,9 +340,9 @@ class TestWittCeiling:
     def test_zero_and_symplectic_forms(self):
         for n, t in [(1, 1), (4, 2), (5, 3)]:
             fam = zero_family(n, t)
-            assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(n))) == n
+            assert _witt_ceiling(fam, _q_masks(fam)) == n
         fam = d8_group().fam  # q = x0 x1: Arf invariant 0
-        assert _witt_ceiling(fam, _q_masks(fam, _coordinate_masks(2))) == 1
+        assert _witt_ceiling(fam, _q_masks(fam)) == 1
 
 
 class TestGuardHolds:

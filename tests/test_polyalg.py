@@ -17,7 +17,6 @@ from sphererank.polyalg import (
     euler_class_restriction,
     hilbert_function,
     is_regular_sequence,
-    monomials_of_degree,
     power_span_test,
     quotient_total_dim,
     transgression_check,
@@ -34,6 +33,7 @@ from oracles import (
     all_elem_abelian_subgroups,
     dihedral_table,
     direct_product_table,
+    monomials_of_degree,
     naive_hilbert,
     span_bits,
 )
