@@ -26,6 +26,7 @@ from .gf2 import (BitVector, Subspace, _coordinate_masks, _quadratic_mask, _redu
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
+ISOTROPIC_EXHAUSTIVE_BUDGET = 40_000_000  # work units, see _max_isotropic_exhaustive
 ISOTROPIC_BNB_GUARD = 20
 
 
@@ -61,8 +62,8 @@ class PhiGroup:
     def order(self) -> int:
         return 1 << (self.n + self.t)
 
-    def rows(self) -> list[list[int]]:
-        """The Cayley table, from 4^n products rather than order^2.
+    def rows(self) -> list[tuple[int, ...]]:
+        """The Cayley table as tuple rows, from 4^n products rather than order^2.
 
         `mul` adds the b-parts by XOR, so the product of a1 | b1 << n and
         a2 | b2 << n is mul(a1, a2) ^ (b1 ^ b2) << n: one row of products per
@@ -80,7 +81,7 @@ class PhiGroup:
                 row: list[int] = []
                 for b2 in range(size):
                     row += own[b1 ^ b2]
-                table.append(row)
+                table.append(tuple(row))
         return table
 
     def b_ids(self) -> list[int]:
@@ -171,54 +172,48 @@ def _witt_ceiling(fam: FormFamily, q_masks: list[int]) -> int:
     return ceiling
 
 
-def _phi_profile(fam: FormFamily, v: int) -> list[int]:
-    """Per-form masks m_s = gram_s . v; phi_s(u, v) = parity(u & m_s)."""
-    return [fold_rows(f.gram.row_data, v) for f in fam.forms]
-
-
-def _compatible(profile: list[int], u: int) -> bool:
-    return all((m & u).bit_count() & 1 == 0 for m in profile)
-
-
-def _max_isotropic_exhaustive(fam: FormFamily) -> IsotropicResult:
-    """Visit every q-zero totally isotropic subspace exactly once.
+def _max_isotropic_exhaustive(fam: FormFamily) -> tuple[int, ...]:
+    """Visit every q-zero totally isotropic subspace exactly once; returns the
+    RREF basis of the first largest one.
 
     States are canonical RREF bases; extensions branch on every remaining
     compatible candidate coset, deduplicated through a visited set.  No
-    bounds are applied, so this is the oracle for the branch-and-bound.
+    bounds are applied, so this is the oracle for the branch-and-bound and
+    shares no code with `_bnb_node`: it reduces modulo the whole new basis.
+    Work is capped at ISOTROPIC_EXHAUSTIVE_BUDGET units: 32 per candidate
+    tried (one RREF each) and, per new subspace, t + 1 per candidate of its
+    parent, for the t form filters and the reduction.  A unit costs 0.03 to
+    0.25 us, so a search the budget admits ends in about 10 s or less on a
+    2-core Xeon; the all-zero family at n = 8 reaches it in 6-9 s.
     """
-    n = fam.n
-    candidates = _qzero_vectors(fam)
-    profiles = {v: _phi_profile(fam, v) for v in candidates}
-    best_dim = 0
-    best_basis: tuple[int, ...] = ()
+    gram_rows = [f.gram.row_data for f in fam.forms]
+    best: tuple[int, ...] = ()
     visited: set[tuple[int, ...]] = {()}
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), candidates)]
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam))]
+    work = 0
     while stack:
         basis, cand = stack.pop()
+        work += 32 * len(cand)
         for w in cand:
             new_basis = tuple(_rref_bits(list(basis) + [w]))
             if new_basis in visited:
                 continue
             visited.add(new_basis)
-            prof_w = profiles[w]
-            reduced = set()
-            for c in cand:
-                if c == w or not _compatible(prof_w, c):
-                    continue
-                r = _reduce_bits(c, new_basis)
-                if r:
-                    reduced.add(r)
-            new_cand = sorted(reduced)
-            for r in new_cand:
-                if r not in profiles:
-                    profiles[r] = _phi_profile(fam, r)
-            if len(new_basis) > best_dim:
-                best_dim = len(new_basis)
-                best_basis = new_basis
-            stack.append((new_basis, new_cand))
-    witness = Subspace(n, tuple(BitVector(n, b) for b in best_basis))
-    return IsotropicResult(best_dim, witness)
+            work += len(cand) * (len(gram_rows) + 1)
+            if work > ISOTROPIC_EXHAUSTIVE_BUDGET:
+                raise GuardExceeded("max_isotropic_exhaustive", f"n={fam.n}: the search needs "
+                                    f"more than {ISOTROPIC_EXHAUSTIVE_BUDGET} work units")
+            # phi_s(c, w) = parity(c & m_s); w itself passes and reduces to 0
+            rest = cand
+            for rows in gram_rows:
+                m = fold_rows(rows, w)
+                rest = [c for c in rest if not (c & m).bit_count() & 1]
+            if len(new_basis) > len(best):
+                best = new_basis
+            reduced = {_reduce_bits(c, new_basis) for c in rest}
+            reduced.discard(0)
+            stack.append((new_basis, sorted(reduced)))
+    return best
 
 
 def _weight_order(vectors: Iterable[int]) -> list[int]:
@@ -293,23 +288,23 @@ def max_isotropic_qzero(fam: FormFamily, mode: str = "branch_and_bound") -> Isot
                 "max_isotropic_exhaustive",
                 f"n={fam.n} exceeds exhaustive guard {ISOTROPIC_EXHAUSTIVE_GUARD}",
             )
-        return _max_isotropic_exhaustive(fam)
-    if mode == "branch_and_bound":
+        basis = _max_isotropic_exhaustive(fam)
+    elif mode == "branch_and_bound":
         if fam.n > ISOTROPIC_BNB_GUARD:
             raise GuardExceeded(
                 "max_isotropic_bnb",
                 f"n={fam.n} exceeds branch-and-bound guard {ISOTROPIC_BNB_GUARD}",
             )
-        n = fam.n
-        dim, basis, _ = _bnb(fam, 0, n)
-        witness = Subspace(n, tuple(BitVector(n, b) for b in _rref_bits(list(basis))))
-        return IsotropicResult(dim, witness)
-    raise ValueError(f"unknown mode {mode!r}")
+        basis = _rref_bits(list(_bnb(fam, 0, fam.n)[1]))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    n = fam.n
+    return IsotropicResult(len(basis), Subspace(n, tuple(BitVector(n, b) for b in basis)))
 
 
-def group_rank(G: PhiGroup, mode: str = "branch_and_bound") -> int:
+def group_rank(G: PhiGroup) -> int:
     """Largest rank of an elementary abelian subgroup: t + max isotropic dim."""
-    return G.t + max_isotropic_qzero(G.fam, mode=mode).dim
+    return G.t + max_isotropic_qzero(G.fam).dim
 
 
 class SearchResult(NamedTuple):

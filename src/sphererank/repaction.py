@@ -20,6 +20,7 @@ exists, so the answer is the full walk's.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError
@@ -27,7 +28,8 @@ from .errors import GuardExceeded, SchemaError
 if TYPE_CHECKING:
     from .phigroup import PhiGroup
 
-ASSOCIATIVITY_GUARD = 512  # full structural validation below this order
+ASSOCIATIVITY_GUARD = 512  # a callback's or form group's product is checked up to this order
+TABLE_GUARD = 2048  # a Cayley table, always checked, up to this order
 ORDER_GUARD = 1 << 16
 ISOTROPY_GUARD = 4096
 
@@ -36,17 +38,18 @@ class GroupOracle:
     """Finite group on integer ids with id 0 the identity.
 
     `mul` is the stored product callback.  `rows`, when given, is its Cayley
-    table, which validation then reads instead of building one from `mul`.
+    table, which is then always validated, at any order; without it a table
+    is built from `mul` and validated up to ASSOCIATIVITY_GUARD.
     `generators` generate the group, so an element that commutes with each of
     them is central: the greedy set that validation uses, the n + t basis ids
-    of a form group, and every non-identity id of a table taken on trust.
+    of a form group, and every non-identity id of a product taken on trust.
     """
 
     def __init__(
         self,
         order: int,
         mul: Callable[[int, int], int],
-        rows: Optional[list[list[int]]] = None,
+        rows: Optional[list[tuple[int, ...]]] = None,
     ):
         if not 1 <= order <= ORDER_GUARD:
             raise ValueError(f"order must be in 1..{ORDER_GUARD}")
@@ -54,9 +57,9 @@ class GroupOracle:
         self.mul = mul
         self.phi = None  # the PhiGroup, when built from one
         self.generators: Sequence[int] = range(1, order)
-        if order <= ASSOCIATIVITY_GUARD:
+        if rows is not None or order <= ASSOCIATIVITY_GUARD:
             self.generators = _validate(
-                rows or [[mul(g, h) for h in range(order)] for g in range(order)]
+                rows or [tuple([mul(g, h) for h in range(order)]) for g in range(order)]
             )
 
     # -- construction ----------------------------------------------------
@@ -64,6 +67,8 @@ class GroupOracle:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> GroupOracle:
         order = len(table)
+        if order > TABLE_GUARD:
+            raise GuardExceeded("table_order", f"table order {order} exceeds {TABLE_GUARD}")
         failing = []
         if any(not isinstance(row, (list, tuple)) or len(row) != order for row in table):
             failing.append("mul: table must be square")
@@ -71,12 +76,18 @@ class GroupOracle:
             failing.append("mul: entries must be integer ids in 0..order-1")
         if failing:
             raise SchemaError(failing)
-        rows = [list(row) for row in table]
+        rows = [tuple(row) for row in table]
         return cls(order, lambda i, j: rows[i][j], rows)
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
-        """The oracle of G, validated up to ASSOCIATIVITY_GUARD on `G.rows()`."""
+        """The oracle of G, validated up to ASSOCIATIVITY_GUARD on `G.rows()`.
+
+        A family too large for an oracle (order above ORDER_GUARD) is refused
+        as guard `group_order`, since the family itself is valid input.
+        """
+        if G.order > ORDER_GUARD:
+            raise GuardExceeded("group_order", f"group order 2^{G.n + G.t} exceeds {ORDER_GUARD}")
         oracle = cls(G.order, G.mul, G.rows() if G.order <= ASSOCIATIVITY_GUARD else None)
         oracle.phi = G
         oracle.generators = [1 << i for i in range(G.n + G.t)]
@@ -119,15 +130,15 @@ def _closure(mul: Callable[[int, int], int], gens: Sequence[int]) -> set[int]:
     return elems
 
 
-def _validate(rows: list[list[int]]) -> list[int]:
-    """Group axioms on the Cayley table `rows`: identity, Latin square,
-    two-sided inverses and Light's associativity test.  A stock table is
-    checked on its own rows and a form group's on `PhiGroup.rows()`; any
+def _validate(rows: list[tuple[int, ...]]) -> list[int]:
+    """Group axioms on the Cayley table `rows`, tuple rows: identity, Latin
+    square, two-sided inverses and Light's associativity test.  A stock table
+    is checked on its own rows and a form group's on `PhiGroup.rows()`; any
     other oracle's table is built once with order^2 products.  The table is
     dropped afterwards, so a validated oracle holds no order^2 memory of its
     own.  Returns the generating set of the test.
     """
-    ids = list(range(len(rows)))
+    ids = tuple(range(len(rows)))
     if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):
         raise ValueError("id 0 is not a two-sided identity")
     # every row has len(rows) entries, so holding every id makes it a permutation
@@ -142,13 +153,14 @@ def _validate(rows: list[list[int]]) -> list[int]:
     # a(sb) = (as)b for every b says row a composed with row s is row as.
     gens = _generating_set(rows)
     for s in gens:
+        compose = itemgetter(*rows[s])  # at order 1 there is no generator
         for row_a in rows:
-            if list(map(row_a.__getitem__, rows[s])) != rows[row_a[s]]:
+            if compose(row_a) != rows[row_a[s]]:
                 raise ValueError("multiplication is not associative")
     return gens
 
 
-def _generating_set(rows: list[list[int]]) -> list[int]:
+def _generating_set(rows: Sequence[Sequence[int]]) -> list[int]:
     """Greedy generators: each id not yet in the closure of the earlier ones.
     The s passing Light's test are closed under products, so these decide
     associativity also for a table that is not a group."""

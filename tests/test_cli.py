@@ -614,6 +614,43 @@ class TestLoaders:
         code, obj = run(capsys, "rep", "twocentral", "--table", str(path))
         assert_clean_validation(code, obj, ["order: must be in 1..65536"])
 
+    @pytest.mark.parametrize("command", ["twocentral", "isotropy", "free"])
+    @pytest.mark.parametrize("kind", ["product mod 520", "loop5 x c104"])
+    def test_non_group_table_above_order_512_is_refused(self, capsys, tmp_path, command, kind):
+        if kind == "product mod 520":
+            table = [[i * j % 520 for j in range(520)] for i in range(520)]
+            message = "mul: id 0 is not a two-sided identity"
+        else:  # a Latin square with identity and inverses, and not associative
+            loop5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                     [4, 3, 1, 2, 0]]
+            table = [[loop5[a][c] * 104 + (b + d) % 104 for c in range(5) for d in range(104)]
+                     for a in range(5) for b in range(104)]
+            message = "mul: multiplication is not associative"
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"order": 520, "mul": table}))
+        reps = [] if command == "twocentral" else ["--reps", '[{"c_gens": [1], "chars": [-1]}]']
+        code, obj = run(capsys, "rep", command, "--table", str(path), *reps)
+        assert_clean_validation(code, obj, [message])
+
+    def test_table_above_the_table_guard_is_a_guard(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"order": 2049, "mul": [[0]] * 2049}))
+        code, obj = run(capsys, "rep", "twocentral", "--table", str(path))
+        assert code == EXIT_GUARD and obj["error"]["guard"] == "table_order"
+
+    @pytest.mark.parametrize("argv", [
+        ["rep", "twocentral"],
+        ["rep", "free"],
+        ["rep", "isotropy"],
+        ["poly", "euler", "--c-gens", "131072", "--chars", "-1", "--e-gens", "1", "--e-rank", "1"],
+    ])
+    def test_form_group_above_the_order_guard_is_a_guard(self, capsys, tmp_path, argv):
+        # a valid family, n = 17 and t = 1: order 2^18
+        path = tmp_path / "fam17.json"
+        path.write_text(json.dumps({"n": 17, "t": 1, "forms": [["0" * 17] * 17]}))
+        code, obj = run(capsys, *argv, "--family", str(path))
+        assert code == EXIT_GUARD and obj["error"]["guard"] == "group_order"
+
     def test_load_dihedral_table(self, tmp_path):
         from oracles import dihedral_table
 

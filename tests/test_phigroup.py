@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -269,6 +270,16 @@ class TestIsotropicSearch:
             max_isotropic_qzero(zero_family(21, 1), mode="branch_and_bound")
         with pytest.raises(ValueError):
             max_isotropic_qzero(fam, mode="banana")
+
+    def test_exhaustive_budget_refuses_the_zero_family_at_n_8(self):
+        # every one of its 417,199 subspaces qualifies, a 55 s walk without
+        # the budget; the budget refuses it in seconds
+        t0 = time.perf_counter()
+        with pytest.raises(GuardExceeded) as exc:
+            max_isotropic_qzero(zero_family(8, 1), mode="exhaustive")
+        assert exc.value.guard == "max_isotropic_exhaustive"
+        assert time.perf_counter() - t0 < 30
+        assert max_isotropic_qzero(zero_family(6, 1), mode="exhaustive").dim == 6
 
 
 class TestQZeroScan:

@@ -644,7 +644,7 @@ class TestFormGroupBuild:
     def test_rows_are_the_cayley_table_of_mul(self, n, t, seed):
         G = PhiGroup(random_family(n, t, seed))
         order = G.order
-        assert G.rows() == [[G.mul(g, h) for h in range(order)] for g in range(order)]
+        assert G.rows() == [tuple(G.mul(g, h) for h in range(order)) for g in range(order)]
 
     def test_oracle_is_validated_on_the_rows(self, monkeypatch):
         G = PhiGroup(random_family(4, 2, 3))
@@ -652,7 +652,7 @@ class TestFormGroupBuild:
         validate = repaction._validate
         monkeypatch.setattr(repaction, "_validate", lambda rows: seen.append(rows) or validate(rows))
         GroupOracle.from_phi_group(G)
-        assert seen == [[[G.mul(g, h) for h in range(G.order)] for g in range(G.order)]]
+        assert seen == [[tuple(G.mul(g, h) for h in range(G.order)) for g in range(G.order)]]
 
     @pytest.mark.parametrize("flip", ["a", "b"])
     def test_a_wrong_product_is_refused(self, flip, monkeypatch):
