@@ -22,6 +22,7 @@ from .rng import random_bits
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
 _BLOCK_VARS = 16  # the zero scan bit-slices 2^16 points at a time
+_FIRST_VARS = 8  # for v > 8 the points below 2^8 are scanned first
 RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_family
 
 
@@ -44,13 +45,6 @@ class AlternatingForm:
         """Strictly lower triangular half of the Gram matrix."""
         mask_rows = [r & ((1 << i) - 1) for i, r in enumerate(self.gram.row_data)]
         return BitMatrix.from_bits(self.n, self.n, mask_rows)
-
-
-def evaluate(form: AlternatingForm, x: BitVector, y: BitVector) -> int:
-    """x^T . gram . y in F2."""
-    if x.n != form.n or y.n != form.n:
-        raise ValueError("length mismatch")
-    return (fold_rows(form.gram.row_data, x.bits) & y.bits).bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -213,7 +207,8 @@ def common_zero_quadratics(sys: QuadraticSystem) -> Optional[BitVector]:
 
     Each polynomial becomes `_quadratic_mask` rows plus a constant, scanned
     over blocks of 2^16 points: the low 16 coordinates are bit-sliced, the
-    high ones fixed per block to all-ones or zero masks.
+    high ones fixed per block to all-ones or zero masks.  When v > 8 a first
+    pass scans the points below 2^8 alone, so a small zero costs no full block.
     """
     if sys.v > COMMON_ZERO_GUARD:
         raise GuardExceeded(
@@ -228,17 +223,19 @@ def common_zero_quadratics(sys: QuadraticSystem) -> Optional[BitVector]:
             if mono:
                 rows[mono[-1]] ^= 1 << mono[0]
         polys.append((rows, () in p))
-    low = min(v, _BLOCK_VARS)
-    full = (1 << (1 << low)) - 1
-    x = _coordinate_masks(low)
-    for block in range(1 << (v - low)):
-        x[low:] = [full if block >> k & 1 else 0 for k in range(v - low)]
-        zero = full ^ (block == 0)  # the point 0 is not a candidate
-        for rows, const in polys:
-            quad = _quadratic_mask(x, rows)  # the poly vanishes where quad == const
-            zero &= quad if const else ~quad
-            if not zero:
-                break
-        if zero:
-            return BitVector(v, block << low | (zero & -zero).bit_length() - 1)
+    main = min(v, _BLOCK_VARS)
+    first = [(_FIRST_VARS, 1)] if v > _FIRST_VARS else []  # (sliced vars, block count)
+    for low, blocks in first + [(main, 1 << (v - main))]:
+        full = (1 << (1 << low)) - 1
+        x = _coordinate_masks(low)
+        for block in range(blocks):
+            x[low:] = [full if block >> k & 1 else 0 for k in range(v - low)]
+            zero = full ^ (block == 0)  # the point 0 is not a candidate
+            for rows, const in polys:
+                quad = _quadratic_mask(x, rows)  # the poly vanishes where quad == const
+                zero &= quad if const else ~quad
+                if not zero:
+                    break
+            if zero:
+                return BitVector(v, block << low | (zero & -zero).bit_length() - 1)
     return None

@@ -9,12 +9,7 @@ equality.  Everything here is immutable and pure; no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
-
-from .errors import GuardExceeded
-
-ENUMERATION_GUARD = 16  # max ambient dim for full subspace streams
 
 
 @dataclass(frozen=True)
@@ -116,9 +111,6 @@ class BitMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def transpose(self) -> BitMatrix:
-        return BitMatrix.from_bits(self.cols, self.rows, _transpose_bits(self.row_data, self.cols))
 
     def is_symmetric(self) -> bool:
         rows = self.row_data
@@ -288,82 +280,3 @@ def kernel(m: BitMatrix) -> Subspace:
                 v |= 1 << p
         gens.append(BitVector(m.cols, v))
     return Subspace.span(m.cols, gens)
-
-
-def _check_action(action: Sequence[BitMatrix], dim: int | None) -> int:
-    dims = {m.rows for m in action} | {m.cols for m in action}
-    if dim is not None:
-        dims.add(dim)
-    if len(dims) > 1:
-        raise ValueError("action matrices must be square of one dimension")
-    if not dims:
-        raise ValueError("dimension unknown: empty generator list needs dim=")
-    return dims.pop()
-
-
-def invariants(action: Sequence[BitMatrix], dim: int | None = None) -> Subspace:
-    """Fixed subspace of the group generated by the action matrices.
-
-    Fixed by all generators iff fixed by the whole group, so this is
-    the kernel of the rows of every g + I stacked together.
-    """
-    n = _check_action(action, dim)
-    stacked = [r ^ (1 << i) for g in action for i, r in enumerate(g.row_data)]
-    if not stacked:
-        return Subspace.full(n)
-    return kernel(BitMatrix.from_bits(len(stacked), n, stacked))
-
-
-def coinvariants_dim(action: Sequence[BitMatrix], dim: int | None = None) -> int:
-    """dim V - dim sum_g im(g + I), the largest quotient with trivial action."""
-    n = _check_action(action, dim)
-    cols = []
-    for g in action:
-        gi = BitMatrix.from_bits(n, n, [r ^ (1 << i) for i, r in enumerate(g.row_data)])
-        cols.extend(gi.transpose().row_data)
-    return n - len(_rref_bits(cols))
-
-
-def gaussian_binomial(n: int, d: int) -> int:
-    """Number of d-dimensional subspaces of F2^n (exact integer)."""
-    if d < 0 or d > n:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= (1 << (n - i)) - 1
-        den *= (1 << (d - i)) - 1
-    assert num % den == 0
-    return num // den
-
-
-def enumerate_subspaces(ambient_dim: int, dim: int) -> Iterator[Subspace]:
-    """Stream every dim-dimensional subspace of F2^ambient_dim exactly once.
-
-    Enumerates RREF bases directly: a choice of pivot columns plus free
-    entries to the right of each pivot in non-pivot columns.
-    """
-    if ambient_dim > ENUMERATION_GUARD:
-        raise GuardExceeded(
-            "enumerate_subspaces",
-            f"ambient dim {ambient_dim} exceeds enumeration guard {ENUMERATION_GUARD}",
-        )
-    if dim < 0 or dim > ambient_dim:
-        raise ValueError("need 0 <= dim <= ambient_dim")
-    for pivots in combinations(range(ambient_dim), dim):
-        pivot_mask = 0
-        for p in pivots:
-            pivot_mask |= 1 << p
-        free_slots = [
-            (i, j)
-            for i, p in enumerate(pivots)
-            for j in range(p + 1, ambient_dim)
-            if not (pivot_mask >> j) & 1
-        ]
-        for assignment in range(1 << len(free_slots)):
-            rows = [1 << p for p in pivots]
-            for k, (i, j) in enumerate(free_slots):
-                if (assignment >> k) & 1:
-                    rows[i] |= 1 << j
-            yield Subspace(
-                ambient_dim, tuple(BitVector(ambient_dim, r) for r in rows)
-            )

@@ -11,7 +11,7 @@ the Artinian boundary degree sum(d_i - 1) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from math import comb
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
@@ -23,6 +23,8 @@ if TYPE_CHECKING:
 
 NVARS_GUARD = 16
 DEGREE_GUARD = 64
+PIECE_GUARD = 1 << 31  # max rows * cols of one graded piece's Macaulay matrix
+COLUMN_GUARD = 1 << 18  # max cols, each a monomial in the column table
 
 Exponents = tuple[int, ...]
 
@@ -176,32 +178,40 @@ def hilbert_function(I: IdealGens, d: int) -> int:
 
     A monomial of degree <= d is coded as the int whose base-(d+1) digits are
     its exponents, so the code of a product is the sum of the codes and each
-    column of the Macaulay matrix is found with one dict lookup.
+    column of the Macaulay matrix is found with one dict lookup.  The piece is
+    refused above COLUMN_GUARD columns or PIECE_GUARD rows * cols.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    weights = [(d + 1) ** i for i in range(I.nvars)]
+    n = I.nvars
+    gens = [g for g in I.gens if g.degree <= d and not g.is_zero()]
+    ncols = comb(n - 1 + d, n - 1)
+    nrows = sum(comb(n - 1 + d - g.degree, n - 1) for g in gens)
+    if ncols > COLUMN_GUARD or nrows * ncols > PIECE_GUARD:
+        raise GuardExceeded(
+            "poly_piece", f"the degree-{d} piece exceeds guard {COLUMN_GUARD} on "
+            f"columns or {PIECE_GUARD} on rows * columns"
+        )
+    weights = [(d + 1) ** i for i in range(n)]
 
     def codes(degree: int) -> list[int]:  # each monomial of the degree, once
-        return [
-            sum(map(weights.__getitem__, combo))
-            for combo in combinations_with_replacement(range(I.nvars), degree)
-        ]
+        partial = [(0, degree)]  # (code of the variables so far, degree left)
+        for w in weights[:-1]:
+            partial = [(c + e * w, r - e) for c, r in partial for e in range(r, -1, -1)]
+        return [c + r * weights[-1] for c, r in partial]
 
-    column = {c: 1 << i for i, c in enumerate(codes(d))}
+    column = {c: i for i, c in enumerate(codes(d))}  # code -> bit index
 
     def rows() -> Iterator[int]:
-        for g in I.gens:
-            if g.degree > d or g.is_zero():
-                continue
+        for g in gens:
             gcodes = [sum(map(mul, gm, weights)) for gm in g.monomials]
             for m in codes(d - g.degree):
                 row = 0
                 for gc in gcodes:
-                    row ^= column[m + gc]
+                    row ^= 1 << column[m + gc]
                 yield row
 
-    return len(column) - len(_rref_bits(rows()))
+    return ncols - len(_rref_bits(rows()))
 
 
 def is_regular_sequence(I: IdealGens) -> bool:
@@ -287,25 +297,6 @@ def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int
         if mult[c]:
             euler = euler * GradedPoly.linear(e_rank, BitVector(e_rank, c)).power(mult[c])
     return euler
-
-
-def transgression_check(
-    G: GroupOracle, reps: Sequence[MonomialRep], e_gens: Sequence[int]
-) -> bool:
-    """Whether the restricted Euler classes form a regular sequence.
-
-    Requires equidimensional factors and an elementary abelian subgroup of
-    rank equal to the number of factors (the square case).
-    """
-    if not reps:
-        raise ValueError("need at least one representation")
-    if len({rep.dim for rep in reps}) != 1:
-        raise ValueError("representations must be equidimensional")
-    n = len(reps)
-    classes = [euler_class_restriction(rep, e_gens, n) for rep in reps]
-    if any(c.is_zero() for c in classes):
-        return False
-    return is_regular_sequence(IdealGens(n, tuple(classes)))
 
 
 # -- linear actions on the degree-one part ------------------------------------

@@ -7,9 +7,10 @@ eigenvalue questions go through exact rational arithmetic.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from weakref import WeakKeyDictionary
 
 
@@ -82,6 +83,31 @@ def naive_form_value(gram: list[list[int]], x: list[int], y: list[int]) -> int:
         for j in range(len(y)):
             total += x[i] * gram[i][j] * y[j]
     return total % 2
+
+
+def form_value_bits(gram: Sequence[int], x: int, y: int) -> int:
+    """x^T . gram . y over F2 for int-packed rows and vectors: the parity of
+    the row products gram[i] . y over the coordinates i where x is 1."""
+    return sum((gram[i] & y).bit_count() for i in range(len(gram)) if x >> i & 1) % 2
+
+
+def enumerate_subspaces(n: int, d: int):
+    """Every d-dimensional subspace of F2^n once, as its RREF basis: a tuple of
+    int rows (bit j = coordinate j) with increasing pivots (lowest set bits).
+
+    A choice of d pivot columns plus every assignment of the entries right of
+    each pivot that lie in non-pivot columns.
+    """
+    for pivots in combinations(range(n), d):
+        pivot_mask = sum(1 << p for p in pivots)
+        free_slots = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n)
+                      if not pivot_mask >> j & 1]
+        for assignment in range(1 << len(free_slots)):
+            rows = [1 << p for p in pivots]
+            for k, (i, j) in enumerate(free_slots):
+                if assignment >> k & 1:
+                    rows[i] |= 1 << j
+            yield tuple(rows)
 
 
 def gaussian_binomial_recurrence(n: int, d: int) -> int:

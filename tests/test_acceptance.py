@@ -18,11 +18,10 @@ from sphererank.forms import (
     FormFamily,
     QuadraticSystem,
     common_zero_quadratics,
-    evaluate,
     quadratic_refinement,
     random_family,
 )
-from sphererank.gf2 import BitMatrix, BitVector, enumerate_subspaces
+from sphererank.gf2 import BitMatrix, BitVector
 from sphererank.phigroup import (
     PhiGroup,
     extension_profile,
@@ -44,6 +43,8 @@ from sphererank.repaction import (
 from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
+    enumerate_subspaces,
+    form_value_bits,
     naive_poly_values,
     rational_has_plus_one_eigenvalue,
     signed_action,
@@ -135,7 +136,9 @@ def test_criterion_04_group_law_property_suite():
             if sq & amask or BitVector(t, sq >> n) != q_g:
                 failures += 1
             gh, hg = G.mul(g, h), G.mul(h, g)
-            cross = BitVector.from_coords([evaluate(f, ga, ha) for f in G.fam.forms])
+            cross = BitVector.from_coords(
+                [form_value_bits(f.gram.row_data, ga.bits, ha.bits) for f in G.fam.forms]
+            )
             if (gh ^ hg) & amask or BitVector(t, (gh ^ hg) >> n) != cross:
                 failures += 1
             if G.mul(g, g ^ q_g.bits << n) != 0:  # (a, b)^-1 = (a, b + q(a))
@@ -180,10 +183,9 @@ def test_criterion_06_olshanskii_desk_instance():
     fam = res.family
     # independent exhaustive verification straight from the definitions
     for d in (4, 5):
-        for sub in enumerate_subspaces(5, d):
-            basis = sub.basis
-            ok = all(quadratic_refinement(fam, u).is_zero() for u in basis) and all(
-                evaluate(f, basis[i], basis[j]) == 0
+        for basis in enumerate_subspaces(5, d):
+            ok = all(quadratic_refinement(fam, BitVector(5, u)).is_zero() for u in basis) and all(
+                form_value_bits(f.gram.row_data, basis[i], basis[j]) == 0
                 for i in range(len(basis))
                 for j in range(i + 1, len(basis))
                 for f in fam.forms

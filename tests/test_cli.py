@@ -587,6 +587,38 @@ class TestNumericFlags:
         assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_degree"
         assert time.perf_counter() - t0 < 5.0
 
+    LINEAR_IDEAL = {"nvars": 3, "gens": [{"monomials": [[1, 0, 0]]}]}
+
+    def test_graded_piece_inside_the_piece_guard(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(self.LINEAR_IDEAL))
+        code, obj = run(capsys, "poly", "hilbert", "--degree", "100", "--ideal", str(path))
+        assert code == EXIT_OK and obj["result"] == {"dim": 101, "degree": 100}
+        path.write_text(json.dumps({"nvars": 2, "gens": [{"monomials": [[64, 0]]},
+                                                         {"monomials": [[0, 64]]}]}))
+        code, obj = run(capsys, "poly", "regseq", "--ideal", str(path))
+        assert code == EXIT_OK and obj["result"] == {"regular": True, "total_dim": 4096}
+
+    POWERS_16 = {"nvars": 16, "gens": [{"monomials": [[64 * (j == i) for j in range(16)]]}
+                                       for i in range(16)]}
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["poly", "hilbert", "--degree", "1000"], LINEAR_IDEAL),
+            (["poly", "hilbert", "--degree", "8"], {"nvars": 16, "gens": []}),
+            (["poly", "regseq"], POWERS_16),  # the Artinian boundary is degree 1009
+        ],
+    )
+    def test_graded_piece_beyond_the_piece_guard(self, capsys, tmp_path, argv, doc):
+        # refused from the piece's shape, before any monomial is listed
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        code, obj = run(capsys, *argv, "--ideal", str(path))
+        assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_piece"
+        assert time.perf_counter() - t0 < 5.0
+
 
 class TestLoaders:
     def test_load_table_validates(self, tmp_path):

@@ -11,14 +11,18 @@ from sphererank.forms import (
     QuadraticSystem,
     common_radical,
     common_zero_quadratics,
-    evaluate,
     quadratic_refinement,
     random_family,
 )
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
 from sphererank.rng import SplitMix64
 
-from oracles import brute_smallest_common_zero, naive_form_value, naive_poly_values
+from oracles import (
+    brute_smallest_common_zero,
+    form_value_bits,
+    naive_form_value,
+    naive_poly_values,
+)
 
 SYMPLECTIC_2 = BitMatrix.from_strings(["01", "10"])
 
@@ -35,24 +39,8 @@ def coords(bits: int, n: int) -> list[int]:
     return [(bits >> i) & 1 for i in range(n)]
 
 
-class TestEvaluate:
-    def test_symplectic_basis_pairing(self):
-        phi = AlternatingForm(2, SYMPLECTIC_2)
-        assert evaluate(phi, BitVector.from_string("10"), BitVector.from_string("01")) == 1
-
-    def test_vanishes_on_diagonal(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            fam = random_family(rng.randint(1, 8), 1, rng.getrandbits(64))
-            x = random_vec(rng, fam.n)
-            assert evaluate(fam.forms[0], x, x) == 0
-
-    def test_symmetric(self):
-        rng = random.Random(2)
-        for _ in range(50):
-            fam = random_family(rng.randint(1, 8), 1, rng.getrandbits(64))
-            x, y = random_vec(rng, fam.n), random_vec(rng, fam.n)
-            assert evaluate(fam.forms[0], x, y) == evaluate(fam.forms[0], y, x)
+class TestFormValueBits:
+    """Self-check of the int-packed form oracle the phi-group tests use."""
 
     def test_against_triple_loop_oracle(self):
         rng = random.Random(3)
@@ -60,15 +48,24 @@ class TestEvaluate:
             n = rng.randint(1, 7)
             fam = random_family(n, 1, rng.getrandbits(64))
             gram = [coords(row, n) for row in fam.forms[0].gram.row_data]
-            x, y = random_vec(rng, n), random_vec(rng, n)
-            assert evaluate(fam.forms[0], x, y) == naive_form_value(
-                gram, coords(x.bits, n), coords(y.bits, n)
+            x, y = rng.getrandbits(n), rng.getrandbits(n)
+            assert form_value_bits(fam.forms[0].gram.row_data, x, y) == naive_form_value(
+                gram, coords(x, n), coords(y, n)
             )
 
-    def test_length_mismatch(self):
-        phi = AlternatingForm(2, SYMPLECTIC_2)
+
+class TestAlternatingForm:
+    @pytest.mark.parametrize("n, rows", [
+        (3, ["01", "10"]),  # not n x n
+        (2, ["01", "00"]),  # not symmetric
+        (2, ["11", "10"]),  # a 1 on the diagonal
+    ])
+    def test_rejects_malformed_gram(self, n, rows):
         with pytest.raises(ValueError):
-            evaluate(phi, BitVector.from_string("100"), BitVector.from_string("01"))
+            AlternatingForm(n, BitMatrix.from_strings(rows))
+
+    def test_accepts_symplectic(self):
+        assert AlternatingForm(2, SYMPLECTIC_2).lower().row_bits() == [0, 1]
 
 
 class TestQuadraticRefinement:
@@ -90,8 +87,9 @@ class TestQuadraticRefinement:
             n, t = rng.randint(1, 7), rng.randint(1, 4)
             fam = random_family(n, t, rng.getrandbits(64))
             u, v = random_vec(rng, n), random_vec(rng, n)
+            grams = [[coords(row, n) for row in f.gram.row_data] for f in fam.forms]
             cross = BitVector.from_coords(
-                [evaluate(fam.forms[s], u, v) for s in range(t)]
+                [naive_form_value(g, coords(u.bits, n), coords(v.bits, n)) for g in grams]
             )
             lhs = quadratic_refinement(fam, BitVector(n, u.bits ^ v.bits)).bits
             rhs = quadratic_refinement(fam, u).bits ^ quadratic_refinement(fam, v).bits ^ cross.bits
@@ -228,6 +226,46 @@ class TestCommonZero:
             polys = [[m for m in monos if rng.random() < density] for _ in range(rng.randint(0, 4))]
             z = common_zero_quadratics(QuadraticSystem.from_lists(v, polys))
             assert (z.bits if z else None) == brute_smallest_common_zero(v, polys), (v, polys)
+
+    @staticmethod
+    def _planted(v, zero, q, rng):
+        """q sparse random polynomials, each with its constant set to vanish at `zero`."""
+        monos = [*((i,) for i in range(v)), *quadratic_monomials(v)]
+        polys = []
+        for _ in range(q):
+            p = [m for m in monos if rng.random() < 0.05]
+            polys.append(p + [()] if naive_poly_values([p], zero)[0] else p)
+        return polys
+
+    def _check(self, v, polys):
+        z = common_zero_quadratics(QuadraticSystem.from_lists(v, polys))
+        expected = brute_smallest_common_zero(v, polys)
+        assert (z.bits if z else None) == expected, (v, polys)
+        return expected
+
+    def test_zero_below_2_8_past_16_variables(self):
+        # v > 16: the first pass over the points below 2^8 finds these
+        rng = random.Random(16)
+        for v in (17, 18, 20, COMMON_ZERO_GUARD):
+            assert self._check(v, [[(i,)] for i in range(1, 8)]) == 1
+            assert self._check(v, [[(i,), ()] for i in range(8)]) == 255
+            for _ in range(10):
+                zero = rng.randrange(1, 1 << 8)
+                assert self._check(v, self._planted(v, zero, rng.randint(1, 8), rng)) <= zero
+
+    def test_zero_at_or_above_2_8_past_16_variables(self):
+        # x_0 = .. = x_7 = 0 empties the first pass; the blocks of 2^16 find the zero
+        rng = random.Random(17)
+        low_zero = [[(i,)] for i in range(8)]
+        for v in (17, 18, 20, COMMON_ZERO_GUARD):
+            assert self._check(v, low_zero) == 1 << 8
+            for _ in range(4):
+                zero = rng.randrange(1, 4) << 8
+                found = self._check(v, low_zero + self._planted(v, zero, rng.randint(1, 4), rng))
+                assert 1 << 8 <= found <= zero
+        # x_0 = .. = x_15 = 0: the zeros are the multiples of 2^16, past the first block
+        z = common_zero_quadratics(QuadraticSystem.from_lists(17, [[(i,)] for i in range(16)]))
+        assert z.bits == 1 << 16
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -2,21 +2,18 @@ import random
 
 import pytest
 
-from sphererank.errors import GuardExceeded
 from sphererank.gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
     _rref_bits,
-    coinvariants_dim,
-    enumerate_subspaces,
+    _transpose_bits,
     fold_rows,
-    gaussian_binomial,
-    invariants,
     kernel,
     rank,
 )
 
+import oracles
 from oracles import (
     gaussian_binomial_recurrence,
     naive_kernel_vectors,
@@ -43,11 +40,6 @@ def identity(n: int) -> BitMatrix:
     return BitMatrix.from_bits(n, n, [1 << i for i in range(n)])
 
 
-def apply(m: BitMatrix, v: int) -> int:
-    """The product m . v, coordinate i = parity(row i & v)."""
-    return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(m.row_data))
-
-
 def subspace_bits(s: Subspace) -> set[int]:
     return span_bits([v.bits for v in s.basis])
 
@@ -69,14 +61,13 @@ class TestBitMatrix:
     def test_transpose_involution(self):
         rng = random.Random(11)
         m = random_matrix(rng, 6, 3)
-        assert m.transpose().transpose() == m
+        assert _transpose_bits(_transpose_bits(m.row_data, 3), 6) == list(m.row_data)
 
     def test_transpose_matches_entries(self):
         rng = random.Random(12)
         for rows, cols in [(1, 1), (3, 5), (6, 2), (7, 7)]:
             m = random_matrix(rng, rows, cols)
-            mt = m.transpose()
-            assert (mt.rows, mt.cols) == (cols, rows)
+            mt = BitMatrix.from_bits(cols, rows, _transpose_bits(m.row_data, cols))
             assert as_lists(mt) == [list(col) for col in zip(*as_lists(m))]
 
     def test_symmetry_and_diagonal_match_entrywise_checks(self):
@@ -86,7 +77,7 @@ class TestBitMatrix:
             for _ in range(20):
                 m = random_matrix(rng, n, n)
                 # m + m^T is symmetric with zero diagonal; then a random diagonal
-                sym = [a ^ b for a, b in zip(m.row_data, m.transpose().row_data)]
+                sym = [a ^ b for a, b in zip(m.row_data, _transpose_bits(m.row_data, n))]
                 diag = [r ^ rng.getrandbits(1) << i for i, r in enumerate(sym)]
                 cases += [m, BitMatrix.from_bits(n, n, sym), BitMatrix.from_bits(n, n, diag)]
         for m in cases:
@@ -137,7 +128,8 @@ class TestFoldRows:
             m = random_matrix(rng, r, c)
             x = rng.getrandbits(r)
             got = fold_rows(m.row_bits(), x)
-            expected = naive_matvec(as_lists(m.transpose()), [(x >> i) & 1 for i in range(r)])
+            columns = [list(col) for col in zip(*as_lists(m))]
+            expected = naive_matvec(columns, [(x >> i) & 1 for i in range(r)])
             assert bits_to_list(got, c) == expected
 
 
@@ -258,76 +250,17 @@ class TestSpan:
             Subspace(2, (BitVector.from_string("11"), BitVector.from_string("01")))
 
 
-def perm_matrix(perm):
-    n = len(perm)
-    return BitMatrix.from_bits(n, n, [1 << perm[i] for i in range(n)])
-
-
-class TestInvariants:
-    def test_trivial_group(self):
-        assert invariants([], dim=3) == Subspace.full(3)
-
-    def test_transposition(self):
-        inv = invariants([perm_matrix([1, 0])])
-        assert inv.dim == 1 and inv.basis[0].to_string() == "11"
-
-    def test_three_cycle_exhaustive(self):
-        g = perm_matrix([1, 2, 0])
-        inv = invariants([g])
-        fixed = {v for v in subspace_bits(Subspace.full(3)) if apply(g, v) == v}
-        assert subspace_bits(inv) == fixed
-        assert inv.dim == 1 and inv.basis[0].to_string() == "111"
-
-    def test_contained_in_each_generator_kernel(self):
-        rng = random.Random(3)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            gens = []
-            while len(gens) < 2:
-                m = random_matrix(rng, n, n)
-                if rank(m) == n:
-                    gens.append(m)
-            inv = invariants(gens)
-            for g in gens:
-                for v in inv.basis:
-                    assert apply(g, v.bits) == v.bits
-
-
-class TestCoinvariants:
-    def test_trivial_group(self):
-        assert coinvariants_dim([], dim=5) == 5
-
-    def test_transposition(self):
-        assert coinvariants_dim([perm_matrix([1, 0])]) == 1
-
-    def test_permutation_actions_match_orbit_count(self):
-        rng = random.Random(17)
-        for _ in range(20):
-            n = rng.randint(2, 7)
-            perms = [list(range(n)) for _ in range(rng.randint(1, 3))]
-            for p in perms:
-                rng.shuffle(p)
-            action = [perm_matrix(p) for p in perms]
-            assert coinvariants_dim(action) == invariants(action).dim
-
-
 class TestEnumerateSubspaces:
+    """Self-checks of the brute-force subspace stream in oracles.py."""
+
     @pytest.mark.parametrize("n,d,count", [(2, 1, 3), (5, 4, 31), (4, 2, 35)])
     def test_counts(self, n, d, count):
-        assert sum(1 for _ in enumerate_subspaces(n, d)) == count
+        assert sum(1 for _ in oracles.enumerate_subspaces(n, d)) == count
 
     def test_counts_match_recurrence_all_small(self):
         for n in range(7):
             for d in range(n + 1):
-                subs = list(enumerate_subspaces(n, d))
+                subs = list(oracles.enumerate_subspaces(n, d))
                 assert len(subs) == gaussian_binomial_recurrence(n, d)
-                assert len(subs) == gaussian_binomial(n, d)
-                assert len({s.basis for s in subs}) == len(subs)
-
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            next(enumerate_subspaces(17, 1))
-
-    def test_bad_dim(self):
-        with pytest.raises(ValueError):
-            list(enumerate_subspaces(3, 4))
+                assert len(set(subs)) == len(subs)
+                assert all(Subspace(n, tuple(BitVector(n, r) for r in s)).dim == d for s in subs)

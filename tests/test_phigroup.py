@@ -9,11 +9,10 @@ from sphererank import phigroup
 from sphererank.errors import GuardExceeded
 from sphererank.forms import (
     FormFamily,
-    evaluate,
     quadratic_refinement,
     random_family,
 )
-from sphererank.gf2 import BitMatrix, BitVector, Subspace, enumerate_subspaces
+from sphererank.gf2 import BitMatrix, BitVector, Subspace
 from sphererank.phigroup import (
     IsotropicResult,
     _q_masks,
@@ -34,6 +33,8 @@ from oracles import (
     brute_center,
     brute_max_elem_abelian_rank,
     dihedral_table,
+    enumerate_subspaces,
+    form_value_bits,
     naive_form_value,
     naive_qzero_vectors,
     naive_quadratic_value,
@@ -89,22 +90,21 @@ def gram_lists(fam: FormFamily) -> list[list[list[int]]]:
             for f in fam.forms]
 
 
-def subspace_is_qzero_isotropic(fam: FormFamily, sub: Subspace) -> bool:
-    basis = sub.basis
+def subspace_is_qzero_isotropic(fam: FormFamily, basis: tuple[int, ...]) -> bool:
     for i, u in enumerate(basis):
-        if not quadratic_refinement(fam, u).is_zero():
+        if not quadratic_refinement(fam, BitVector(fam.n, u)).is_zero():
             return False
         for v in basis[i + 1 :]:
-            if any(evaluate(f, u, v) for f in fam.forms):
+            if any(form_value_bits(f.gram.row_data, u, v) for f in fam.forms):
                 return False
     return True
 
 
 def scan_max_qzero_dim(fam: FormFamily) -> int:
-    """Oracle: top-down scan over every subspace via enumerate_subspaces."""
+    """Oracle: top-down scan over every subspace via oracles.enumerate_subspaces."""
     for d in range(fam.n, -1, -1):
-        for sub in enumerate_subspaces(fam.n, d):
-            if subspace_is_qzero_isotropic(fam, sub):
+        for basis in enumerate_subspaces(fam.n, d):
+            if subspace_is_qzero_isotropic(fam, basis):
                 return d
     raise AssertionError("unreachable: the zero subspace always qualifies")
 
@@ -139,8 +139,9 @@ class TestGroupArithmetic:
                 assert a_part(G, sq).is_zero()
                 assert b_part(G, sq) == quadratic_refinement(G.fam, a_part(G, g))
                 comm = commutator(G, g, h)
+                ga, ha = a_part(G, g).bits, a_part(G, h).bits
                 expected = BitVector.from_coords(
-                    [evaluate(f, a_part(G, g), a_part(G, h)) for f in G.fam.forms]
+                    [form_value_bits(f.gram.row_data, ga, ha) for f in G.fam.forms]
                 )
                 assert a_part(G, comm).is_zero() and b_part(G, comm) == expected
 
@@ -236,7 +237,7 @@ class TestIsotropicSearch:
             fam = random_family(rng.randint(1, 6), rng.randint(1, 3), rng.getrandbits(64))
             res = max_isotropic_qzero(fam)
             assert res.witness.dim == res.dim
-            assert subspace_is_qzero_isotropic(fam, res.witness)
+            assert subspace_is_qzero_isotropic(fam, tuple(v.bits for v in res.witness.basis))
 
     def test_small_instances_against_subspace_scan(self):
         rng = random.Random(5)
@@ -409,8 +410,8 @@ class TestSearchForms:
         assert res.condition_holds  # 10 < 12
         assert res.family is not None
         for d in (4, 5):
-            for sub in enumerate_subspaces(5, d):
-                assert not subspace_is_qzero_isotropic(res.family, sub)
+            for basis in enumerate_subspaces(5, d):
+                assert not subspace_is_qzero_isotropic(res.family, basis)
 
     def test_deterministic(self):
         a = search_forms(4, 2, 3, trials=50, seed=123)
@@ -525,7 +526,7 @@ class TestExtensionProfile:
         G = d8_group()
         u, v = Subspace.full(2).basis
         assert quadratic_refinement(G.fam, u).is_zero() and quadratic_refinement(G.fam, v).is_zero()
-        assert evaluate(G.fam.forms[0], u, v) == 1
+        assert form_value_bits(G.fam.forms[0].gram.row_data, u.bits, v.bits) == 1
         self._with_witness(monkeypatch, Subspace.full(2))
         with pytest.raises(AssertionError, match="^lifted subgroup is not abelian$"):
             extension_profile(G)
