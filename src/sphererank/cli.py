@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
@@ -30,9 +31,18 @@ class _CliError(Exception):
     pass
 
 
+_INT_LIST = re.compile(r"-?\d+(,-?\d+)*")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2) with usage noise
         raise _CliError(message)
+
+    def _parse_optional(self, arg_string: str):
+        # argparse takes "-1,-1" for an option: only a lone negative number is a value
+        if _INT_LIST.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
 
 
 @dataclass
@@ -75,15 +85,27 @@ def _error_json(code: str, message: str, **extra: Any) -> str:
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError as exc:
         raise SchemaError([f"{path}: file not found"]) from exc
     except OSError as exc:  # a directory, no permission, ...
         raise SchemaError([f"{path}: cannot read file ({exc.strerror or 'I/O error'})"]) from exc
     except UnicodeDecodeError as exc:
         raise _BadJson(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    return _parse_json(text, path)
+
+
+def _parse_json(text: str, where: str) -> Any:
+    """The JSON document `text`; one that does not parse is _BadJson naming `where`."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _BadJson(f"{path}: {exc}") from exc
+        raise _BadJson(f"{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise _BadJson(f"{where}: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise _BadJson(f"{where}: integer literal longer than {limit} digits") from exc
 
 
 class _BadJson(Exception):
@@ -172,10 +194,7 @@ def _ints(text: str, flag: str) -> list[int]:
 
 def _json_list(text: str, name: str, items: str) -> list:
     """A JSON list given inline (text starting with '[') or in the file it names."""
-    try:
-        data = json.loads(text) if text.lstrip().startswith("[") else _load_json(text)
-    except json.JSONDecodeError as exc:  # inline; a file's is already _BadJson
-        raise _BadJson(f"{name}: {exc}") from exc
+    data = _parse_json(text, name) if text.lstrip().startswith("[") else _load_json(text)
     if not isinstance(data, list):
         raise SchemaError([f"{name}: must be a list of {items}"])
     return data

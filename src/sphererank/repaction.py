@@ -1,7 +1,7 @@
 """Finite groups as multiplication oracles and their induced sign actions.
 
 A GroupOracle is a group on ids 0..order-1 (0 = identity) given by a Cayley
-table or a callback.  MonomialRep realizes the representation induced from a
+table or a form group.  MonomialRep realizes the representation induced from a
 +-1 character of a subgroup on the left cosets, g . e_r = chi(c) e_r' where
 g * rep_r = rep_r' * c.  The fixed-point structure of the action on a product
 of unit spheres is then a purely combinatorial matter, read off integer
@@ -28,7 +28,7 @@ from .errors import GuardExceeded, SchemaError
 if TYPE_CHECKING:
     from .phigroup import PhiGroup
 
-ASSOCIATIVITY_GUARD = 512  # a callback's or form group's product is checked up to this order
+ASSOCIATIVITY_GUARD = 512  # a form group's product is checked up to this order
 TABLE_GUARD = 2048  # a Cayley table, always checked, up to this order
 ORDER_GUARD = 1 << 16
 ISOTROPY_GUARD = 4096
@@ -37,61 +37,59 @@ ISOTROPY_GUARD = 4096
 class GroupOracle:
     """Finite group on integer ids with id 0 the identity.
 
-    `mul` is the stored product callback.  `rows`, when given, is its Cayley
-    table, which is then always validated, at any order; without it a table
-    is built from `mul` and validated up to ASSOCIATIVITY_GUARD.
-    `generators` generate the group, so an element that commutes with each of
-    them is central: the greedy set that validation uses, the n + t basis ids
-    of a form group, and every non-identity id of a product taken on trust.
+    `mul` is the stored product callback and `generators` generate the
+    group, so an element that commutes with each of them is central.  `phi`
+    is the PhiGroup of a form group and None for a Cayley table.  The
+    constructor only stores these; `from_table` and `from_phi_group` check
+    their own data and choose the generators.
     """
 
     def __init__(
         self,
         order: int,
         mul: Callable[[int, int], int],
-        rows: Optional[list[tuple[int, ...]]] = None,
+        generators: Sequence[int],
+        phi: Optional[PhiGroup] = None,
     ):
-        if not 1 <= order <= ORDER_GUARD:
-            raise ValueError(f"order must be in 1..{ORDER_GUARD}")
         self.order = order
         self.mul = mul
-        self.phi = None  # the PhiGroup, when built from one
-        self.generators: Sequence[int] = range(1, order)
-        if rows is not None or order <= ASSOCIATIVITY_GUARD:
-            self.generators = _validate(
-                rows or [tuple([mul(g, h) for h in range(order)]) for g in range(order)]
-            )
+        self.generators = generators
+        self.phi = phi
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> GroupOracle:
+        """The oracle of a Cayley table, validated at every order it accepts
+        (up to TABLE_GUARD), with the greedy generators of the validation."""
         order = len(table)
         if order > TABLE_GUARD:
             raise GuardExceeded("table_order", f"table order {order} exceeds {TABLE_GUARD}")
         failing = []
-        if any(not isinstance(row, (list, tuple)) or len(row) != order for row in table):
+        if order == 0:
+            failing.append("mul: table must not be empty")
+        elif any(not isinstance(row, (list, tuple)) or len(row) != order for row in table):
             failing.append("mul: table must be square")
         elif any(type(e) is not int or not 0 <= e < order for row in table for e in row):
             failing.append("mul: entries must be integer ids in 0..order-1")
         if failing:
             raise SchemaError(failing)
         rows = [tuple(row) for row in table]
-        return cls(order, lambda i, j: rows[i][j], rows)
+        return cls(order, lambda i, j: rows[i][j], _validate(rows))
 
     @classmethod
     def from_phi_group(cls, G: PhiGroup) -> GroupOracle:
-        """The oracle of G, validated up to ASSOCIATIVITY_GUARD on `G.rows()`.
+        """The oracle of G, validated up to ASSOCIATIVITY_GUARD on `G.rows()`
+        and taken on trust above it; its generators are the n + t basis ids.
 
         A family too large for an oracle (order above ORDER_GUARD) is refused
         as guard `group_order`, since the family itself is valid input.
         """
         if G.order > ORDER_GUARD:
             raise GuardExceeded("group_order", f"group order 2^{G.n + G.t} exceeds {ORDER_GUARD}")
-        oracle = cls(G.order, G.mul, G.rows() if G.order <= ASSOCIATIVITY_GUARD else None)
-        oracle.phi = G
-        oracle.generators = [1 << i for i in range(G.n + G.t)]
-        return oracle
+        if G.order <= ASSOCIATIVITY_GUARD:
+            _validate(G.rows())
+        return cls(G.order, G.mul, [1 << i for i in range(G.n + G.t)], G)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -133,10 +131,9 @@ def _closure(mul: Callable[[int, int], int], gens: Sequence[int]) -> set[int]:
 def _validate(rows: list[tuple[int, ...]]) -> list[int]:
     """Group axioms on the Cayley table `rows`, tuple rows: identity, Latin
     square, two-sided inverses and Light's associativity test.  A stock table
-    is checked on its own rows and a form group's on `PhiGroup.rows()`; any
-    other oracle's table is built once with order^2 products.  The table is
-    dropped afterwards, so a validated oracle holds no order^2 memory of its
-    own.  Returns the generating set of the test.
+    is checked on its own rows and a form group's on `PhiGroup.rows()`.  The
+    table is dropped afterwards, so a validated oracle holds no order^2 memory
+    of its own.  Returns the generating set of the test.
     """
     ids = tuple(range(len(rows)))
     if rows[0] != ids or any(row[0] != g for g, row in enumerate(rows)):

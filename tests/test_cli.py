@@ -75,9 +75,19 @@ class TestDispatchContract:
 
     def test_malformed_json_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, obj = run(capsys, "group", "rank", "--family", str(bad))
-        assert code == EXIT_BAD_JSON
+        for text, reason in [
+            ("{not json", None),
+            ("[" * 100000, "nested too deeply"),
+            ('{"n": ' + "7" * 5000 + ', "t": 1, "forms": []}',
+             "integer literal longer than 4300 digits"),
+        ]:
+            bad.write_text(text)
+            for command in ("rank", "info"):
+                code, obj = run(capsys, "group", command, "--family", str(bad))
+                assert code == EXIT_BAD_JSON
+                assert obj["error"]["code"] == "malformed_json"
+                if reason is not None:
+                    assert obj["error"]["message"] == f"{bad}: {reason}"
 
     def test_directory_path_is_a_validation_error(self, capsys, tmp_path):
         code, obj = run(capsys, "group", "rank", "--family", str(tmp_path))
@@ -394,15 +404,22 @@ class TestArgumentDocuments:
         self, capsys, tmp_path, flag, d8_family_file, swap_action_file
     ):
         path = tmp_path / "bad.json"
-        path.write_text("[{")
         head = {
             "--reps": ["rep", "free", "--family", d8_family_file],
             "--ys": ["poly", "powertest", "--action", swap_action_file, "--p", "2"],
         }[flag]
-        for value in ("[{", str(path)):
-            code, obj = run(capsys, *head, flag, value)
-            assert code == EXIT_BAD_JSON
-            assert obj["error"]["code"] == "malformed_json"
+        for document, reason in [
+            ("[{", None),
+            ("[" * 100000, "nested too deeply"),
+            ("[[1, " + "7" * 5000 + "]]", "integer literal longer than 4300 digits"),
+        ]:
+            path.write_text(document)
+            for value, where in ((document, flag[2:]), (str(path), str(path))):
+                code, obj = run(capsys, *head, flag, value)
+                assert code == EXIT_BAD_JSON
+                assert obj["error"]["code"] == "malformed_json"
+                if reason is not None:
+                    assert obj["error"]["message"] == f"{where}: {reason}"
 
     @pytest.mark.parametrize(
         "ys, field",
@@ -426,6 +443,15 @@ class TestArgumentDocuments:
         code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
                         "--ys", str(ys), "--p", "2")
         assert_clean_validation(code, obj, ["ys: must be a list of 0/1 coordinate lists"])
+
+    def test_negative_integer_list_parses_without_an_equals_sign(self, capsys, tmp_path):
+        e8 = tmp_path / "e8.json"
+        e8.write_text(json.dumps({"order": 8, "mul": elementary_abelian_table(3)}))
+        head = ["poly", "euler", "--table", str(e8), "--e-rank", "2"]
+        spaced = run(capsys, *head, "--c-gens", "1,2", "--chars", "-1,-1", "--e-gens", "1,2")
+        joined = run(capsys, *head, "--c-gens=1,2", "--chars=-1,-1", "--e-gens=1,2")
+        assert spaced[0] == EXIT_OK
+        assert spaced == joined
 
     @pytest.mark.parametrize("flag, value", [("--chars", "x"), ("--chars", "-1.0"),
                                              ("--c-gens", "1,y"), ("--e-gens", "z")])

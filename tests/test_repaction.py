@@ -171,18 +171,10 @@ class TestGroupOracle:
                     table[g][0] = g
             assert accepts(table) == is_group_table(table), table
 
-    def test_validation_uses_order_squared_products(self):
-        G = PhiGroup(random_family(4, 2, 3))
-        calls = []
-
-        def counted(i, j):
-            calls.append(1)
-            return G.mul(i, j)
-
-        oracle = GroupOracle(G.order, counted)
-        assert len(calls) == G.order ** 2
-        assert all(G.mul(g, inverse(oracle, g)) == 0 == G.mul(inverse(oracle, g), g)
-                   for g in range(G.order))
+    def test_rejects_an_empty_table_on_mul(self):
+        with pytest.raises(ValueError) as exc:
+            GroupOracle.from_table([])
+        assert exc.value.fields == ["mul: table must not be empty"]
 
     def test_stock_table_is_validated_on_its_own_rows(self, monkeypatch):
         calls = []
@@ -580,6 +572,17 @@ class TestFrobeniusTraces:
         assert [q8.is_central(g) for g in range(8)] == [True, True] + [False] * 6
         assert [d8.is_central(g) for g in range(8)] == [g in (0, 2) for g in range(8)]
         assert d8_oracle().generators == [1, 2, 4]
+        # from either source the generators generate, and phi marks a form group;
+        # orders 64 and 512 are validated, 1024 and 4096 taken on trust
+        for table in (elementary_abelian_table(3), quaternion_table(), dihedral_table(8)):
+            oracle = GroupOracle.from_table(table)
+            assert oracle.phi is None
+            assert oracle.closure(list(oracle.generators)) == list(range(oracle.order))
+        for n, t, seed in [(4, 2, 3), (6, 3, 0), (8, 2, 0), (10, 2, 0)]:
+            G = PhiGroup(random_family(n, t, seed))
+            oracle = GroupOracle.from_phi_group(G)
+            assert oracle.phi is G
+            assert oracle.closure(list(oracle.generators)) == list(range(oracle.order))
 
 
 class TestIsotropyCeiling:
