@@ -356,11 +356,11 @@ class ExtensionProfile:
 def extension_profile(G: PhiGroup, mode: str = "branch_and_bound") -> ExtensionProfile:
     """Profile from a maximal isotropic witness U: T = t + dim U, N = n - dim U.
 
-    Validates by direct group arithmetic that the lift {(u, f) : u in U}
-    is elementary abelian and normal.
+    Validates by direct group arithmetic that the lift V = {(u, f) : u in U}
+    is elementary abelian.  V is normal by construction: it contains every
+    b_s, so it contains the commutator subgroup [G, G].
     """
     res = max_isotropic_qzero(G.fam, mode=mode)
-    amask = (1 << G.n) - 1
     lifts = [v.bits for v in res.witness.basis] + G.b_ids()
     for g in lifts:
         if G.mul(g, g) != 0:
@@ -368,8 +368,4 @@ def extension_profile(G: PhiGroup, mode: str = "branch_and_bound") -> ExtensionP
         for h in lifts:
             if G.mul(g, h) != G.mul(h, g):
                 raise AssertionError("lifted subgroup is not abelian")
-        for j in range(G.n):
-            # [g, a_j] is central, so g a_j and a_j g differ only in the b-part
-            if (G.mul(g, 1 << j) ^ G.mul(1 << j, g)) & amask:
-                raise AssertionError("lifted subgroup is not normal")
     return ExtensionProfile(T=G.t + res.dim, N=G.n - res.dim, v_witness=res.witness)

@@ -1,7 +1,8 @@
 """Homogeneous polynomial algebra over F2 (the cohomology of (Z/2)^n).
 
 Polynomials are sets of exponent tuples with mod-2 coefficients; addition is
-symmetric difference and squaring is the Frobenius doubling of exponents.
+symmetric difference, and a power of a linear form is written down term by
+term (Frobenius and Lucas), never multiplied out.
 Hilbert functions of graded quotients come from row-reducing monomial
 multiples of the generators inside one graded piece, and for n homogeneous
 generators in n variables regularity is equivalent to the quotient dying at
@@ -16,7 +17,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, NonSquareSystemError, SchemaError, require_keys
-from .gf2 import BitMatrix, BitVector, _reduce_bits, _rref_bits, rank
+from .gf2 import BitMatrix, BitVector, _reduce_bits, _rref_bits, fold_rows, rank
 
 if TYPE_CHECKING:
     from .repaction import GroupOracle, MonomialRep
@@ -25,6 +26,7 @@ NVARS_GUARD = 16
 DEGREE_GUARD = 64
 PIECE_GUARD = 1 << 31  # max rows * cols of one graded piece's Macaulay matrix
 COLUMN_GUARD = 1 << 18  # max cols, each a monomial in the column table
+TERM_GUARD = 1 << 19  # max terms of a power or an Euler class, counted before expanding
 
 Exponents = tuple[int, ...]
 
@@ -32,6 +34,18 @@ Exponents = tuple[int, ...]
 def _check_nvars(nvars: int) -> None:
     if nvars < 1 or nvars > NVARS_GUARD:
         raise GuardExceeded("poly_nvars", f"nvars must be in 1..{NVARS_GUARD}")
+
+
+def _check_degree(degree: int) -> None:
+    if degree < 0 or degree > DEGREE_GUARD:
+        raise GuardExceeded("poly_degree", f"degree must be in 0..{DEGREE_GUARD}")
+
+
+def _check_terms(count: int, what: str) -> None:
+    if count > TERM_GUARD:
+        raise GuardExceeded(
+            "poly_terms", f"{what} has up to {count} terms, above guard {TERM_GUARD}"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,8 +62,7 @@ class GradedPoly:
 
     def __post_init__(self):
         _check_nvars(self.nvars)
-        if self.degree < 0 or self.degree > DEGREE_GUARD:
-            raise GuardExceeded("poly_degree", f"degree must be in 0..{DEGREE_GUARD}")
+        _check_degree(self.degree)
         for m in self.monomials:
             if len(m) != self.nvars or any(e < 0 for e in m):
                 raise ValueError(f"bad exponent tuple {m}")
@@ -111,24 +124,26 @@ class GradedPoly:
                 acc.symmetric_difference_update({prod})
         return GradedPoly(self.nvars, self.degree + other.degree, frozenset(acc))
 
-    def square(self) -> GradedPoly:
-        # Frobenius: (f)^2 = f with doubled exponents over F2
-        return GradedPoly(
-            self.nvars, 2 * self.degree, frozenset(tuple(2 * e for e in m) for m in self.monomials)
-        )
-
     def power(self, p: int) -> GradedPoly:
+        """The p-th power; for p >= 2 only of a linear form l, written down.
+
+        By Frobenius and Lucas, l^p has one term for each way to give every set
+        bit 2^k of p to one of the w variables of l: w^popcount(p) distinct terms.
+        """
         if p < 0:
             raise ValueError("negative power")
-        result = GradedPoly.one(self.nvars)
-        base = self
-        while p:
-            if p & 1:
-                result = result * base
-            p >>= 1
-            if p:
-                base = base.square()
-        return result
+        if p < 2:
+            return self if p else GradedPoly.one(self.nvars)
+        if self.degree != 1:
+            raise ValueError("a power p >= 2 is only taken of a linear form")
+        _check_degree(p)
+        support = [m.index(1) for m in self.monomials]
+        _check_terms(len(support) ** p.bit_count(), f"l^{p}")
+        monos = [(0,) * self.nvars]
+        for k in range(p.bit_length()):
+            if p >> k & 1:
+                monos = [m[:i] + (m[i] + (1 << k),) + m[i + 1:] for m in monos for i in support]
+        return GradedPoly(self.nvars, p, frozenset(monos))
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,25 +288,36 @@ def _elementary_abelian_coords(
 def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int) -> GradedPoly:
     """Euler class of the induced sphere restricted to an elementary abelian E.
 
-    Decomposes rep|E into +-1 characters by the trace formula; a trivial
-    summand kills the class (zero marker), otherwise the class is the product
-    of the nontrivial character linear forms with their multiplicities.
+    Decomposes rep|E into +-1 characters by the trace formula, as one
+    Walsh-Hadamard transform of the traces indexed by E's coordinates; a
+    trivial summand kills the class (zero marker), otherwise the class is the
+    product of the nontrivial character linear forms with their
+    multiplicities.  The zero marker is built before any trace is read, so
+    the variable and degree guards hold at once, and the product is refused
+    above TERM_GUARD monomials of its degree before any factor is expanded.
     """
     if e_rank < 1:
         raise ValueError(f"e_rank must be >= 1, got {e_rank}")
     coords = _elementary_abelian_coords(rep.group, e_gens, e_rank)
+    zero = GradedPoly.zero(e_rank, rep.dim)
     size = 1 << e_rank
-    traces = {e: rep.trace(e) for e in coords}
-    mult = []
-    for c in range(size):
-        total = sum(tr if (c & coords[e]).bit_count() % 2 == 0 else -tr for e, tr in traces.items())
-        if total < 0 or total % size:
-            raise AssertionError("character multiplicities are not nonnegative integers")
-        mult.append(total // size)
+    mult = [0] * size
+    for e, c in coords.items():
+        mult[c] = rep.trace(e)
+    h = 1
+    while h < size:  # mult[c] becomes the sum of (-1)^(c . x) trace(x) over x in E
+        for i in range(0, size, 2 * h):
+            for j in range(i, i + h):
+                mult[j], mult[j + h] = mult[j] + mult[j + h], mult[j] - mult[j + h]
+        h *= 2
+    if any(total < 0 or total % size for total in mult):
+        raise AssertionError("character multiplicities are not nonnegative integers")
+    mult = [total // size for total in mult]
     if sum(mult) != rep.dim:
         raise AssertionError("multiplicities do not sum to the representation dimension")
     if mult[0] > 0:
-        return GradedPoly.zero(e_rank, rep.dim)
+        return zero
+    _check_terms(comb(rep.dim + e_rank - 1, e_rank - 1), f"the Euler class of degree {rep.dim}")
     euler = GradedPoly.one(e_rank)
     for c in range(1, size):
         if mult[c]:
@@ -344,26 +370,18 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
         raise ValueError(f"p must be >= 0, got {p}")
     if any(y.degree != 1 or y.nvars != act.nvars for y in ys):
         raise ValueError("ys must be degree-1 forms in the action's variables")
-    coeffs = [y.linear_coeffs().bits for y in ys]
-    if len(_rref_bits(coeffs)) != len(ys):
+    lines = [y.linear_coeffs().bits for y in ys]
+    if len(_rref_bits(lines)) != len(ys):
         raise ValueError("ys must be linearly independent")
     index: dict[Exponents, int] = {}  # a column per monomial, given when first seen
 
-    def pack(poly: GradedPoly) -> int:
+    def packed_power(line: int) -> int:
         bits = 0
-        for m in poly.monomials:
+        for m in GradedPoly.linear(act.nvars, BitVector(act.nvars, line)).power(p).monomials:
             bits |= 1 << index.setdefault(m, len(index))
         return bits
 
-    span = _rref_bits([pack(y.power(p)) for y in ys])
-    stable = True
-    permuted = True
-    line_set = set(coeffs)
-    for g in act.generators:
-        for y in ys:
-            gy = apply_linear(y, g)  # a ring map, so g(y^p) = g(y)^p
-            if _reduce_bits(pack(gy.power(p)), span):
-                stable = False
-            if gy.linear_coeffs().bits not in line_set:
-                permuted = False
-    return PowerSpanResult(stable, permuted)
+    span = _rref_bits([packed_power(y) for y in lines])
+    images = [fold_rows(g.row_data, y) for g in act.generators for y in lines]  # g(y^p) = g(y)^p
+    stable = not any(_reduce_bits(packed_power(gy), span) for gy in images)
+    return PowerSpanResult(stable, set(images) <= set(lines))

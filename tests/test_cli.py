@@ -606,11 +606,38 @@ class TestNumericFlags:
         assert obj["error"]["message"] == "p must be >= 0, got -1"
 
     def test_power_beyond_the_degree_guard(self, capsys, swap_action_file):
-        # refused by the first power past degree 64, before any work of degree p
+        # refused by the first power past degree 64, before any work of degree p,
+        # also when p has 40 set bits
+        for ys, p in [("[[1, 0]]", "100000"), ("[[1, 1]]", "1099511627775")]:
+            t0 = time.perf_counter()
+            code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                            "--ys", ys, "--p", p)
+            assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_degree"
+            assert time.perf_counter() - t0 < 5.0
+
+    def test_power_beyond_the_term_guard(self, capsys, tmp_path):
+        # a line of weight 16 at p = 63 has 16^6 terms: refused before any is built
+        path = tmp_path / "cycle16.json"
+        cycle = ["".join("1" if j == (i + 1) % 16 else "0" for j in range(16)) for i in range(16)]
+        path.write_text(json.dumps({"nvars": 16, "generators": [cycle]}))
         t0 = time.perf_counter()
-        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
-                        "--ys", "[[1, 0]]", "--p", "100000")
-        assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_degree"
+        code, obj = run(capsys, "poly", "powertest", "--action", str(path),
+                        "--ys", json.dumps([[1] * 16]), "--p", "63")
+        assert code == EXIT_GUARD and obj["error"]["guard"] == "poly_terms"
+        assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("rank, guard", [(7, "poly_terms"), (10, "poly_degree")])
+    def test_euler_class_beyond_its_guards(self, capsys, tmp_path, rank, guard):
+        # C2^rank, rep induced from <x_1> (dim 2^(rank-1)) restricted to all of it:
+        # the class of degree 64 in 7 variables has up to C(70, 6) terms, and the
+        # one of degree 512 is past the degree guard; both refused before the work
+        path = tmp_path / "elementary.json"
+        path.write_text(json.dumps({"n": 1, "t": rank - 1, "forms": [["0"]] * (rank - 1)}))
+        e_gens = ",".join(str(1 << i) for i in range(rank))
+        t0 = time.perf_counter()
+        code, obj = run(capsys, "poly", "euler", "--family", str(path), "--c-gens", "2",
+                        "--chars", "-1", "--e-gens", e_gens, "--e-rank", str(rank))
+        assert code == EXIT_GUARD and obj["error"]["guard"] == guard
         assert time.perf_counter() - t0 < 5.0
 
     LINEAR_IDEAL = {"nvars": 3, "gens": [{"monomials": [[1, 0, 0]]}]}

@@ -5,7 +5,7 @@ Every case runs through the in-process `dispatch` with the working directory
 set to a fresh temporary directory, so the input file names recorded in the
 reports are the same on every machine.  The family files are written by the
 pinned `forms gen` cases themselves; the table file is a direct product of
-stock tables, and the ideal and action files are built from the constants
+stock tables, and the ideal, system and action files are built from the constants
 below.  After an intended change of a report, rewrite the pinned file
 with `python tests/test_golden_reports.py` from the repository root.
 """
@@ -99,6 +99,12 @@ def _cubics(nvars: int, density: float, seed: int) -> dict:
 IDEALS = {"ideal_cubic5_reg.json": _cubics(5, 0.4, 0),
           "ideal_cubic5_sing.json": _cubics(5, 0.15, 0)}
 
+# Quadratic systems for `forms czero`, each monomial a list of variable indices:
+# two equations of total degree 4 in six variables, which have a nonzero common
+# zero by Chevalley-Warning, and x0 + x1 + x0 x1 (x0 or x1), zero only at 0.
+SYSTEMS = {"system_cw.json": {"v": 6, "polys": [[[0, 1], [2, 3], [4]], [[1, 2], [3, 5], [0]]]},
+           "system_or.json": {"v": 2, "polys": [[[0], [1], [0, 1]]]}}
+
 
 def _cases() -> list[list[str]]:
     cases = []
@@ -149,6 +155,13 @@ def _cases() -> list[list[str]]:
                       "--save-family", name])
         cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
         cases.append(["group", "profile", "--family", name])
+    for name in SYSTEMS:
+        cases.append(["forms", "czero", "--system", name])
+    cases.append(["bounds", "rp-rank", "--m", "7", "--n", "3"])  # inside the small-sphere caveat
+    cases.append(["bounds", "rp-rank", "--m", "9", "--n", "3"])
+    # the stock rep of an order-128 group (dim 64): two characters, each to the 32nd power
+    cases.append(["poly", "euler", "--family", "fam_5_2_3.json", "--c-gens", "32", "--chars", "-1",
+                  "--e-gens", "32,64", "--e-rank", "2"])
     return cases
 
 
@@ -157,8 +170,8 @@ def _render(capture) -> list[dict]:
     Path("q8xc2c2.json").write_text(json.dumps(
         {"order": 32, "mul": direct_product_table(quaternion_table(), elementary_abelian_table(2))}
     ))
-    for name, ideal in IDEALS.items():
-        Path(name).write_text(json.dumps(ideal))
+    for name, doc in {**IDEALS, **SYSTEMS}.items():
+        Path(name).write_text(json.dumps(doc))
     for name, action in ACTIONS.items():
         Path(name).write_text(json.dumps(action))
     out = []

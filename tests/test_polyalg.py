@@ -12,6 +12,7 @@ from sphererank.polyalg import (
     COLUMN_GUARD,
     NVARS_GUARD,
     PIECE_GUARD,
+    TERM_GUARD,
     GradedPoly,
     IdealGens,
     LinearAction,
@@ -65,24 +66,35 @@ class TestGradedPoly:
 
     def test_power_matches_repeated_multiplication(self):
         rng = random.Random(0)
+        cases = [(poly(2, (1, 0), (0, 1)), 2)]  # (x + y)^2 = x^2 + y^2
         for _ in range(20):
-            nvars = rng.randint(1, 3)
-            monos = set()
-            for m in monomials_of_degree(nvars, rng.randint(1, 2)):
-                if rng.random() < 0.5:
-                    monos.add(m)
-            if not monos:
-                continue
-            f = GradedPoly.from_monomials(nvars, list(monos))
-            p = rng.randint(1, 4)
-            slow = GradedPoly.one(nvars)
+            nvars = rng.randint(1, 4)
+            cases.append((GradedPoly.linear(nvars, BitVector(nvars, rng.getrandbits(nvars))),
+                          rng.randint(0, 12)))
+        for f, p in cases:
+            slow = GradedPoly.one(f.nvars)
             for _ in range(p):
                 slow = slow * f
             assert f.power(p) == slow
+        assert poly(2, (1, 0), (0, 1)).power(2) == poly(2, (2, 0), (0, 2))
 
-    def test_square_is_frobenius(self):
-        f = poly(2, (1, 0), (0, 1))  # x + y
-        assert f.square() == poly(2, (2, 0), (0, 2))  # x^2 + y^2
+    @pytest.mark.parametrize("f", [poly(2, (1, 1)), poly(2, (2, 0), (1, 1)), GradedPoly.one(2)],
+                             ids=["xy", "x2+xy", "one"])
+    def test_power_of_a_non_linear_polynomial_is_refused(self, f):
+        assert f.power(0) == GradedPoly.one(2) and f.power(1) == f
+        with pytest.raises(ValueError, match="^a power p >= 2 is only taken of a linear form$"):
+            f.power(2)
+
+    @pytest.mark.parametrize("weight, p, terms", [(9, 63, 9**6), (13, 127, None)])
+    def test_power_is_guarded_before_any_term_is_built(self, weight, p, terms):
+        f = GradedPoly.linear(16, BitVector(16, (1 << weight) - 1))
+        with pytest.raises(GuardExceeded) as exc:
+            f.power(p)
+        if terms is None:
+            assert exc.value.guard == "poly_degree"
+        else:
+            assert exc.value.guard == "poly_terms" and terms > TERM_GUARD
+            assert str(exc.value) == f"l^{p} has up to {terms} terms, above guard {TERM_GUARD}"
 
     def test_zero_marker_is_distinguished(self):
         z = GradedPoly.zero(2, 4)
@@ -319,6 +331,35 @@ class TestEulerClassRestriction:
         rep = build_induced(GroupOracle.from_table(cyclic_table(4)), [2], [-1])
         with pytest.raises(ValueError, match="^e_rank must be >= 1, got 0$"):
             euler_class_restriction(rep, [], 0)
+
+
+@pytest.mark.parametrize(
+    "table, c_gens, chars, e_gens",
+    [
+        (elementary_abelian_table(4), [1, 2], [-1, 1], [1, 2, 4, 8]),
+        (elementary_abelian_table(4), [3, 12], [-1, -1], [1, 2, 4, 8]),
+        (elementary_abelian_table(4), [15], [-1], [3, 6, 12]),
+        (direct_product_table(quaternion_table(), elementary_abelian_table(2)), [4], [-1], [4, 1, 2]),
+        (direct_product_table(quaternion_table(), elementary_abelian_table(2)), [1], [-1], [4, 1]),
+    ],
+)
+def test_transform_matches_the_character_sums(table, c_gens, chars, e_gens):
+    """The class from the 4^k direct character sums, the reference for the transform."""
+    G = GroupOracle.from_table(table)
+    rep = build_induced(G, c_gens, chars)
+    k = len(e_gens)
+    coords = {0: 0}  # element -> F2 coordinates in E, as the library walks it
+    for g in e_gens:
+        coords.update({G.mul(e, g): c | len(coords) for e, c in list(coords.items())})
+    mult = [sum(rep.trace(e) * (-1) ** (c & x).bit_count() for e, x in coords.items()) >> k
+            for c in range(1 << k)]
+    expected = GradedPoly.zero(k, rep.dim)
+    if not mult[0]:
+        expected = GradedPoly.one(k)
+        for c in range(1, 1 << k):
+            for _ in range(mult[c]):
+                expected = expected * GradedPoly.linear(k, BitVector(k, c))
+    assert euler_class_restriction(rep, e_gens, k) == expected
 
 
 @pytest.mark.parametrize(
