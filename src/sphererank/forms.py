@@ -1,8 +1,8 @@
 """Families of alternating bilinear forms on F2^n and quadratic zero search.
 
-A FormFamily holds t alternating forms sharing one Gram-matrix dimension.
-Each form also carries its strictly-lower-triangular half L (row i, col j
-entry = gram[i][j] for i > j); the derived quadratic refinement
+A FormFamily holds t alternating forms sharing one Gram-matrix dimension,
+and per form the int rows of its strictly-lower-triangular half L (row i,
+col j entry = gram[i][j] for i > j); the derived quadratic refinement
 q_s(e) = e^T L_s e satisfies q_s(basis vector) = 0 and polarizes to the
 form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
 
@@ -41,27 +41,28 @@ class AlternatingForm:
         if not self.gram.has_zero_diagonal():
             raise ValueError("gram must have zero diagonal")
 
-    def lower(self) -> BitMatrix:
-        """Strictly lower triangular half of the Gram matrix."""
-        mask_rows = [r & ((1 << i) - 1) for i, r in enumerate(self.gram.row_data)]
-        return BitMatrix.from_bits(self.n, self.n, mask_rows)
-
 
 @dataclass(frozen=True)
 class FormFamily:
-    """Tuple of t alternating forms on F2^n plus their lower triangles."""
+    """Tuple of t alternating forms on F2^n plus their lower triangles.
+
+    `lower[s]` holds the int rows of form s's Gram matrix, row i masked to
+    its bits below the diagonal.
+    """
 
     n: int
     t: int
     forms: tuple[AlternatingForm, ...]
-    lower: tuple[BitMatrix, ...] = field(init=False)  # derived from the forms
+    lower: tuple[tuple[int, ...], ...] = field(init=False)  # derived from the forms
 
     def __post_init__(self):
         if self.t != len(self.forms):
             raise ValueError("family size mismatch")
         if any(f.n != self.n for f in self.forms):
             raise ValueError("forms must share one dimension")
-        object.__setattr__(self, "lower", tuple(f.lower() for f in self.forms))
+        lower = tuple(tuple(r & ((1 << i) - 1) for i, r in enumerate(f.gram.row_data))
+                      for f in self.forms)
+        object.__setattr__(self, "lower", lower)
 
     @classmethod
     def from_grams(cls, grams: Sequence[BitMatrix]) -> FormFamily:
@@ -75,8 +76,8 @@ class FormFamily:
         if e.n != self.n or e2.n != self.n:
             raise ValueError("length mismatch")
         out = 0
-        for s, lo in enumerate(self.lower):
-            out |= ((fold_rows(lo.row_data, e.bits) & e2.bits).bit_count() & 1) << s
+        for s, rows in enumerate(self.lower):
+            out |= ((fold_rows(rows, e.bits) & e2.bits).bit_count() & 1) << s
         return BitVector(self.t, out)
 
     def to_json_dict(self) -> dict:

@@ -9,6 +9,7 @@ equality.  Everything here is immutable and pure; no floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 
@@ -75,11 +76,11 @@ class BitMatrix:
     row_data: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows != len(self.row_data):
+        row_data = self.row_data
+        if self.rows != len(row_data):
             raise ValueError("row count mismatch")
-        for b in self.row_data:
-            if b < 0 or b >> self.cols:
-                raise ValueError(f"bits set beyond dimension {self.cols}")
+        if row_data and (min(row_data) < 0 or max(row_data) >> self.cols):
+            raise ValueError(f"bits set beyond dimension {self.cols}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
@@ -145,9 +146,17 @@ def _coordinate_masks(n: int) -> list[int]:
     """Bit-sliced coordinates: X[i] has bit v set iff bit i of v is set, v < 2^n.
 
     fold_rows(X, m) is then the 2^n-bit indicator of parity(m & v), a linear
-    functional evaluated at every v at once.  Built by doubling a block of
-    period 2^(i+1), so each mask costs n - i shifts.
+    functional evaluated at every v at once.  The masks of the last n asked
+    for are kept (n ints of 2^n bits, 2.6 MB at n = 20); each caller gets a
+    list of its own, which it may overwrite.
     """
+    return list(_coordinate_mask_tuple(n))
+
+
+@lru_cache(maxsize=1)
+def _coordinate_mask_tuple(n: int) -> tuple[int, ...]:
+    """The masks of `_coordinate_masks`, built by doubling a block of period
+    2^(i+1), so each mask costs n - i shifts."""
     size = 1 << n
     out = []
     for i in range(n):
@@ -157,7 +166,7 @@ def _coordinate_masks(n: int) -> list[int]:
             mask |= mask << width
             width <<= 1
         out.append(mask)
-    return out
+    return tuple(out)
 
 
 def _quadratic_mask(x: Sequence[int], rows: Sequence[int]) -> int:

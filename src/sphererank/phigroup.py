@@ -28,6 +28,7 @@ from .rng import derive_seed
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
 ISOTROPIC_EXHAUSTIVE_BUDGET = 40_000_000  # work units, see _max_isotropic_exhaustive
 ISOTROPIC_BNB_GUARD = 20
+SEARCH_TRIAL_BUDGET = 1 << 23  # work units, see search_forms
 
 
 class PhiGroup:
@@ -43,14 +44,13 @@ class PhiGroup:
         self.n = n = fam.n
         self.t = fam.t
         amask = (1 << n) - 1
-        lower_rows = [lo.row_data for lo in fam.lower]
         folds: dict[int, list[int]] = {}  # a-part -> per-form row fold, lazily
 
         def mul(i: int, j: int) -> int:
             a1, a2 = i & amask, j & amask
             fold = folds.get(a1)
             if fold is None:
-                fold = folds[a1] = [fold_rows(rows, a1) for rows in lower_rows]
+                fold = folds[a1] = [fold_rows(rows, a1) for rows in fam.lower]
             beta = 0
             for s, acc in enumerate(fold):
                 beta |= ((acc & a2).bit_count() & 1) << s
@@ -134,7 +134,7 @@ def _q_masks(fam: FormFamily) -> list[int]:
     is the quadratic of `_quadratic_mask` with rows L_s, whose diagonal is zero.
     """
     x = _coordinate_masks(fam.n)
-    return [_quadratic_mask(x, lo.row_data) for lo in fam.lower]
+    return [_quadratic_mask(x, rows) for rows in fam.lower]
 
 
 def _qzero_vectors(fam: FormFamily, q_masks: Optional[list[int]] = None) -> list[int]:
@@ -263,14 +263,18 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
 
     Returns `best` = [dim, basis, ceiling] (see _bnb_node).  The incumbent
     starts at dim `floor` with an empty basis, and the ceiling is the smaller
-    of `ceiling` and the Witt ceiling.  The root candidates, the q-zero
-    vectors, are read only when floor < ceiling, so a decision the Witt
-    ceiling settles builds no candidate list.  Every node works on n-bit ints
-    only.
+    of `ceiling` and the Witt ceiling.  Every quadratic form on F2^n has Witt
+    index at least (n - 1) // 2, so a `ceiling` at or below that is already
+    the smaller and the Witt ceiling is not computed.  The root candidates,
+    the q-zero vectors, are read only when floor < ceiling, so a decision the
+    Witt ceiling settles builds no candidate list.  Every node works on n-bit
+    ints only.
     """
     q_masks = _q_masks(fam)
-    best: list = [floor, (), min(ceiling, _witt_ceiling(fam, q_masks))]
-    if floor < best[2]:
+    if ceiling > (fam.n - 1) // 2:
+        ceiling = min(ceiling, _witt_ceiling(fam, q_masks))
+    best: list = [floor, (), ceiling]
+    if floor < ceiling:
         gram_rows = [f.gram.row_data for f in fam.forms]
         _bnb_node(gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
     return best
@@ -327,7 +331,12 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     subspace of dim k, without computing the maximum.  Instances
     beyond the rank-search guard still accept their parameters: the
     condition is reported, trials are skipped, and the skipped guard is
-    named.  n, t or k below 1, or a negative trial count, raises ValueError.
+    named.  The same holds for a search over SEARCH_TRIAL_BUDGET work units,
+    2^n + 128 t per trial: the q-zero scan and its list grow with 2^n, and
+    the family draw, which dominates below n = 8, with t.  A unit costs at
+    most about 0.45 us, so a search the budget admits spends at most about
+    4 s on a 2-core Xeon outside its branch-and-bound nodes.  n, t or k
+    below 1, or a negative trial count, raises ValueError.
     """
     for name, value in (("n", n), ("t", t), ("k", k)):
         if value < 1:
@@ -337,6 +346,8 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     condition = 2 * n < t * (k - 1)
     if trials > 0 and n > ISOTROPIC_BNB_GUARD:
         return SearchResult(None, None, condition, 0, "max_isotropic_bnb")
+    if trials * ((1 << n) + (t << 7)) > SEARCH_TRIAL_BUDGET:
+        return SearchResult(None, None, condition, 0, "search_trials")
     for trial in range(trials):
         fam = random_family(n, t, derive_seed(seed, trial))
         if _bnb(fam, k - 1, k)[0] < k:

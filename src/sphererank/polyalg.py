@@ -376,10 +376,14 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
     index: dict[Exponents, int] = {}  # a column per monomial, given when first seen
 
     def packed_power(line: int) -> int:
-        bits = 0
-        for m in GradedPoly.linear(act.nvars, BitVector(act.nvars, line)).power(p).monomials:
-            bits |= 1 << index.setdefault(m, len(index))
-        return bits
+        # set the bits in a bytearray, then build the int once: `bits |= 1 << c`
+        # would copy the whole int per monomial
+        monos = GradedPoly.linear(act.nvars, BitVector(act.nvars, line)).power(p).monomials
+        columns = [index.setdefault(m, len(index)) for m in monos]
+        packed = bytearray((len(index) + 7) >> 3)
+        for c in columns:
+            packed[c >> 3] |= 1 << (c & 7)
+        return int.from_bytes(packed, "little")
 
     span = _rref_bits([packed_power(y) for y in lines])
     images = [fold_rows(g.row_data, y) for g in act.generators for y in lines]  # g(y^p) = g(y)^p

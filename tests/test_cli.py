@@ -225,6 +225,14 @@ class TestGroupCommands:
         assert_clean_validation(code, obj)
         assert obj["error"]["message"] == "trials must be >= 0, got -1"
 
+    def test_search_olshanskii_default_trials_at_n_20_hit_the_trial_budget(self, capsys):
+        code, obj = run(capsys, "search", "olshanskii", "--n", "20", "--t", "1", "--k", "2")
+        assert code == EXIT_OK
+        res = obj["result"]
+        assert (res["found"], res["trials_run"], res["skipped_guard"]) == (False, 0, "search_trials")
+        assert obj["provenance"]["trials"] == 1000
+        assert obj["provenance"]["guards_hit"] == ["search_trials"]
+
     def test_search_olshanskii_headline_scale_reports_condition(self, capsys):
         code, obj = run(
             capsys, "search", "olshanskii",

@@ -65,7 +65,19 @@ class TestAlternatingForm:
             AlternatingForm(n, BitMatrix.from_strings(rows))
 
     def test_accepts_symplectic(self):
-        assert AlternatingForm(2, SYMPLECTIC_2).lower().row_bits() == [0, 1]
+        assert FormFamily.from_grams([SYMPLECTIC_2]).lower == ((0, 1),)
+
+    def test_family_lower_triangles_are_the_masked_gram_rows(self):
+        rng = random.Random(20)
+        for _ in range(30):
+            n, t = rng.randint(1, 9), rng.randint(1, 4)
+            fam = random_family(n, t, rng.getrandbits(64))
+            assert len(fam.lower) == t
+            for rows, f in zip(fam.lower, fam.forms):
+                assert type(rows) is tuple and len(rows) == n
+                for i in range(n):
+                    for j in range(n):
+                        assert rows[i] >> j & 1 == (j < i and f.gram.row_data[i] >> j & 1)
 
 
 class TestQuadraticRefinement:

@@ -6,6 +6,7 @@ from sphererank.gf2 import (
     BitMatrix,
     BitVector,
     Subspace,
+    _coordinate_masks,
     _rref_bits,
     _transpose_bits,
     fold_rows,
@@ -117,6 +118,23 @@ class TestBitMatrixShapeChecks:
         assert (m.rows, m.cols, [m.row(i).to_string() for i in range(2)]) == (2, 3, ["101", "010"])
         assert [m.row(i) for i in range(2)] == [BitVector(3, 0b101), BitVector(3, 0b010)]
         assert m.row_bits() == [0b101, 0b010]
+
+
+class TestCoordinateMasks:
+    def test_bit_v_of_mask_i_is_bit_i_of_v(self):
+        for n in range(7):
+            x = _coordinate_masks(n)
+            assert len(x) == n
+            assert all(x[i] >> v & 1 == v >> i & 1 for i in range(n) for v in range(1 << n))
+            assert not any(m >> (1 << n) for m in x)
+
+    def test_each_caller_gets_a_list_it_may_overwrite(self):
+        first = _coordinate_masks(5)
+        expected = list(first)
+        first[2:] = [0, 0, 0]  # as forms.common_zero_quadratics does past its sliced variables
+        assert _coordinate_masks(5) == expected
+        _coordinate_masks(3)
+        assert _coordinate_masks(5) == expected
 
 
 class TestFoldRows:

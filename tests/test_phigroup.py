@@ -19,6 +19,7 @@ from sphererank.phigroup import (
     _qzero_vectors,
     _witt_ceiling,
     ISOTROPIC_BNB_GUARD,
+    SEARCH_TRIAL_BUDGET,
     PhiGroup,
     center,
     center_order4_dim,
@@ -356,6 +357,54 @@ class TestWittCeiling:
         fam = d8_group().fam  # q = x0 x1: Arf invariant 0
         assert _witt_ceiling(fam, _q_masks(fam)) == 1
 
+    def test_every_family_reaches_the_lemma_bound(self):
+        # every quadratic form on F2^n has Witt index >= (n - 1) // 2, and the
+        # bound is attained at every n >= 3, so it cannot be raised; below, q
+        # vanishes on the basis vectors, so every U = <e_0> qualifies
+        rng = random.Random(21)
+        attained = set()
+        for n in range(1, 15):
+            for t in range(1, 5):
+                for _ in range(3):
+                    fam = random_family(n, t, rng.getrandbits(64))
+                    witt = _witt_ceiling(fam, _q_masks(fam))
+                    assert witt >= (n - 1) // 2, (n, t)
+                    if witt == (n - 1) // 2:
+                        attained.add(n)
+        assert attained == set(range(3, 15))
+        for fam in [zero_family(n, t) for n, t in [(1, 1), (4, 2), (5, 3)]] + [d8_group().fam]:
+            assert _witt_ceiling(fam, _q_masks(fam)) >= (fam.n - 1) // 2
+
+    def test_a_ceiling_at_or_below_the_lemma_skips_the_witt_ceiling(self, monkeypatch):
+        witt = phigroup._witt_ceiling
+
+        def reference(fam, floor, ceiling):  # always takes min(ceiling, Witt ceiling)
+            q_masks = _q_masks(fam)
+            best = [floor, (), min(ceiling, witt(fam, q_masks))]
+            if floor < best[2]:
+                gram_rows = [f.gram.row_data for f in fam.forms]
+                cand = phigroup._weight_order(_qzero_vectors(fam, q_masks))
+                phigroup._bnb_node(gram_rows, best, (), cand)
+            return best
+
+        def refused(fam, q_masks):
+            raise AssertionError("the Witt ceiling was computed")
+
+        rng = random.Random(22)
+        for n in range(1, 13):
+            # above n = 10 only the skipped ceilings: a ceiling above the lemma
+            # takes the path that did not change, and proving a maximum there
+            # takes up to seconds when t is 2 or 3
+            top = n if n <= 10 else (n - 1) // 2
+            for t in range(1, 5):
+                fam = random_family(n, t, rng.getrandbits(64))
+                for ceiling in range(top + 1):
+                    skip = ceiling <= (n - 1) // 2
+                    monkeypatch.setattr(phigroup, "_witt_ceiling", refused if skip else witt)
+                    for floor in range(ceiling + 1):
+                        expected = reference(fam, floor, ceiling)
+                        assert phigroup._bnb(fam, floor, ceiling) == expected, (n, t, floor)
+
 
 class TestGuardHolds:
     """Searches at the top of the branch-and-bound range finish inside the test."""
@@ -469,6 +518,18 @@ class TestSearchForms:
             monkeypatch.setattr(phigroup, name, counted)
         res = search_forms(7, 2, 2, trials=5, seed=3)
         assert res.family is None and calls == {"random_family": 5, "_qzero_vectors": 5}
+
+    def test_default_trials_at_the_guard_are_skipped_by_the_trial_budget(self):
+        res = search_forms(20, 1, 2, trials=1000, seed=0)
+        assert res == (None, None, False, 0, "search_trials")
+
+    def test_trial_budget_charges_two_to_the_n_plus_128_t_per_trial(self):
+        # one trial at n = 1, t = 1 is 2 + 128 units; k = 2 is met at trial 0
+        admitted = SEARCH_TRIAL_BUDGET // 130
+        res = search_forms(1, 1, 2, trials=admitted, seed=0)
+        assert (res.trial_index, res.skipped_guard) == (0, None)
+        res = search_forms(1, 1, 2, trials=admitted + 1, seed=0)
+        assert res == (None, None, False, 0, "search_trials")
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError, match="trials must be >= 0"):
