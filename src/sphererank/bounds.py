@@ -15,7 +15,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .gf2 import _reduce_bits, _rref_bits, fold_rows
-from .repaction import elementary_abelian_search
 
 SMALL_SPHERE_CAVEAT = 7  # the standing assumption wants sphere dims > 7
 PERM_AUDIT_GUARD = 7
@@ -157,6 +156,8 @@ def perm_rank_audit(n: int) -> PermAuditResult:
     the worst case reported is the first subgroup (in search order) of
     maximal rank.
     """
+    from .repaction import elementary_abelian_search
+
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > PERM_AUDIT_GUARD:
@@ -219,6 +220,8 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     commuting sets of involutions closed under span, and asserts the
     quadratic bound.
     """
+    from .repaction import elementary_abelian_search
+
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > GL_AUDIT_GUARD:

@@ -5,6 +5,10 @@ newline) so identical invocations are byte-identical.  Integers that can
 exceed 64 bits travel as decimal strings.  Exit codes: 0 success, 2
 validation error, 3 guard exceeded, 64 unknown subcommand, 65 malformed
 JSON input file.
+
+Every command runs in a fresh interpreter, so each loader and handler imports
+the library modules it calls, and `dispatch` builds only the parser of the
+command it runs: a command pays for no other command's imports.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
-from . import __version__, bounds, forms, phigroup, polyalg, repaction
+from . import __version__
 from .errors import GuardExceeded, SchemaError, require_keys
 from .gf2 import BitMatrix, BitVector
 
@@ -113,10 +117,12 @@ class _BadJson(Exception):
 
 
 def load_family(path: str) -> forms.FormFamily:
+    from . import forms
     return forms.FormFamily.from_json_dict(_as_dict(_load_json(path), path))
 
 
 def load_table(path: str) -> repaction.GroupOracle:
+    from . import repaction
     obj = _as_dict(_load_json(path), path)
     require_keys(obj, "order", "mul")
     if type(obj["order"]) is not int:
@@ -134,6 +140,7 @@ def load_table(path: str) -> repaction.GroupOracle:
 
 
 def load_ideal(path: str) -> polyalg.IdealGens:
+    from . import polyalg
     obj = _as_dict(_load_json(path), path)
     require_keys(obj, "nvars", "gens")
     nvars, gen_objs = obj["nvars"], obj["gens"]
@@ -153,10 +160,12 @@ def load_ideal(path: str) -> polyalg.IdealGens:
 
 
 def load_system(path: str) -> forms.QuadraticSystem:
+    from . import forms
     return forms.QuadraticSystem.from_json_dict(_as_dict(_load_json(path), path))
 
 
 def load_action(path: str) -> polyalg.LinearAction:
+    from . import polyalg
     obj = _as_dict(_load_json(path), path)
     require_keys(obj, "nvars", "generators")
     nvars, matrices = obj["nvars"], obj["generators"]
@@ -208,6 +217,7 @@ def _is_int_list(value: Any, allowed: Optional[tuple[int, ...]] = None) -> bool:
 
 
 def _load_group_and_reps(args) -> tuple[repaction.GroupOracle, list[repaction.MonomialRep]]:
+    from . import repaction
     oracle = _load_group(args)
     if args.reps:
         reps = []
@@ -224,6 +234,7 @@ def _load_group_and_reps(args) -> tuple[repaction.GroupOracle, list[repaction.Mo
 
 
 def _load_group(args) -> repaction.GroupOracle:
+    from . import phigroup, repaction
     if (args.family is None) == (args.table is None):
         raise _CliError("exactly one of --family or --table is required")
     if args.family:
@@ -237,6 +248,7 @@ _MODES = {"exhaustive": "exhaustive", "bnb": "branch_and_bound"}
 
 
 def _cmd_forms_gen(args) -> dict:
+    from . import forms
     fam = forms.random_family(args.n, args.t, args.seed)
     if args.save_family:
         _emit(_canonical(fam.to_json_dict()), args.save_family, "--save-family")
@@ -244,6 +256,7 @@ def _cmd_forms_gen(args) -> dict:
 
 
 def _cmd_forms_czero(args) -> dict:
+    from . import forms
     system = load_system(args.system)
     zero = forms.common_zero_quadratics(system)
     return {
@@ -254,6 +267,7 @@ def _cmd_forms_czero(args) -> dict:
 
 
 def _cmd_group_info(args) -> dict:
+    from . import phigroup
     fam = load_family(args.family)
     G = phigroup.PhiGroup(fam)
     c = phigroup.center(G)
@@ -268,6 +282,7 @@ def _cmd_group_info(args) -> dict:
 
 
 def _cmd_group_rank(args) -> dict:
+    from . import phigroup
     fam = load_family(args.family)
     res = phigroup.max_isotropic_qzero(fam, mode=_MODES[args.mode])
     return {
@@ -278,6 +293,7 @@ def _cmd_group_rank(args) -> dict:
 
 
 def _cmd_group_profile(args) -> dict:
+    from . import phigroup
     fam = load_family(args.family)
     profile = phigroup.extension_profile(phigroup.PhiGroup(fam), mode=_MODES[args.mode])
     return {
@@ -288,6 +304,7 @@ def _cmd_group_profile(args) -> dict:
 
 
 def _cmd_search_olshanskii(args) -> dict:
+    from . import phigroup
     res = phigroup.search_forms(args.n, args.t, args.k, args.trials, args.seed)
     if res.family is not None and args.save_family:
         _emit(_canonical(res.family.to_json_dict()), args.save_family, "--save-family")
@@ -303,33 +320,39 @@ def _cmd_search_olshanskii(args) -> dict:
 
 
 def _cmd_rep_free(args) -> dict:
+    from . import repaction
     oracle, reps = _load_group_and_reps(args)
     res = repaction.is_free_on_product(oracle, reps)
     return {"free": res.free, "witness": res.witness, "factors": len(reps)}
 
 
 def _cmd_rep_isotropy(args) -> dict:
+    from . import repaction
     oracle, reps = _load_group_and_reps(args)
     res = repaction.max_isotropy_rank(oracle, reps)
     return {"rank": res.rank, "witness_gens": list(res.witness_gens), "factors": len(reps)}
 
 
 def _cmd_rep_twocentral(args) -> dict:
+    from . import repaction
     oracle = _load_group(args)
     return {"two_central": repaction.is_two_central(oracle)}
 
 
 def _cmd_poly_hilbert(args) -> dict:
+    from . import polyalg
     ideal = load_ideal(args.ideal)
     return {"dim": polyalg.hilbert_function(ideal, args.degree), "degree": args.degree}
 
 
 def _cmd_poly_regseq(args) -> dict:
+    from . import polyalg
     total_dim = polyalg.quotient_total_dim(load_ideal(args.ideal))
     return {"regular": total_dim is not None, "total_dim": total_dim}
 
 
 def _cmd_poly_euler(args) -> dict:
+    from . import polyalg, repaction
     oracle = _load_group(args)
     c_gens, chars = _ints(args.c_gens, "--c-gens"), _ints(args.chars, "--chars")
     rep = repaction.build_induced(oracle, c_gens, chars)
@@ -338,6 +361,7 @@ def _cmd_poly_euler(args) -> dict:
 
 
 def _cmd_poly_powertest(args) -> dict:
+    from . import polyalg
     action = load_action(args.action)
     ys = []
     for i, coords in enumerate(_json_list(args.ys, "ys", "0/1 coordinate lists")):
@@ -349,6 +373,7 @@ def _cmd_poly_powertest(args) -> dict:
 
 
 def _cmd_bounds_rp_rank(args) -> dict:
+    from . import bounds
     return {
         "free_rank": bounds.free_rank_rp(args.m, args.n),
         "caveat_small_m": args.m <= bounds.SMALL_SPHERE_CAVEAT,
@@ -368,6 +393,7 @@ def _decimal(value: int) -> str:
 
 
 def _cmd_bounds_headline(args) -> dict:
+    from . import bounds
     rep = bounds.headline_report(args.n, args.t, args.k)
     sphere_dim = _decimal(rep.sphere_dim)
     return {
@@ -383,6 +409,7 @@ def _cmd_bounds_headline(args) -> dict:
 
 
 def _cmd_audit_sn(args) -> dict:
+    from . import bounds
     res = bounds.perm_rank_audit(args.n)
     return {
         "ok": res.ok,
@@ -393,6 +420,7 @@ def _cmd_audit_sn(args) -> dict:
 
 
 def _cmd_audit_gl(args) -> dict:
+    from . import bounds
     res = bounds.gl_rank_audit(args.n)
     return {
         "ok": res.max_rank_found <= res.bound,
@@ -405,99 +433,85 @@ def _cmd_audit_gl(args) -> dict:
 # -- registry ------------------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--out", default=None)
-
-
 def _add_group(p: _Parser) -> None:  # _load_group requires exactly one
     p.add_argument("--family", default=None)
     p.add_argument("--table", default=None)
 
 
-def _build_parsers() -> dict[str, tuple[_Parser, Callable]]:
-    table: dict[str, tuple[_Parser, Callable]] = {}
-
-    def cmd(name: str, handler: Callable, flags: Callable[[_Parser], None]) -> None:
-        p = _Parser(prog=f"sphererank {name}", add_help=True, allow_abbrev=False)
-        flags(p)
-        _add_common(p)
-        table[name] = (p, handler)
-
-    cmd("forms gen", _cmd_forms_gen, lambda p: (
+# name -> (handler, flags): dispatch builds the parser of the one command it runs
+_COMMANDS: dict[str, tuple[Callable, Callable[[_Parser], None]]] = {
+    "forms gen": (_cmd_forms_gen, lambda p: (
         p.add_argument("--n", type=int, required=True),
         p.add_argument("--t", type=int, required=True),
         p.add_argument("--seed", type=int, default=0),
         p.add_argument("--save-family", default=None),
-    ))
-    cmd("forms czero", _cmd_forms_czero, lambda p: (
+    )),
+    "forms czero": (_cmd_forms_czero, lambda p: (
         p.add_argument("--system", required=True),
-    ))
-    cmd("group info", _cmd_group_info, lambda p: (
+    )),
+    "group info": (_cmd_group_info, lambda p: (
         p.add_argument("--family", required=True),
-    ))
-    cmd("group rank", _cmd_group_rank, lambda p: (
-        p.add_argument("--family", required=True),
-        p.add_argument("--mode", choices=sorted(_MODES), default="bnb"),
-    ))
-    cmd("group profile", _cmd_group_profile, lambda p: (
+    )),
+    "group rank": (_cmd_group_rank, lambda p: (
         p.add_argument("--family", required=True),
         p.add_argument("--mode", choices=sorted(_MODES), default="bnb"),
-    ))
-    cmd("search olshanskii", _cmd_search_olshanskii, lambda p: (
+    )),
+    "group profile": (_cmd_group_profile, lambda p: (
+        p.add_argument("--family", required=True),
+        p.add_argument("--mode", choices=sorted(_MODES), default="bnb"),
+    )),
+    "search olshanskii": (_cmd_search_olshanskii, lambda p: (
         p.add_argument("--n", type=int, required=True),
         p.add_argument("--t", type=int, required=True),
         p.add_argument("--k", type=int, required=True),
         p.add_argument("--trials", type=int, default=1000),
         p.add_argument("--seed", type=int, default=0),
         p.add_argument("--save-family", default=None),
-    ))
-    cmd("rep free", _cmd_rep_free, lambda p: (
+    )),
+    "rep free": (_cmd_rep_free, lambda p: (
         _add_group(p),
         p.add_argument("--reps", default=None),
-    ))
-    cmd("rep isotropy", _cmd_rep_isotropy, lambda p: (
+    )),
+    "rep isotropy": (_cmd_rep_isotropy, lambda p: (
         _add_group(p),
         p.add_argument("--reps", default=None),
-    ))
-    cmd("rep twocentral", _cmd_rep_twocentral, _add_group)
-    cmd("poly hilbert", _cmd_poly_hilbert, lambda p: (
+    )),
+    "rep twocentral": (_cmd_rep_twocentral, _add_group),
+    "poly hilbert": (_cmd_poly_hilbert, lambda p: (
         p.add_argument("--ideal", required=True),
         p.add_argument("--degree", type=int, required=True),
-    ))
-    cmd("poly regseq", _cmd_poly_regseq, lambda p: (
+    )),
+    "poly regseq": (_cmd_poly_regseq, lambda p: (
         p.add_argument("--ideal", required=True),
-    ))
-    cmd("poly euler", _cmd_poly_euler, lambda p: (
+    )),
+    "poly euler": (_cmd_poly_euler, lambda p: (
         _add_group(p),
         p.add_argument("--c-gens", dest="c_gens", required=True),
         p.add_argument("--chars", required=True),
         p.add_argument("--e-gens", dest="e_gens", required=True),
         p.add_argument("--e-rank", dest="e_rank", type=int, required=True),
-    ))
-    cmd("poly powertest", _cmd_poly_powertest, lambda p: (
+    )),
+    "poly powertest": (_cmd_poly_powertest, lambda p: (
         p.add_argument("--action", required=True),
         p.add_argument("--ys", required=True),
         p.add_argument("--p", type=int, required=True),
-    ))
-    cmd("bounds rp-rank", _cmd_bounds_rp_rank, lambda p: (
+    )),
+    "bounds rp-rank": (_cmd_bounds_rp_rank, lambda p: (
         p.add_argument("--m", type=int, required=True),
         p.add_argument("--n", type=int, required=True),
-    ))
-    cmd("bounds headline", _cmd_bounds_headline, lambda p: (
+    )),
+    "bounds headline": (_cmd_bounds_headline, lambda p: (
         p.add_argument("--n", type=int, required=True),
         p.add_argument("--t", type=int, required=True),
         p.add_argument("--k", type=int, required=True),
-    ))
-    cmd("audit sn", _cmd_audit_sn, lambda p: (
+    )),
+    "audit sn": (_cmd_audit_sn, lambda p: (
         p.add_argument("--n", type=int, required=True),
-    ))
-    cmd("audit gl", _cmd_audit_gl, lambda p: (
+    )),
+    "audit gl": (_cmd_audit_gl, lambda p: (
         p.add_argument("--n", type=int, required=True),
-    ))
-    return table
-
-
-_PARSERS = _build_parsers()
+    )),
+}
 
 
 def _report(name: str, args, result: dict) -> Report:
@@ -516,14 +530,17 @@ def _report(name: str, args, result: dict) -> Report:
 
 
 def dispatch(argv: list[str]) -> int:
-    if len(argv) < 2 or " ".join(argv[:2]) not in _PARSERS:
-        known = ", ".join(sorted(_PARSERS))
+    if len(argv) < 2 or " ".join(argv[:2]) not in _COMMANDS:
+        known = ", ".join(sorted(_COMMANDS))
         sys.stdout.write(
             _error_json("unknown_command", f"expected one of: {known}", argv=argv[:2])
         )
         return EXIT_UNKNOWN_COMMAND
     name = " ".join(argv[:2])
-    parser, handler = _PARSERS[name]
+    handler, flags = _COMMANDS[name]
+    parser = _Parser(prog=f"sphererank {name}", add_help=True, allow_abbrev=False)
+    flags(parser)
+    parser.add_argument("--out", default=None)
     try:
         args = parser.parse_args(argv[2:])
     except _CliError as exc:

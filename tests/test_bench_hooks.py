@@ -10,8 +10,11 @@ import inspect
 import sys
 from pathlib import Path
 
-import sphererank.cli  # noqa: F401  (the tracer patches the CLI loaders only once loaded)
-from sphererank import phigroup
+# `install` imports every module it patches, and patches the CLI loaders only
+# once the CLI is loaded; a CLI command loads only the modules it runs, so all
+# of them are imported here for the `before` snapshot to hold each one
+import sphererank.cli  # noqa: F401
+from sphererank import bounds, forms, gf2, phigroup, polyalg, repaction  # noqa: F401
 from sphererank.forms import random_family
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

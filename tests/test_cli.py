@@ -23,6 +23,14 @@ from sphererank.forms import random_family
 from sphererank.repaction import elementary_abelian_table, quaternion_table
 
 
+COMMANDS = [
+    "audit gl", "audit sn", "bounds headline", "bounds rp-rank", "forms czero", "forms gen",
+    "group info", "group profile", "group rank", "poly euler", "poly hilbert",
+    "poly powertest", "poly regseq", "rep free", "rep isotropy", "rep twocentral",
+    "search olshanskii",
+]
+
+
 def run(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr().out
@@ -67,6 +75,20 @@ class TestDispatchContract:
     def test_unknown_subaction(self, capsys):
         code, obj = run(capsys, "bounds", "frobnicate")
         assert code == EXIT_UNKNOWN_COMMAND
+
+    def test_unknown_command_lists_every_command(self, capsys):
+        code, obj = run(capsys, "frobnicate")
+        assert code == EXIT_UNKNOWN_COMMAND
+        assert obj["error"]["message"] == "expected one of: " + ", ".join(COMMANDS)
+        assert obj["error"]["argv"] == ["frobnicate"]
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_every_parser_builds(self, capsys, name):
+        # a command's parser is built only when it runs: a broken flag
+        # definition raises here instead of giving a validation error
+        code, obj = run(capsys, *name.split(), "--no-such-flag")
+        assert code == EXIT_VALIDATION
+        assert obj["error"]["code"] == "validation"
 
     def test_missing_flag_is_validation_error(self, capsys):
         code, obj = run(capsys, "bounds", "headline", "--n", "3")
