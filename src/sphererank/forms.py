@@ -1,8 +1,12 @@
 """Families of alternating bilinear forms on F2^n and quadratic zero search.
 
-A FormFamily holds t alternating forms sharing one Gram-matrix dimension,
+A FormFamily holds t alternating forms on F2^n as int Gram rows, `grams`,
 and per form the int rows of its strictly-lower-triangular half L (row i,
-col j entry = gram[i][j] for i > j); the derived quadratic refinement
+col j entry = gram[i][j] for i > j).  The rows are checked once, where data
+enters (`FormFamily.from_grams`, `FormFamily.from_json_dict`);
+`random_family` builds symmetric zero-diagonal rows by construction and
+checks nothing, and `AlternatingForm` is only a read-only view of one form
+as a BitMatrix.  The derived quadratic refinement
 q_s(e) = e^T L_s e satisfies q_s(basis vector) = 0 and polarizes to the
 form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
 
@@ -13,6 +17,7 @@ equivalent theory but different serialized bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError, require_keys
@@ -28,48 +33,58 @@ RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_fami
 
 @dataclass(frozen=True)
 class AlternatingForm:
-    """Alternating (symmetric, zero-diagonal) bilinear form on F2^n."""
+    """Read-only view of one form of a FormFamily: its Gram matrix on F2^n.
+
+    Built on demand by `FormFamily.forms`; the family's `grams` are the data.
+    """
 
     n: int
     gram: BitMatrix
 
-    def __post_init__(self):
-        if self.gram.rows != self.n or self.gram.cols != self.n:
-            raise ValueError("gram must be n x n")
-        if not self.gram.is_symmetric():
-            raise ValueError("gram must be symmetric")
-        if not self.gram.has_zero_diagonal():
-            raise ValueError("gram must have zero diagonal")
-
 
 @dataclass(frozen=True)
 class FormFamily:
-    """Tuple of t alternating forms on F2^n plus their lower triangles.
+    """t alternating forms on F2^n as int Gram rows, plus their lower triangles.
 
-    `lower[s]` holds the int rows of form s's Gram matrix, row i masked to
-    its bits below the diagonal.
+    `grams[s]` holds the n int rows of form s's Gram matrix (entry j of row i
+    is bit j), symmetric with a zero diagonal; `lower[s]` holds the same rows,
+    row i masked to its bits below the diagonal.  The constructor trusts its
+    rows: data is checked where it enters, in `from_grams` and
+    `from_json_dict`, and `random_family` builds alternating rows by
+    construction.
     """
 
     n: int
     t: int
-    forms: tuple[AlternatingForm, ...]
-    lower: tuple[tuple[int, ...], ...] = field(init=False)  # derived from the forms
+    grams: tuple[tuple[int, ...], ...]
+    lower: tuple[tuple[int, ...], ...] = field(init=False)  # derived from the grams
 
     def __post_init__(self):
-        if self.t != len(self.forms):
+        if self.t != len(self.grams):
             raise ValueError("family size mismatch")
-        if any(f.n != self.n for f in self.forms):
-            raise ValueError("forms must share one dimension")
-        lower = tuple(tuple(r & ((1 << i) - 1) for i, r in enumerate(f.gram.row_data))
-                      for f in self.forms)
+        masks = [(1 << i) - 1 for i in range(self.n)]  # row i keeps its bits below i
+        lower = tuple([tuple(map(and_, rows, masks)) for rows in self.grams])
         object.__setattr__(self, "lower", lower)
+
+    @property
+    def forms(self) -> tuple[AlternatingForm, ...]:
+        """Each form as an `AlternatingForm` view over a `BitMatrix`, built per call."""
+        n = self.n
+        return tuple(AlternatingForm(n, BitMatrix(n, n, rows)) for rows in self.grams)
 
     @classmethod
     def from_grams(cls, grams: Sequence[BitMatrix]) -> FormFamily:
         if not grams:
             raise ValueError("need at least one form")
         n = grams[0].rows
-        return cls(n, len(grams), tuple(AlternatingForm(n, g) for g in grams))
+        for g in grams:
+            if g.rows != n or g.cols != n:
+                raise ValueError("gram must be n x n")
+            if not g.is_symmetric():
+                raise ValueError("gram must be symmetric")
+            if not g.has_zero_diagonal():
+                raise ValueError("gram must have zero diagonal")
+        return cls(n, len(grams), tuple(g.row_data for g in grams))
 
     def beta(self, e: BitVector, e2: BitVector) -> BitVector:
         """Cocycle (e^T L_s e2)_s, a vector of t bits."""
@@ -81,10 +96,11 @@ class FormFamily:
         return BitVector(self.t, out)
 
     def to_json_dict(self) -> dict:
+        n = self.n
         return {
-            "n": self.n,
+            "n": n,
             "t": self.t,
-            "forms": [[f.gram.row(i).to_string() for i in range(self.n)] for f in self.forms],
+            "forms": [[format(r, "b").zfill(n)[::-1] for r in rows] for rows in self.grams],
         }
 
     @classmethod
@@ -117,7 +133,7 @@ class FormFamily:
             grams.append(g)
         if failing:
             raise SchemaError(failing)
-        return cls.from_grams(grams)
+        return cls(n, t, tuple(g.row_data for g in grams))
 
 
 def quadratic_refinement(fam: FormFamily, e: BitVector) -> BitVector:
@@ -127,7 +143,7 @@ def quadratic_refinement(fam: FormFamily, e: BitVector) -> BitVector:
 
 def common_radical(fam: FormFamily) -> Subspace:
     """Vectors pairing to zero with everything, for every form in the family."""
-    stacked = [r for f in fam.forms for r in f.gram.row_data]
+    stacked = [r for rows in fam.grams for r in rows]
     return kernel(BitMatrix.from_bits(len(stacked), fam.n, stacked))
 
 
@@ -151,8 +167,8 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
             lower.append(bits & ((1 << i) - 1))
             bits >>= i
         upper = _transpose_bits(lower, n)
-        grams.append(BitMatrix.from_bits(n, n, [lo | up for lo, up in zip(lower, upper)]))
-    return FormFamily.from_grams(grams)
+        grams.append(tuple(map(or_, lower, upper)))
+    return FormFamily(n, t, tuple(grams))
 
 
 # -- quadratic systems -------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
 from .gf2 import (BitVector, Subspace, _coordinate_masks, _quadratic_mask, _reduce_bits,
-                  _rref_bits, fold_rows, rank)
+                  _rref_bits, fold_rows)
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
@@ -166,8 +166,8 @@ def _witt_ceiling(fam: FormFamily, q_masks: list[int]) -> int:
     """
     n = fam.n
     ceiling = n
-    for f, q in zip(fam.forms, q_masks):
-        r = rank(f.gram)
+    for rows, q in zip(fam.grams, q_masks):
+        r = len(_rref_bits(rows))
         ceiling = min(ceiling, n - r // 2 - (2 * q.bit_count() >= 1 << n))
     return ceiling
 
@@ -186,7 +186,7 @@ def _max_isotropic_exhaustive(fam: FormFamily) -> tuple[int, ...]:
     0.25 us, so a search the budget admits ends in about 10 s or less on a
     2-core Xeon; the all-zero family at n = 8 reaches it in 6-9 s.
     """
-    gram_rows = [f.gram.row_data for f in fam.forms]
+    gram_rows = fam.grams
     best: tuple[int, ...] = ()
     visited: set[tuple[int, ...]] = {()}
     stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam))]
@@ -221,7 +221,7 @@ def _weight_order(vectors: Iterable[int]) -> list[int]:
     return sorted(sorted(vectors), key=int.bit_count)
 
 
-def _bnb_node(gram_rows: list[tuple[int, ...]], best: list,
+def _bnb_node(gram_rows: tuple[tuple[int, ...], ...], best: list,
               basis: tuple[int, ...], cand: list[int]) -> None:
     """One node of the branch-and-bound; `best` holds [dim, basis, ceiling].
 
@@ -275,8 +275,7 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
         ceiling = min(ceiling, _witt_ceiling(fam, q_masks))
     best: list = [floor, (), ceiling]
     if floor < ceiling:
-        gram_rows = [f.gram.row_data for f in fam.forms]
-        _bnb_node(gram_rows, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
+        _bnb_node(fam.grams, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
     return best
 
 

@@ -70,6 +70,22 @@ class GradedPoly:
                 raise ValueError(f"monomial {m} is not of degree {self.degree}")
 
     @classmethod
+    def _built(cls, nvars: int, degree: int, monomials: frozenset[Exponents]) -> GradedPoly:
+        """A polynomial whose monomials the library wrote down itself.
+
+        The nvars and degree guards hold as in `__post_init__`; its loop over
+        the monomials is skipped, since each one was made of `nvars` exponents
+        summing to `degree`.
+        """
+        _check_nvars(nvars)
+        _check_degree(degree)
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)  # as the frozen dataclass's __init__ does
+        object.__setattr__(poly, "degree", degree)
+        object.__setattr__(poly, "monomials", monomials)
+        return poly
+
+    @classmethod
     def from_monomials(cls, nvars: int, monomials: Sequence[Sequence[int]]) -> GradedPoly:
         monos = frozenset(tuple(m) for m in monomials)
         if not monos:
@@ -112,7 +128,7 @@ class GradedPoly:
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("can only add within one graded piece")
-        return GradedPoly(self.nvars, self.degree, self.monomials ^ other.monomials)
+        return GradedPoly._built(self.nvars, self.degree, self.monomials ^ other.monomials)
 
     def __mul__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars:
@@ -122,7 +138,7 @@ class GradedPoly:
             for m2 in other.monomials:
                 prod = tuple(a + b for a, b in zip(m1, m2))
                 acc.symmetric_difference_update({prod})
-        return GradedPoly(self.nvars, self.degree + other.degree, frozenset(acc))
+        return GradedPoly._built(self.nvars, self.degree + other.degree, frozenset(acc))
 
     def power(self, p: int) -> GradedPoly:
         """The p-th power; for p >= 2 only of a linear form l, written down.
@@ -143,7 +159,7 @@ class GradedPoly:
         for k in range(p.bit_length()):
             if p >> k & 1:
                 monos = [m[:i] + (m[i] + (1 << k),) + m[i + 1:] for m in monos for i in support]
-        return GradedPoly(self.nvars, p, frozenset(monos))
+        return GradedPoly._built(self.nvars, p, frozenset(monos))
 
     def to_json_dict(self) -> dict:
         return {

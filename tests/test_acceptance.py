@@ -137,7 +137,7 @@ def test_criterion_04_group_law_property_suite():
                 failures += 1
             gh, hg = G.mul(g, h), G.mul(h, g)
             cross = BitVector.from_coords(
-                [form_value_bits(f.gram.row_data, ga.bits, ha.bits) for f in G.fam.forms]
+                [form_value_bits(gram, ga.bits, ha.bits) for gram in G.fam.grams]
             )
             if (gh ^ hg) & amask or BitVector(t, (gh ^ hg) >> n) != cross:
                 failures += 1
@@ -154,7 +154,7 @@ def test_criterion_05_rank_formula_oracle_equivalence():
         n = rng.randint(2, 7)
         t = rng.randint(1, 8 - n)
         fam = random_family(n, t, rng.getrandbits(64))
-        if all(all(b == 0 for b in f.gram.row_bits()) for f in fam.forms):
+        if all(all(b == 0 for b in gram) for gram in fam.grams):
             continue  # the all-zero (abelian) case is pinned deterministically below
         G = PhiGroup(fam)
         table = phi_table(G)
@@ -185,10 +185,10 @@ def test_criterion_06_olshanskii_desk_instance():
     for d in (4, 5):
         for basis in enumerate_subspaces(5, d):
             ok = all(quadratic_refinement(fam, BitVector(5, u)).is_zero() for u in basis) and all(
-                form_value_bits(f.gram.row_data, basis[i], basis[j]) == 0
+                form_value_bits(gram, basis[i], basis[j]) == 0
                 for i in range(len(basis))
                 for j in range(i + 1, len(basis))
-                for f in fam.forms
+                for gram in fam.grams
             )
             assert not ok, f"dimension {d} q-zero isotropic subspace exists"
     assert group_rank(PhiGroup(fam)) <= 4 + 4 - 1

@@ -2,11 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphererank.errors import GuardExceeded, SchemaError
 from sphererank.forms import (
     COMMON_ZERO_GUARD,
-    AlternatingForm,
     FormFamily,
     QuadraticSystem,
     common_radical,
@@ -15,10 +16,12 @@ from sphererank.forms import (
     random_family,
 )
 from sphererank.gf2 import BitMatrix, BitVector, Subspace
+from sphererank.phigroup import search_forms
 from sphererank.rng import SplitMix64
 
 from oracles import (
     brute_smallest_common_zero,
+    drawn_family_row_strings,
     form_value_bits,
     naive_form_value,
     naive_poly_values,
@@ -47,22 +50,22 @@ class TestFormValueBits:
         for _ in range(50):
             n = rng.randint(1, 7)
             fam = random_family(n, 1, rng.getrandbits(64))
-            gram = [coords(row, n) for row in fam.forms[0].gram.row_data]
+            gram = [coords(row, n) for row in fam.grams[0]]
             x, y = rng.getrandbits(n), rng.getrandbits(n)
-            assert form_value_bits(fam.forms[0].gram.row_data, x, y) == naive_form_value(
+            assert form_value_bits(fam.grams[0], x, y) == naive_form_value(
                 gram, coords(x, n), coords(y, n)
             )
 
 
-class TestAlternatingForm:
-    @pytest.mark.parametrize("n, rows", [
-        (3, ["01", "10"]),  # not n x n
-        (2, ["01", "00"]),  # not symmetric
-        (2, ["11", "10"]),  # a 1 on the diagonal
+class TestFromGrams:
+    @pytest.mark.parametrize("grams, message", [
+        ([["01", "10"], ["010", "100", "000"]], "gram must be n x n"),  # sizes differ
+        ([["01", "00"]], "gram must be symmetric"),
+        ([["11", "10"]], "gram must have zero diagonal"),
     ])
-    def test_rejects_malformed_gram(self, n, rows):
-        with pytest.raises(ValueError):
-            AlternatingForm(n, BitMatrix.from_strings(rows))
+    def test_rejects_malformed_gram(self, grams, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FormFamily.from_grams([BitMatrix.from_strings(rows) for rows in grams])
 
     def test_accepts_symplectic(self):
         assert FormFamily.from_grams([SYMPLECTIC_2]).lower == ((0, 1),)
@@ -73,11 +76,11 @@ class TestAlternatingForm:
             n, t = rng.randint(1, 9), rng.randint(1, 4)
             fam = random_family(n, t, rng.getrandbits(64))
             assert len(fam.lower) == t
-            for rows, f in zip(fam.lower, fam.forms):
+            for rows, gram in zip(fam.lower, fam.grams):
                 assert type(rows) is tuple and len(rows) == n
                 for i in range(n):
                     for j in range(n):
-                        assert rows[i] >> j & 1 == (j < i and f.gram.row_data[i] >> j & 1)
+                        assert rows[i] >> j & 1 == (j < i and gram[i] >> j & 1)
 
 
 class TestQuadraticRefinement:
@@ -99,7 +102,7 @@ class TestQuadraticRefinement:
             n, t = rng.randint(1, 7), rng.randint(1, 4)
             fam = random_family(n, t, rng.getrandbits(64))
             u, v = random_vec(rng, n), random_vec(rng, n)
-            grams = [[coords(row, n) for row in f.gram.row_data] for f in fam.forms]
+            grams = [[coords(row, n) for row in gram] for gram in fam.grams]
             cross = BitVector.from_coords(
                 [naive_form_value(g, coords(u.bits, n), coords(v.bits, n)) for g in grams]
             )
@@ -126,9 +129,9 @@ class TestCommonRadical:
         for _ in range(20):
             fam = random_family(rng.randint(1, 6), rng.randint(1, 3), rng.getrandbits(64))
             rad = common_radical(fam)
-            for f in fam.forms:
+            for gram in fam.grams:
                 for v in rad.basis:
-                    assert not any((r & v.bits).bit_count() & 1 for r in f.gram.row_data)
+                    assert not any((r & v.bits).bit_count() & 1 for r in gram)
 
 
 class TestRandomFamily:
@@ -137,12 +140,12 @@ class TestRandomFamily:
         assert random_family(5, 3, 42) != random_family(5, 3, 43)
 
     def test_two_outcomes_for_one_free_bit(self):
-        outcomes = {random_family(2, 1, seed).forms[0].gram.row_bits()[0] for seed in range(64)}
+        outcomes = {random_family(2, 1, seed).grams[0][0] for seed in range(64)}
         assert outcomes == {0, 2}  # zero form and the symplectic form
 
     def test_bit_frequency_fair(self):
         # one specific lower-triangle bit across 10^4 seeds: binomial 5-sigma band
-        ones = sum(random_family(3, 1, seed).forms[0].gram.row_data[2] >> 1 & 1
+        ones = sum(random_family(3, 1, seed).grams[0][2] >> 1 & 1
                    for seed in range(10_000))
         assert abs(ones - 5000) < 5 * 50  # sigma = sqrt(10^4)/2 = 50
 
@@ -178,18 +181,91 @@ class TestRandomFamily:
             for t in range(1, 7):
                 seed = rng.getrandbits(64)
                 fam = random_family(n, t, seed)
-                assert [f.gram.row_bits() for f in fam.forms] == self._bitstream_family(n, t, seed)
+                assert [list(rows) for rows in fam.grams] == self._bitstream_family(n, t, seed)
 
     def test_alternating_by_construction(self):
         fam = random_family(6, 2, 9)
-        for f in fam.forms:
-            assert f.gram.is_symmetric() and f.gram.has_zero_diagonal()
+        for rows in fam.grams:
+            gram = BitMatrix(6, 6, rows)
+            assert gram.is_symmetric() and gram.has_zero_diagonal()
+
+    def test_the_form_views_read_the_gram_rows(self):
+        # the reading of `fam.forms` that the benchmark's family writer relies on
+        rng = random.Random(22)
+        for _ in range(30):
+            fam = random_family(rng.randint(1, 12), rng.randint(1, 4), rng.getrandbits(64))
+            assert [f.gram.row_bits() for f in fam.forms] == [list(r) for r in fam.grams]
+            assert all(f.n == fam.n for f in fam.forms)
+
+
+class TestIntRowHotPath:
+    def test_a_family_draw_and_a_form_search_build_no_bitmatrix(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("a BitMatrix was built")
+
+        monkeypatch.setattr(BitMatrix, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            BitMatrix(1, 1, (0,))
+        for seed in range(4):
+            fam = random_family(7, 2, seed)
+            assert len(fam.grams) == 2 and len(fam.lower) == 2
+            res = search_forms(7, 2, 2, 20, seed)
+            assert res.trials_run >= 1
 
 
 class TestFamilyJson:
     def test_round_trip(self):
         fam = random_family(4, 2, 11)
         assert FormFamily.from_json_dict(fam.to_json_dict()) == fam
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(n=st.integers(1, 12), t=st.integers(1, 4), seed=st.integers(0, (1 << 64) - 1))
+    def test_round_trip_property(self, n, t, seed):
+        fam = random_family(n, t, seed)
+        doc = fam.to_json_dict()
+        assert FormFamily.from_json_dict(doc) == fam
+        assert doc["forms"] == drawn_family_row_strings(n, t, SplitMix64(seed).next_u64)
+        for rows in fam.grams:
+            assert len(rows) == n
+            for i in range(n):
+                assert not rows[i] >> i & 1
+                for j in range(i):
+                    assert rows[i] >> j & 1 == rows[j] >> i & 1
+
+    # the error lists are those the checks gave before the family held int rows
+    @pytest.mark.parametrize("forms, n, fields", [
+        ([["01", "00"]], 2, ["forms[0]: gram not symmetric"]),
+        ([["11", "10"]], 2, ["forms[0]: gram diagonal not zero"]),
+        ([["110", "000", "000"]], 3,
+         ["forms[0]: gram not symmetric", "forms[0]: gram diagonal not zero"]),
+        ([["01", "00"], ["01", "10"], ["10", "00"]], 2,
+         ["forms[0]: gram not symmetric", "forms[2]: gram diagonal not zero"]),
+        ([["01", "10"]], 3, ["forms[0]: expected 3x3 matrix"]),
+        ([["01", "1"]], 2, ["forms[0]: ragged rows"]),
+        ([["0x", "10"]], 2, ["forms[0]: invalid bit string '0x'"]),
+        ([["01", "10"], "0110"], 2, ["forms[1]: must be a list of '0'/'1' strings"]),
+        ([[]], 1, ["forms[0]: cannot infer column count from zero rows"]),
+        ([["011", "100", "000"], ["11", "11"], ["0a", "a0"]], 2,
+         ["forms[0]: expected 2x2 matrix", "forms[1]: gram diagonal not zero",
+          "forms[2]: invalid bit string '0a'"]),
+    ], ids=["asymmetric", "nonzero-diagonal", "both-faults-in-one-form", "two-bad-forms",
+            "wrong-shape", "ragged-rows", "bad-character", "not-a-string-list", "empty-form",
+            "mixed-faults"])
+    def test_schema_error_lists(self, forms, n, fields):
+        with pytest.raises(SchemaError) as exc:
+            FormFamily.from_json_dict({"n": n, "t": len(forms), "forms": forms})
+        assert exc.value.fields == fields
+
+    @pytest.mark.parametrize("doc, fields", [
+        ({"n": 0, "t": True, "forms": {}}, ["n: must be a positive integer",
+                                             "t: must be a positive integer",
+                                             "forms: must be a list of t matrices"]),
+        ({"n": 2, "t": 2, "forms": [["01", "10"]]}, ["forms: must be a list of t matrices"]),
+    ], ids=["bad-header", "count-mismatch"])
+    def test_schema_error_lists_of_the_header(self, doc, fields):
+        with pytest.raises(SchemaError) as exc:
+            FormFamily.from_json_dict(doc)
+        assert exc.value.fields == fields
 
     def test_asymmetric_gram_rejected_with_field(self):
         bad = {"n": 2, "t": 1, "forms": [["01", "00"]]}

@@ -87,8 +87,7 @@ def phi_mul_table(G: PhiGroup):
 
 
 def gram_lists(fam: FormFamily) -> list[list[list[int]]]:
-    return [[[(row >> j) & 1 for j in range(fam.n)] for row in f.gram.row_bits()]
-            for f in fam.forms]
+    return [[[(row >> j) & 1 for j in range(fam.n)] for row in gram] for gram in fam.grams]
 
 
 def subspace_is_qzero_isotropic(fam: FormFamily, basis: tuple[int, ...]) -> bool:
@@ -96,7 +95,7 @@ def subspace_is_qzero_isotropic(fam: FormFamily, basis: tuple[int, ...]) -> bool
         if not quadratic_refinement(fam, BitVector(fam.n, u)).is_zero():
             return False
         for v in basis[i + 1 :]:
-            if any(form_value_bits(f.gram.row_data, u, v) for f in fam.forms):
+            if any(form_value_bits(gram, u, v) for gram in fam.grams):
                 return False
     return True
 
@@ -142,7 +141,7 @@ class TestGroupArithmetic:
                 comm = commutator(G, g, h)
                 ga, ha = a_part(G, g).bits, a_part(G, h).bits
                 expected = BitVector.from_coords(
-                    [form_value_bits(f.gram.row_data, ga, ha) for f in G.fam.forms]
+                    [form_value_bits(gram, ga, ha) for gram in G.fam.grams]
                 )
                 assert a_part(G, comm).is_zero() and b_part(G, comm) == expected
 
@@ -382,9 +381,8 @@ class TestWittCeiling:
             q_masks = _q_masks(fam)
             best = [floor, (), min(ceiling, witt(fam, q_masks))]
             if floor < best[2]:
-                gram_rows = [f.gram.row_data for f in fam.forms]
                 cand = phigroup._weight_order(_qzero_vectors(fam, q_masks))
-                phigroup._bnb_node(gram_rows, best, (), cand)
+                phigroup._bnb_node(fam.grams, best, (), cand)
             return best
 
         def refused(fam, q_masks):
@@ -451,7 +449,7 @@ class TestSearchForms:
     def test_tiny_instance_finds_symplectic(self):
         res = search_forms(2, 1, 2, trials=16, seed=0)
         assert res.family is not None
-        assert res.family.forms[0].gram.row_bits() == [2, 1]  # the symplectic form
+        assert res.family.grams == ((2, 1),)  # the symplectic form
         assert max_isotropic_qzero(res.family).dim <= 1
 
     def test_desk_instance_with_exhaustive_verification(self):
@@ -587,7 +585,7 @@ class TestExtensionProfile:
         G = d8_group()
         u, v = Subspace.full(2).basis
         assert quadratic_refinement(G.fam, u).is_zero() and quadratic_refinement(G.fam, v).is_zero()
-        assert form_value_bits(G.fam.forms[0].gram.row_data, u.bits, v.bits) == 1
+        assert form_value_bits(G.fam.grams[0], u.bits, v.bits) == 1
         self._with_witness(monkeypatch, Subspace.full(2))
         with pytest.raises(AssertionError, match="^lifted subgroup is not abelian$"):
             extension_profile(G)

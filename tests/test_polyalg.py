@@ -96,6 +96,34 @@ class TestGradedPoly:
             assert exc.value.guard == "poly_terms" and terms > TERM_GUARD
             assert str(exc.value) == f"l^{p} has up to {terms} terms, above guard {TERM_GUARD}"
 
+    def test_a_product_past_the_degree_guard_is_refused(self):
+        x, y = GradedPoly.variable(2, 0), GradedPoly.variable(2, 1)
+        assert x.power(32) * y.power(32) == poly(2, (32, 32))
+        with pytest.raises(GuardExceeded) as exc:
+            x.power(40) * y.power(40)
+        assert exc.value.guard == "poly_degree"
+
+    def test_a_product_of_powers_past_the_term_guard_is_refused(self):
+        # x_0^63 under a map sending x_0 to the sum of all 16 variables: the
+        # power in the product would have 16^6 terms
+        full = BitMatrix.from_bits(16, 16, [(1 << 16) - 1] + [1 << i for i in range(1, 16)])
+        with pytest.raises(GuardExceeded) as exc:
+            apply_linear(GradedPoly.variable(16, 0).power(63), full)
+        assert exc.value.guard == "poly_terms"
+
+    def test_sums_products_and_powers_pass_the_full_check(self):
+        # the library builds these without the per-monomial loop; rebuilt
+        # through the checking constructor they are equal and hash alike
+        rng = random.Random(19)
+        for _ in range(40):
+            nvars = rng.randint(1, 5)
+            a = GradedPoly.linear(nvars, BitVector(nvars, rng.getrandbits(nvars)))
+            b = GradedPoly.linear(nvars, BitVector(nvars, rng.getrandbits(nvars)))
+            for f in (a + b, a * b, a.power(rng.randint(2, 9)) * b, a.power(rng.randint(2, 9))):
+                checked = GradedPoly(f.nvars, f.degree, f.monomials)
+                assert f == checked and hash(f) == hash(checked)
+                assert all(len(m) == nvars and sum(m) == f.degree for m in f.monomials)
+
     def test_zero_marker_is_distinguished(self):
         z = GradedPoly.zero(2, 4)
         assert z.is_zero() and z.degree == 4
