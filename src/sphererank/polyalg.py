@@ -54,6 +54,7 @@ class GradedPoly:
 
     The empty set is the zero polynomial of its declared degree; the marker
     keeps a vanished Euler class distinguishable from the constant 1.
+    The constructor trusts its monomials; `from_monomials` checks each one.
     """
 
     nvars: int
@@ -63,35 +64,20 @@ class GradedPoly:
     def __post_init__(self):
         _check_nvars(self.nvars)
         _check_degree(self.degree)
-        for m in self.monomials:
-            if len(m) != self.nvars or any(e < 0 for e in m):
-                raise ValueError(f"bad exponent tuple {m}")
-            if sum(m) != self.degree:
-                raise ValueError(f"monomial {m} is not of degree {self.degree}")
-
-    @classmethod
-    def _built(cls, nvars: int, degree: int, monomials: frozenset[Exponents]) -> GradedPoly:
-        """A polynomial whose monomials the library wrote down itself.
-
-        The nvars and degree guards hold as in `__post_init__`; its loop over
-        the monomials is skipped, since each one was made of `nvars` exponents
-        summing to `degree`.
-        """
-        _check_nvars(nvars)
-        _check_degree(degree)
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)  # as the frozen dataclass's __init__ does
-        object.__setattr__(poly, "degree", degree)
-        object.__setattr__(poly, "monomials", monomials)
-        return poly
 
     @classmethod
     def from_monomials(cls, nvars: int, monomials: Sequence[Sequence[int]]) -> GradedPoly:
+        """The polynomial of exponent lists from outside the library, each checked."""
         monos = frozenset(tuple(m) for m in monomials)
         if not monos:
             raise ValueError("use GradedPoly.zero for the zero polynomial")
-        degree = sum(next(iter(monos)))
-        return cls(nvars, degree, monos)
+        poly = cls(nvars, sum(next(iter(monos))), monos)
+        for m in monos:
+            if len(m) != nvars or any(e < 0 for e in m):
+                raise ValueError(f"bad exponent tuple {m}")
+            if sum(m) != poly.degree:
+                raise ValueError(f"monomial {m} is not of degree {poly.degree}")
+        return poly
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> GradedPoly:
@@ -128,7 +114,7 @@ class GradedPoly:
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars or self.degree != other.degree:
             raise ValueError("can only add within one graded piece")
-        return GradedPoly._built(self.nvars, self.degree, self.monomials ^ other.monomials)
+        return GradedPoly(self.nvars, self.degree, self.monomials ^ other.monomials)
 
     def __mul__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars:
@@ -138,7 +124,7 @@ class GradedPoly:
             for m2 in other.monomials:
                 prod = tuple(a + b for a, b in zip(m1, m2))
                 acc.symmetric_difference_update({prod})
-        return GradedPoly._built(self.nvars, self.degree + other.degree, frozenset(acc))
+        return GradedPoly(self.nvars, self.degree + other.degree, frozenset(acc))
 
     def power(self, p: int) -> GradedPoly:
         """The p-th power; for p >= 2 only of a linear form l, written down.
@@ -159,7 +145,7 @@ class GradedPoly:
         for k in range(p.bit_length()):
             if p >> k & 1:
                 monos = [m[:i] + (m[i] + (1 << k),) + m[i + 1:] for m in monos for i in support]
-        return GradedPoly._built(self.nvars, p, frozenset(monos))
+        return GradedPoly(self.nvars, p, frozenset(monos))
 
     def to_json_dict(self) -> dict:
         return {

@@ -91,26 +91,27 @@ def form_value_bits(gram: Sequence[int], x: int, y: int) -> int:
     return sum((gram[i] & y).bit_count() for i in range(len(gram)) if x >> i & 1) % 2
 
 
-def drawn_family_row_strings(n: int, t: int, next_word) -> list[list[str]]:
-    """The documented row strings of a random form family, entry by entry.
+def bitstream_family(n: int, t: int, next_word) -> list[list[int]]:
+    """The documented Gram rows of a random form family, entry by entry.
 
     For each form, entries (i, j) and (j, i) of row i = 1..n-1, column
     j = 0..i-1 are set by the next fair bit; `next_word()` yields 64-bit
-    words, consumed lowest bit first.  Character j of row i is entry (i, j).
+    words, consumed lowest bit first.  Bit j of row i is entry (i, j).
     """
-    forms = []
     word, left = 0, 0
+    grams = []
     for _ in range(t):
-        grid = [["0"] * n for _ in range(n)]
+        rows = [0] * n
         for i in range(1, n):
             for j in range(i):
                 if left == 0:
                     word, left = next_word(), 64
-                if word & 1:
-                    grid[i][j] = grid[j][i] = "1"
-                word, left = word >> 1, left - 1
-        forms.append(["".join(row) for row in grid])
-    return forms
+                bit, word, left = word & 1, word >> 1, left - 1
+                if bit:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        grams.append(rows)
+    return grams
 
 
 def enumerate_subspaces(n: int, d: int):

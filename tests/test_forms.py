@@ -20,8 +20,8 @@ from sphererank.phigroup import search_forms
 from sphererank.rng import SplitMix64
 
 from oracles import (
+    bitstream_family,
     brute_smallest_common_zero,
-    drawn_family_row_strings,
     form_value_bits,
     naive_form_value,
     naive_poly_values,
@@ -156,24 +156,6 @@ class TestRandomFamily:
                 random_family(n, t, 0)
             assert exc.value.guard == "random_family_bits"
 
-    @staticmethod
-    def _bitstream_family(n, t, seed):
-        """The draw loop of record: one splitmix64 word at a time, LSB first."""
-        gen, word, left = SplitMix64(seed), 0, 0
-        grams = []
-        for _ in range(t):
-            rows = [0] * n
-            for i in range(1, n):
-                for j in range(i):
-                    if left == 0:
-                        word, left = gen.next_u64(), 64
-                    bit, word, left = word & 1, word >> 1, left - 1
-                    if bit:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            grams.append(rows)
-        return grams
-
     def test_bits_match_word_stream_loop(self):
         # n = 1 draws no bits; n = 2 one per form
         rng = random.Random(14)
@@ -181,7 +163,8 @@ class TestRandomFamily:
             for t in range(1, 7):
                 seed = rng.getrandbits(64)
                 fam = random_family(n, t, seed)
-                assert [list(rows) for rows in fam.grams] == self._bitstream_family(n, t, seed)
+                ref = bitstream_family(n, t, SplitMix64(seed).next_u64)
+                assert [list(rows) for rows in fam.grams] == ref
 
     def test_alternating_by_construction(self):
         fam = random_family(6, 2, 9)
@@ -224,7 +207,9 @@ class TestFamilyJson:
         fam = random_family(n, t, seed)
         doc = fam.to_json_dict()
         assert FormFamily.from_json_dict(doc) == fam
-        assert doc["forms"] == drawn_family_row_strings(n, t, SplitMix64(seed).next_u64)
+        ref = bitstream_family(n, t, SplitMix64(seed).next_u64)
+        assert doc["forms"] == [["".join(str(r >> j & 1) for j in range(n)) for r in rows]
+                                for rows in ref]
         for rows in fam.grams:
             assert len(rows) == n
             for i in range(n):

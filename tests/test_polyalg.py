@@ -85,11 +85,16 @@ class TestGradedPoly:
         with pytest.raises(ValueError, match="^a power p >= 2 is only taken of a linear form$"):
             f.power(2)
 
-    @pytest.mark.parametrize("weight, p, terms", [(9, 63, 9**6), (13, 127, None)])
-    def test_power_is_guarded_before_any_term_is_built(self, weight, p, terms):
-        f = GradedPoly.linear(16, BitVector(16, (1 << weight) - 1))
+    @pytest.mark.parametrize("build, p, terms", [
+        (lambda: GradedPoly.linear(16, BitVector(16, (1 << 9) - 1)).power(63), 63, 9**6),
+        (lambda: GradedPoly.linear(16, BitVector(16, (1 << 13) - 1)).power(127), 127, None),
+        # x_0^63 under a map sending x_0 to the sum of all 16 variables
+        (lambda: apply_linear(GradedPoly.variable(16, 0).power(63), BitMatrix.from_bits(
+            16, 16, [(1 << 16) - 1] + [1 << i for i in range(1, 16)])), 63, 16**6),
+    ], ids=["weight9", "weight13", "apply_linear"])
+    def test_power_is_guarded_before_any_term_is_built(self, build, p, terms):
         with pytest.raises(GuardExceeded) as exc:
-            f.power(p)
+            build()
         if terms is None:
             assert exc.value.guard == "poly_degree"
         else:
@@ -103,26 +108,28 @@ class TestGradedPoly:
             x.power(40) * y.power(40)
         assert exc.value.guard == "poly_degree"
 
-    def test_a_product_of_powers_past_the_term_guard_is_refused(self):
-        # x_0^63 under a map sending x_0 to the sum of all 16 variables: the
-        # power in the product would have 16^6 terms
-        full = BitMatrix.from_bits(16, 16, [(1 << 16) - 1] + [1 << i for i in range(1, 16)])
-        with pytest.raises(GuardExceeded) as exc:
-            apply_linear(GradedPoly.variable(16, 0).power(63), full)
-        assert exc.value.guard == "poly_terms"
-
-    def test_sums_products_and_powers_pass_the_full_check(self):
-        # the library builds these without the per-monomial loop; rebuilt
-        # through the checking constructor they are equal and hash alike
+    def test_sums_products_and_powers_pass_the_input_check(self):
+        # the constructor trusts the monomials it is given; rebuilt through
+        # from_monomials, which checks each one, these are equal and hash alike
         rng = random.Random(19)
         for _ in range(40):
             nvars = rng.randint(1, 5)
             a = GradedPoly.linear(nvars, BitVector(nvars, rng.getrandbits(nvars)))
             b = GradedPoly.linear(nvars, BitVector(nvars, rng.getrandbits(nvars)))
             for f in (a + b, a * b, a.power(rng.randint(2, 9)) * b, a.power(rng.randint(2, 9))):
-                checked = GradedPoly(f.nvars, f.degree, f.monomials)
+                checked = (GradedPoly.zero(nvars, f.degree) if f.is_zero()
+                           else GradedPoly.from_monomials(nvars, f.monomials))
                 assert f == checked and hash(f) == hash(checked)
-                assert all(len(m) == nvars and sum(m) == f.degree for m in f.monomials)
+
+    @pytest.mark.parametrize("monos, message", [
+        ([(1, 0), (1, 1)], "monomial (1, 1) is not of degree 1"),
+        ([(1, 0), (1,)], "bad exponent tuple (1,)"),
+        ([(2, 0), (3, -1)], "bad exponent tuple (3, -1)"),
+    ], ids=["mixed_degrees", "short_tuple", "negative_exponent"])
+    def test_from_monomials_checks_every_monomial(self, monos, message):
+        with pytest.raises(ValueError) as exc:
+            GradedPoly.from_monomials(2, monos)
+        assert str(exc.value) == message
 
     def test_zero_marker_is_distinguished(self):
         z = GradedPoly.zero(2, 4)
