@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
@@ -132,7 +133,14 @@ class PermAuditResult(NamedTuple):
     subgroups_checked: int
 
 
-def _perm_orbits(elements: Sequence[tuple[int, ...]], n: int) -> int:
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation i -> a[b[i]], for a b that moves some point (so has at
+    least two entries, where itemgetter returns a tuple).  The subgroup walk
+    only ever passes an involution as b."""
+    return itemgetter(*b)(a)
+
+
+def _perm_orbits(perms: Sequence[tuple[int, ...]], n: int) -> int:
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -141,7 +149,7 @@ def _perm_orbits(elements: Sequence[tuple[int, ...]], n: int) -> int:
             x = parent[x]
         return x
 
-    for perm in elements:
+    for perm in perms:
         for i, j in enumerate(perm):
             ri, rj = find(i), find(j)
             if ri != rj:
@@ -154,7 +162,7 @@ def perm_rank_audit(n: int) -> PermAuditResult:
 
     Exhaustive over the commuting-involution graph with span deduplication;
     the worst case reported is the first subgroup (in search order) of
-    maximal rank.
+    maximal rank.  A subgroup's orbits are those of its generators.
     """
     from .repaction import elementary_abelian_search
 
@@ -170,23 +178,20 @@ def perm_rank_audit(n: int) -> PermAuditResult:
         if p != identity and tuple(p[p[i]] for i in points) == identity
     ]
 
-    def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(a[b[i]] for i in points)
-
     checked = 1  # the trivial subgroup: rank 0, n orbits
     worst = (0, n)  # (rank, orbits) of the first subgroup of maximal rank
 
     def extend(state: bool, gens: tuple, elements: frozenset, coset: list) -> bool:
         nonlocal checked, worst
         checked += 1
-        orbits = _perm_orbits(list(elements), n)
+        orbits = _perm_orbits(gens, n)
         if len(gens) > n - orbits:
             raise AssertionError(f"rank {len(gens)} exceeds {n} - {orbits} orbits")
         if len(gens) > worst[0]:
             worst = (len(gens), orbits)
         return True
 
-    elementary_abelian_search(compose, identity, invs, True, extend)
+    elementary_abelian_search(_compose, identity, invs, True, extend)
     return PermAuditResult(True, worst[0], worst[1], checked)
 
 
@@ -196,29 +201,34 @@ class GlAuditResult(NamedTuple):
     subgroups_checked: int
 
 
-def _mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([fold_rows(b, row) for row in a])
-
-
-def _invertible_matrices(n: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Stream the invertible n x n matrices whose first rows are `rows`: each
-    next row runs through 1..2^n - 1 in order, skipping the span of the rows
-    before it."""
+def _involutions(n: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Stream the n x n matrices m with m m = I whose first rows are `rows`,
+    in lexicographic order of their rows.  Each next row runs through
+    1..2^n - 1, skipping the span of the rows before it (an involution is
+    invertible); a prefix stops at the first row i of m m that it already
+    decides (m[i] reads only chosen rows) and that is not row i of I."""
     if len(rows) == n:
         yield rows
         return
     basis = _rref_bits(rows)
+    chosen = 1 << (len(rows) + 1)
     for r in range(1, 1 << n):
-        if _reduce_bits(r, basis):
-            yield from _invertible_matrices(n, rows + (r,))
+        m = rows + (r,)
+        if _reduce_bits(r, basis) and all(
+            fold_rows(m, row) == 1 << i for i, row in enumerate(m) if row < chosen
+        ):
+            yield from _involutions(n, m)
 
 
 def gl_rank_audit(n: int) -> GlAuditResult:
     """Max elementary abelian rank inside GL(n, 2) versus floor(n^2/4).
 
-    Streams the invertible matrices, keeping only the involutions, walks
-    commuting sets of involutions closed under span, and asserts the
-    quadratic bound.
+    Streams the involutions, walks commuting sets of them closed under
+    span, and asserts the quadratic bound.  The walk holds each involution
+    m as its permutation x -> x m of the 2^n row vectors, so a product is a
+    tuple composition.  Composing permutations multiplies the matrices in
+    the opposite order, which gives the same subgroups and the same
+    commuting pairs.
     """
     from .repaction import elementary_abelian_search
 
@@ -227,9 +237,8 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     if n > GL_AUDIT_GUARD:
         raise GuardExceeded("gl_rank_audit", f"n={n} exceeds guard {GL_AUDIT_GUARD}")
     identity = tuple(1 << i for i in range(n))
-    invs = [
-        m for m in _invertible_matrices(n, ()) if m != identity and _mat_mul(m, m) == identity
-    ]
+    vectors = range(1 << n)
+    invs = [tuple([fold_rows(m, x) for x in vectors]) for m in _involutions(n, ()) if m != identity]
 
     bound = (n * n) // 4
     best = 0
@@ -244,5 +253,5 @@ def gl_rank_audit(n: int) -> GlAuditResult:
                 raise AssertionError(f"rank {best} exceeds the bound {bound}")
         return True
 
-    elementary_abelian_search(_mat_mul, identity, invs, True, extend)
+    elementary_abelian_search(_compose, tuple(vectors), invs, True, extend)
     return GlAuditResult(best, bound, checked)

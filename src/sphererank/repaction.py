@@ -348,20 +348,31 @@ def elementary_abelian_search(
     elements, coset) returns the child's state, or None to prune the child
     and everything below it.  The trivial subgroup {identity} has state root.
     Elements must be totally ordered (ints, or tuples of ints such as
-    permutations and matrix rows): a subgroup is remembered by its sorted
-    element tuple, which is smaller than a frozenset.
+    permutations): a subgroup is remembered by its sorted element tuple,
+    which is smaller than a frozenset.
+
+    Whether two involutions commute is decided with two products the first
+    time a kept child asks, and remembered for the rest of the walk, so each
+    pair is compared at most once, and only where a kept child needs it.
     """
-    _walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
+    invs = list(involutions)
+    _walk(mul, extend, set(), invs, [None] * len(invs), root, (),
+          frozenset((identity,)), list(range(len(invs))))
 
 
 def _walk(
-    mul: Callable, extend: Callable, visited: set, state: Any, gens: tuple,
-    elements: frozenset, cand: list,
+    mul: Callable, extend: Callable, visited: set, invs: list,
+    commutes: list[Optional[bytearray]], state: Any, gens: tuple, elements: frozenset,
+    cand: list[int],
 ) -> None:
-    """The subtree of elementary_abelian_search below one subgroup.  A module
-    function, not a recursive closure, so that the visited set is freed when
-    the search returns rather than at the next cyclic garbage collection."""
-    for k, v in enumerate(cand):
+    """The subtree of elementary_abelian_search below one subgroup.  `cand`
+    holds indices into `invs`, ascending; commutes[k][j] is 0 while invs[k]
+    and invs[j] have not been compared, 1 if they commute and 2 if not.  A
+    module function, not a recursive closure, so that the visited set is
+    freed when the search returns rather than at the next cyclic garbage
+    collection."""
+    for pos, k in enumerate(cand):
+        v = invs[k]
         if v in elements:
             continue
         coset = [mul(e, v) for e in elements]
@@ -372,9 +383,20 @@ def _walk(
         visited.add(key)
         child_gens = gens + (v,)
         child_state = extend(state, child_gens, child, coset)
-        if child_state is not None:
-            new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
-            _walk(mul, extend, visited, child_state, child_gens, child, new_cand)
+        if child_state is None:
+            continue
+        row = commutes[k]
+        if row is None:
+            row = commutes[k] = bytearray(len(invs))
+        later = []
+        for j in cand[pos + 1 :]:
+            status = row[j]
+            if not status:
+                w = invs[j]
+                status = row[j] = 1 if mul(v, w) == mul(w, v) else 2
+            if status == 1:
+                later.append(j)
+        _walk(mul, extend, visited, invs, commutes, child_state, child_gens, child, later)
 
 
 class IsotropyResult(NamedTuple):

@@ -225,6 +225,37 @@ def direct_product_table(ta: list[list[int]], tb: list[list[int]]) -> list[list[
     ]
 
 
+def naive_mat_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Product of square F2 matrices as tuples of int rows (bit j = column j):
+    row i of ab is the sum of the rows b[k] over the entries a[i][k] = 1."""
+    out = []
+    for row in a:
+        acc = 0
+        for k in range(len(b)):
+            if row >> k & 1:
+                acc ^= b[k]
+        out.append(acc)
+    return tuple(out)
+
+
+def gl2_matrices(n: int) -> list[tuple[int, ...]]:
+    """Every invertible n x n matrix over F2 as a tuple of int rows, in
+    lexicographic order of the rows."""
+    return [
+        m for m in product(range(1 << n), repeat=n)
+        if naive_rank([[row >> j & 1 for j in range(n)] for row in m]) == n
+    ]
+
+
+def gl2_table(n: int) -> list[list[int]]:
+    """Cayley table of GL(n, 2), the identity first and then the other
+    matrices in lexicographic order."""
+    identity = tuple(1 << i for i in range(n))
+    mats = [identity] + [m for m in gl2_matrices(n) if m != identity]
+    index = {m: i for i, m in enumerate(mats)}
+    return [[index[naive_mat_mul(a, b)] for b in mats] for a in mats]
+
+
 def is_group_table(table: list[list[int]]) -> bool:
     """Group axioms with id 0 the identity, checked on every element, pair and triple."""
     n = len(table)
@@ -310,29 +341,39 @@ def tables_isomorphic(ta: list[list[int]], tb: list[list[int]]) -> bool:
 
 
 def iter_elem_abelian_subgroups(mul, order: int):
-    """Yield every elementary abelian subgroup (element-id sets) exactly once.
+    """Yield every elementary abelian subgroup exactly once, as a list of ids.
 
-    Each subgroup has a unique generator chain that is ascending and picks
-    the minimal element of each new coset, so no visited set is needed.
+    Each subgroup K has one generator chain in which every generator is the
+    least element of K outside the span of the ones before it.  That chain
+    ascends, and each generator is the least element of its coset of the
+    span before it, so growing only such chains needs no visited set.  A
+    candidate w that is not least in wH is not least in wH' for any H' > H,
+    so it leaves the candidates for the whole subtree; a kept candidate of
+    H u vH stays least iff no element of vH is in below[w], the ids x with
+    w x < w.  Products are read from a table built once.
     """
-    invs = [g for g in range(1, order) if mul(g, g) == 0]
-
-    def dfs(elements: frozenset, cand: list):
+    table = [[mul(g, h) for h in range(order)] for g in range(order)]
+    invs = [g for g in range(1, order) if table[g][g] == 0]
+    bits = [1 << x for x in range(order)]
+    below = {w: sum([bits[x] for x, wx in enumerate(table[w]) if wx < w]) for w in invs}
+    commuting = {v: {w for w in invs if table[v][w] == table[w][v]} for v in invs}
+    stack = [([0], invs)]  # (elements, candidates); children pushed last-first
+    while stack:
+        elements, cand = stack.pop()
         yield elements
+        children = []
         for idx, v in enumerate(cand):
-            if v in elements:
-                continue
-            if any(s != 0 and mul(v, s) < v for s in elements):
-                continue  # v is not the minimal representative of its coset
-            new = frozenset(elements | {mul(e, v) for e in elements})
-            new_cand = [w for w in cand[idx + 1 :] if mul(v, w) == mul(w, v)]
-            yield from dfs(new, new_cand)
-
-    yield from dfs(frozenset({0}), invs)
+            row = table[v]
+            coset = [row[e] for e in elements]
+            coset_bits = sum([bits[x] for x in coset])
+            partners = commuting[v]
+            later = [w for w in cand[idx + 1 :] if w in partners and not below[w] & coset_bits]
+            children.append((elements + coset, later))
+        stack.extend(reversed(children))
 
 
 def all_elem_abelian_subgroups(mul, order: int) -> set[frozenset]:
-    return set(iter_elem_abelian_subgroups(mul, order))
+    return set(map(frozenset, iter_elem_abelian_subgroups(mul, order)))
 
 
 def brute_max_elem_abelian_rank(mul, order: int) -> int:
@@ -343,6 +384,30 @@ def brute_center(mul, order: int) -> set[int]:
     return {
         g for g in range(order) if all(mul(g, h) == mul(h, g) for h in range(order))
     }
+
+
+def reference_elementary_abelian_search(mul, identity, involutions, root, extend) -> None:
+    """The elementary abelian subgroup walk with a commuting filter at every
+    kept child, kept as the reference for the package's walk: that walk must
+    make the same `extend` calls in the same order."""
+    _reference_walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
+
+
+def _reference_walk(mul, extend, visited, state, gens, elements, cand) -> None:
+    for k, v in enumerate(cand):
+        if v in elements:
+            continue
+        coset = [mul(e, v) for e in elements]
+        child = elements.union(coset)
+        key = tuple(sorted(child))
+        if key in visited:
+            continue
+        visited.add(key)
+        child_gens = gens + (v,)
+        child_state = extend(state, child_gens, child, coset)
+        if child_state is not None:
+            new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
+            _reference_walk(mul, extend, visited, child_state, child_gens, child, new_cand)
 
 
 # -- signed permutations and exact rational eigen-checks ---------------------------

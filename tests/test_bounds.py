@@ -13,6 +13,8 @@ from sphererank.bounds import (
 )
 from sphererank.errors import GuardExceeded
 
+from oracles import all_elem_abelian_subgroups, gl2_table
+
 
 class TestFreeRankRp:
     @pytest.mark.parametrize("m,n,expected", [(3, 5, 10), (2, 9, 0), (5, 3, 3)])
@@ -155,6 +157,15 @@ class TestGlRankAudit:
         res = gl_rank_audit(n)
         assert res.max_rank_found == expected_rank
         assert res.max_rank_found <= res.bound
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_subgroup_is_checked_once(self, n):
+        table = gl2_table(n)
+        subgroups = all_elem_abelian_subgroups(lambda i, j: table[i][j], len(table))
+        assert gl_rank_audit(n).subgroups_checked == len(subgroups)
+
+    def test_four_by_four(self):
+        assert gl_rank_audit(4) == (4, 4, 2656)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -2,6 +2,8 @@ import copy
 import random
 import re
 import time
+from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -30,11 +32,14 @@ from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
     direct_product_table,
+    gl2_matrices,
     is_group_table,
+    naive_mat_mul,
     rational_fixed_dim,
     rational_has_plus_one_eigenvalue,
     signed_action,
     reduced_latin_squares,
+    reference_elementary_abelian_search,
 )
 
 # order-5 loop: a Latin square with identity 0 and every element self-inverse,
@@ -527,6 +532,123 @@ def table_reps(name: str) -> tuple[GroupOracle, list]:
     return G, [build_induced(G, c, x) for c, x in specs]
 
 
+def symmetric_walk(n: int) -> tuple:
+    """(mul, identity, involutions) of S_n, involutions in lexicographic order."""
+    identity = tuple(range(n))
+    invs = [p for p in permutations(identity) if p != identity and all(p[p[i]] == i for i in identity)]
+    return (lambda a, b: tuple(a[i] for i in b)), identity, invs
+
+
+def general_linear_walk(n: int) -> tuple:
+    """(mul, identity, involutions) of GL(n, 2) on int-row matrices."""
+    identity = tuple(1 << i for i in range(n))
+    invs = [m for m in gl2_matrices(n) if m != identity and naive_mat_mul(m, m) == identity]
+    return naive_mat_mul, identity, invs
+
+
+WALKS = {**{f"s{n}": symmetric_walk(n) for n in range(1, 7)},
+         **{f"gl{n}": general_linear_walk(n) for n in range(1, 4)}}
+
+
+def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list, list]:
+    """The extend calls of one walk as (gens, elements, coset set), and every
+    product it took; with prune_every = p, every p-th child is pruned."""
+    calls, products = [], []
+
+    def counting_mul(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    def extend(state, gens, elements, coset):
+        calls.append((gens, elements, frozenset(coset)))
+        return None if prune_every and len(calls) % prune_every == 0 else state
+
+    search(counting_mul, identity, invs, True, extend)
+    return calls, products
+
+
+def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
+    """max_isotropy_rank(G, reps) run on the given walk, with its extend calls
+    and products logged as in logged_walk."""
+    calls, products = [], []
+
+    def logged_search(mul, identity, invs, root, extend):
+        def counting_mul(a, b):
+            products.append((a, b))
+            return mul(a, b)
+
+        def logged_extend(state, gens, elements, coset):
+            calls.append((gens, elements, frozenset(coset)))
+            return extend(state, gens, elements, coset)
+
+        search(counting_mul, identity, invs, root, logged_extend)
+
+    monkeypatch.setattr(repaction, "elementary_abelian_search", logged_search)
+    return max_isotropy_rank(G, reps), calls, products
+
+
+def compared_pairs(products: list) -> Counter:
+    """How often each unordered pair was compared: a commuting test is a
+    product ab followed at once by ba.  The products of a coset vH all have
+    v on the right and never v on the left, so no two of them form such a
+    turn; where a coset's last product ev is followed by the test of v
+    against e, the turn read is ev, ve, the same pair."""
+    pairs: Counter = Counter()
+    i = 0
+    while i + 1 < len(products):
+        a, b = products[i]
+        if a != b and products[i + 1] == (b, a):
+            pairs[frozenset((a, b))] += 1
+            i += 2
+        else:
+            i += 1
+    return pairs
+
+
+class TestWalkMatchesReference:
+    """The walk makes the reference's extend calls and compares the pairs
+    the reference compares, each once."""
+
+    @pytest.mark.parametrize("prune_every", [0, 3])
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_audit_groups(self, name, prune_every):
+        mul, identity, invs = WALKS[name]
+        got, products = logged_walk(elementary_abelian_search, mul, identity, invs, prune_every)
+        expected, ref_products = logged_walk(
+            reference_elementary_abelian_search, mul, identity, invs, prune_every
+        )
+        assert got == expected
+        pairs = compared_pairs(products)
+        assert max(pairs.values(), default=1) == 1
+        assert set(pairs) == set(compared_pairs(ref_products))
+        assert all(pair <= set(invs) for pair in pairs)
+
+    def test_the_reference_compares_some_pairs_again(self):
+        mul, identity, invs = WALKS["s6"]
+        calls, ref_products = logged_walk(reference_elementary_abelian_search, mul, identity, invs)
+        _, products = logged_walk(elementary_abelian_search, mul, identity, invs)
+        assert max(compared_pairs(ref_products).values()) > 1
+        assert len(products) < len(ref_products)
+        # and the pruning walks above do prune: fewer subgroups are offered
+        assert len(logged_walk(elementary_abelian_search, mul, identity, invs, 3)[0]) < len(calls)
+
+    @pytest.mark.parametrize("ceiling", [True, False], ids=["ceiling", "full"])
+    @pytest.mark.parametrize("case", SMALL_FAMILIES + sorted(TABLE_REPS), ids=str)
+    def test_isotropy_walks(self, case, ceiling, monkeypatch):
+        G, reps = table_reps(case) if case in TABLE_REPS else stock(*case)
+        factor_sets = [reps] + ([[rep] for rep in reps] if case in TABLE_REPS else [])
+        walk = repaction.elementary_abelian_search
+        if not ceiling:
+            monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda *args: None)
+        for factors in factor_sets:
+            got = logged_isotropy(walk, G, factors, monkeypatch)
+            expected = logged_isotropy(reference_elementary_abelian_search, G, factors, monkeypatch)
+            assert got[:2] == expected[:2]
+            pairs = compared_pairs(got[2])
+            assert max(pairs.values(), default=1) == 1
+            assert set(pairs) == set(compared_pairs(expected[2]))
+
+
 class TestFrobeniusTraces:
     @pytest.mark.parametrize("n, t, seed", TRACE_FAMILIES, ids=str)
     def test_stock_reps_take_the_central_path_and_match_the_action(self, n, t, seed):
@@ -633,6 +755,13 @@ class TestIsotropyCeiling:
         assert all(res.rank <= ceiling for res, ceiling in zip(fast, ceilings))
         if name.startswith("c2^"):  # <1> acts as -1, so the ceiling r - 1 is the answer
             assert fast[0].rank == ceilings[0] == int(name[3:]) - 1
+
+    @pytest.mark.parametrize(
+        "seed, witness", [(0, (29, 41, 74, 99, 389)), (1, (20, 66, 132, 267, 329))]
+    )
+    def test_order_2048_answers_are_pinned(self, seed, witness):
+        G, reps = stock(9, 2, seed)
+        assert max_isotropy_rank(G, reps) == (5, witness)
 
     def test_order_4096_finishes_in_desk_time(self):
         G, reps = stock(10, 2, 0)
