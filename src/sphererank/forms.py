@@ -3,12 +3,11 @@
 A FormFamily holds t alternating forms on F2^n as int Gram rows, `grams`,
 and per form the int rows of its strictly-lower-triangular half L (row i,
 col j entry = gram[i][j] for i > j).  The rows are checked once, where data
-enters (`FormFamily.from_grams`, `FormFamily.from_json_dict`);
-`random_family` builds symmetric zero-diagonal rows by construction and
-checks nothing, and `AlternatingForm` is only a read-only view of one form
-as a BitMatrix.  The derived quadratic refinement
-q_s(e) = e^T L_s e satisfies q_s(basis vector) = 0 and polarizes to the
-form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
+enters, in `FormFamily.from_json_dict`; `random_family` builds symmetric
+zero-diagonal rows by construction and checks nothing, and `AlternatingForm`
+is only a read-only view of one form as a BitMatrix.  The derived quadratic
+refinement q_s(e) = e^T L_s e satisfies q_s(basis vector) = 0 and polarizes
+to the form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
 
 The lower-triangle convention is frozen: any other triangle choice gives an
 equivalent theory but different serialized bits.
@@ -47,21 +46,20 @@ class FormFamily:
     """t alternating forms on F2^n as int Gram rows, plus their lower triangles.
 
     `grams[s]` holds the n int rows of form s's Gram matrix (entry j of row i
-    is bit j), symmetric with a zero diagonal; `lower[s]` holds the same rows,
-    row i masked to its bits below the diagonal.  The constructor trusts its
-    rows: data is checked where it enters, in `from_grams` and
+    is bit j), symmetric with a zero diagonal; t is their count and `lower[s]`
+    holds the same rows, row i masked to its bits below the diagonal.  The
+    constructor trusts its rows: data is checked where it enters, in
     `from_json_dict`, and `random_family` builds alternating rows by
     construction.
     """
 
     n: int
-    t: int
     grams: tuple[tuple[int, ...], ...]
+    t: int = field(init=False)  # len(grams)
     lower: tuple[tuple[int, ...], ...] = field(init=False)  # derived from the grams
 
     def __post_init__(self):
-        if self.t != len(self.grams):
-            raise ValueError("family size mismatch")
+        object.__setattr__(self, "t", len(self.grams))
         masks = [(1 << i) - 1 for i in range(self.n)]  # row i keeps its bits below i
         lower = tuple([tuple(map(and_, rows, masks)) for rows in self.grams])
         object.__setattr__(self, "lower", lower)
@@ -71,20 +69,6 @@ class FormFamily:
         """Each form as an `AlternatingForm` view over a `BitMatrix`, built per call."""
         n = self.n
         return tuple(AlternatingForm(n, BitMatrix(n, n, rows)) for rows in self.grams)
-
-    @classmethod
-    def from_grams(cls, grams: Sequence[BitMatrix]) -> FormFamily:
-        if not grams:
-            raise ValueError("need at least one form")
-        n = grams[0].rows
-        for g in grams:
-            if g.rows != n or g.cols != n:
-                raise ValueError("gram must be n x n")
-            if not g.is_symmetric():
-                raise ValueError("gram must be symmetric")
-            if not g.has_zero_diagonal():
-                raise ValueError("gram must have zero diagonal")
-        return cls(n, len(grams), tuple(g.row_data for g in grams))
 
     def beta(self, e: BitVector, e2: BitVector) -> BitVector:
         """Cocycle (e^T L_s e2)_s, a vector of t bits."""
@@ -126,14 +110,15 @@ class FormFamily:
             if g.rows != n or g.cols != n:
                 failing.append(f"forms[{s}]: expected {n}x{n} matrix")
                 continue
-            if not g.is_symmetric():
+            rows = g.row_data
+            if tuple(_transpose_bits(rows, n)) != rows:
                 failing.append(f"forms[{s}]: gram not symmetric")
-            if not g.has_zero_diagonal():
+            if any(r >> i & 1 for i, r in enumerate(rows)):
                 failing.append(f"forms[{s}]: gram diagonal not zero")
-            grams.append(g)
+            grams.append(rows)
         if failing:
             raise SchemaError(failing)
-        return cls(n, t, tuple(g.row_data for g in grams))
+        return cls(n, tuple(grams))
 
 
 def quadratic_refinement(fam: FormFamily, e: BitVector) -> BitVector:
@@ -168,7 +153,7 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
             bits >>= i
         upper = _transpose_bits(lower, n)
         grams.append(tuple(map(or_, lower, upper)))
-    return FormFamily(n, t, tuple(grams))
+    return FormFamily(n, tuple(grams))
 
 
 # -- quadratic systems -------------------------------------------------------
@@ -244,7 +229,7 @@ def common_zero_quadratics(sys: QuadraticSystem) -> Optional[BitVector]:
     first = [(_FIRST_VARS, 1)] if v > _FIRST_VARS else []  # (sliced vars, block count)
     for low, blocks in first + [(main, 1 << (v - main))]:
         full = (1 << (1 << low)) - 1
-        x = _coordinate_masks(low)
+        x = list(_coordinate_masks(low))
         for block in range(blocks):
             x[low:] = [full if block >> k & 1 else 0 for k in range(v - low)]
             zero = full ^ (block == 0)  # the point 0 is not a candidate

@@ -83,42 +83,26 @@ class BitMatrix:
             raise ValueError(f"bits set beyond dimension {self.cols}")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> BitMatrix:
-        if not rows:
-            raise ValueError("cannot infer column count from zero rows")
-        cols = rows[0].n
-        if any(v.n != cols for v in rows):
-            raise ValueError("row length mismatch")
-        return cls(len(rows), cols, tuple(v.bits for v in rows))
-
-    @classmethod
     def from_bits(cls, rows: int, cols: int, bits: Sequence[int]) -> BitMatrix:
         return cls(rows, cols, tuple(bits))
 
     @classmethod
     def from_strings(cls, data: Sequence[str]) -> BitMatrix:
+        """One row per '0'/'1' string, all of one length; at least one row."""
         if not isinstance(data, (list, tuple)) or not all(isinstance(s, str) for s in data):
             raise ValueError("must be a list of '0'/'1' strings")
         rows = [BitVector.from_string(s) for s in data]
+        if not rows:
+            raise ValueError("cannot infer column count from zero rows")
         if len({r.n for r in rows}) > 1:
             raise ValueError("ragged rows")
-        return cls.from_rows(rows)
+        return cls(len(rows), rows[0].n, tuple(r.bits for r in rows))
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.cols, self.row_data[i])
 
     def row_bits(self) -> list[int]:
         return list(self.row_data)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def is_symmetric(self) -> bool:
-        rows = self.row_data
-        return self.is_square() and tuple(_transpose_bits(rows, self.cols)) == rows
-
-    def has_zero_diagonal(self) -> bool:
-        return self.is_square() and not any(r >> i & 1 for i, r in enumerate(self.row_data))
 
 
 def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
@@ -142,21 +126,15 @@ def fold_rows(rows: Sequence[int], bits: int) -> int:
     return acc
 
 
-def _coordinate_masks(n: int) -> list[int]:
+@lru_cache(maxsize=1)
+def _coordinate_masks(n: int) -> tuple[int, ...]:
     """Bit-sliced coordinates: X[i] has bit v set iff bit i of v is set, v < 2^n.
 
     fold_rows(X, m) is then the 2^n-bit indicator of parity(m & v), a linear
     functional evaluated at every v at once.  The masks of the last n asked
-    for are kept (n ints of 2^n bits, 2.6 MB at n = 20); each caller gets a
-    list of its own, which it may overwrite.
+    for are kept (n ints of 2^n bits, 2.6 MB at n = 20).  Each mask is built
+    by doubling a block of period 2^(i+1), so it costs n - i shifts.
     """
-    return list(_coordinate_mask_tuple(n))
-
-
-@lru_cache(maxsize=1)
-def _coordinate_mask_tuple(n: int) -> tuple[int, ...]:
-    """The masks of `_coordinate_masks`, built by doubling a block of period
-    2^(i+1), so each mask costs n - i shifts."""
     size = 1 << n
     out = []
     for i in range(n):
@@ -259,10 +237,6 @@ class Subspace:
                 raise ValueError("length mismatch")
             bits.append(v.bits)
         return cls(ambient_dim, tuple(BitVector(ambient_dim, b) for b in _rref_bits(bits)))
-
-    @classmethod
-    def full(cls, n: int) -> Subspace:
-        return cls(n, tuple(BitVector.basis(n, i) for i in range(n)))
 
     @property
     def dim(self) -> int:

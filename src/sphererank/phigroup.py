@@ -137,14 +137,9 @@ def _q_masks(fam: FormFamily) -> list[int]:
     return [_quadratic_mask(x, rows) for rows in fam.lower]
 
 
-def _qzero_vectors(fam: FormFamily, q_masks: Optional[list[int]] = None) -> list[int]:
-    """All nonzero a-vectors with q(v) = 0, ascending.
-
-    Read off the masks of `_q_masks`, which are computed here unless the
-    caller already holds them.
-    """
-    if q_masks is None:
-        q_masks = _q_masks(fam)
+def _qzero_vectors(fam: FormFamily, q_masks: list[int]) -> list[int]:
+    """All nonzero a-vectors with q(v) = 0, ascending, read off the masks
+    `_q_masks(fam)`."""
     nonzero = 0
     for q in q_masks:
         nonzero |= q
@@ -189,7 +184,7 @@ def _max_isotropic_exhaustive(fam: FormFamily) -> tuple[int, ...]:
     gram_rows = fam.grams
     best: tuple[int, ...] = ()
     visited: set[tuple[int, ...]] = {()}
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam))]
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam, _q_masks(fam)))]
     work = 0
     while stack:
         basis, cand = stack.pop()

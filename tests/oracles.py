@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the package's bit-packed code paths:
 matrices are lists of lists, polynomials are dicts of exponent tuples,
-eigenvalue questions go through exact rational arithmetic.
+eigenvalue questions go through exact rational arithmetic.  The two
+family builders, `family` and `zero_family`, are the exception: they are
+not oracles but fixtures, and go through the package's one checked door for
+form families, `FormFamily.from_json_dict`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from weakref import WeakKeyDictionary
+
+from sphererank.forms import FormFamily
 
 
 # -- naive GF(2) linear algebra -------------------------------------------------
@@ -112,6 +117,18 @@ def bitstream_family(n: int, t: int, next_word) -> list[list[int]]:
                     rows[j] |= 1 << i
         grams.append(rows)
     return grams
+
+
+def family(*forms: list[str]) -> FormFamily:
+    """The family of the given Gram matrices, each a list of '0'/'1' row
+    strings, built through the JSON door that checks every family read."""
+    return FormFamily.from_json_dict({"n": len(forms[0]), "t": len(forms), "forms": list(forms)})
+
+
+def zero_family(n: int, t: int) -> FormFamily:
+    """t zero forms on F2^n, which present the elementary abelian group of
+    order 2^(n+t)."""
+    return family(*[["0" * n] * n] * t)
 
 
 def enumerate_subspaces(n: int, d: int):

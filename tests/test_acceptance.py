@@ -15,7 +15,6 @@ import time
 from sphererank.bounds import browder_min_m, carlsson_min_m, free_rank_rp, gl_rank_audit, perm_rank_audit
 from sphererank.cli import dispatch
 from sphererank.forms import (
-    FormFamily,
     QuadraticSystem,
     common_zero_quadratics,
     quadratic_refinement,
@@ -44,11 +43,13 @@ from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
     enumerate_subspaces,
+    family,
     form_value_bits,
     naive_poly_values,
     rational_has_plus_one_eigenvalue,
     signed_action,
     tables_isomorphic,
+    zero_family,
 )
 
 
@@ -64,10 +65,6 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = dispatch(list(argv))
     return code, json.loads(buf.getvalue())
-
-
-def d8_group() -> PhiGroup:
-    return PhiGroup(FormFamily.from_grams([BitMatrix.from_strings(["01", "10"])]))
 
 
 def phi_table(G: PhiGroup):
@@ -102,7 +99,7 @@ def test_criterion_02_browder_carlsson_numbers():
 
 def test_criterion_03_d8_oracle_equivalence():
     t0 = time.monotonic()
-    G = d8_group()
+    G = PhiGroup(family(["01", "10"]))
     table = phi_table(G)
     assert tables_isomorphic(table, dihedral_table(4))
     brute_rank = brute_max_elem_abelian_rank(lambda i, j: table[i][j], 8)
@@ -161,8 +158,7 @@ def test_criterion_05_rank_formula_oracle_equivalence():
         assert group_rank(G) == brute_max_elem_abelian_rank(lambda i, j: table[i][j], G.order)
         checked += 1
     # abelian edge case: every form zero means the group is (Z/2)^(n+t)
-    zero = FormFamily.from_grams([BitMatrix.from_bits(4, 4, [0] * 4)] * 2)
-    Gz = PhiGroup(zero)
+    Gz = PhiGroup(zero_family(4, 2))
     tz = phi_table(Gz)
     assert group_rank(Gz) == 6 == brute_max_elem_abelian_rank(lambda i, j: tz[i][j], 64)
     # branch and bound agrees with the exhaustive mode on n <= 10 instances
@@ -239,7 +235,7 @@ def test_criterion_08_regular_sequences_and_dimension():
 def _eigen_corpus():
     c4 = GroupOracle.from_table(cyclic_table(4))
     q8 = GroupOracle.from_table(quaternion_table())
-    d8 = GroupOracle.from_phi_group(d8_group())
+    d8 = GroupOracle.from_phi_group(PhiGroup(family(["01", "10"])))
     e4 = GroupOracle.from_table(elementary_abelian_table(2))
     desk = GroupOracle.from_phi_group(PhiGroup(random_family(3, 2, 31337)))
     corpus = [

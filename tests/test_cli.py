@@ -6,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sphererank.cli import (
     EXIT_BAD_JSON,
@@ -496,6 +498,48 @@ class TestArgumentDocuments:
         )
 
 
+# strings over a small alphabet, so no echoed value can spell Python text
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("01a", max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("nt"), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def family_documents(draw):
+    """An alternating family document with up to three faults: a key left out,
+    or n, t, the forms, one form, one row or one entry replaced."""
+    n, t = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    forms = []
+    for _ in range(t):
+        e = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                e[i][j] = e[j][i] = draw(st.integers(0, 1))
+        forms.append(["".join(map(str, row)) for row in e])
+    doc = {"n": n, "t": t, "forms": forms}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "n", "t", "forms", "form", "row", "entry"]))
+        k = draw(st.integers(0, t - 1))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if fault == "drop":
+            doc.pop(draw(st.sampled_from(["n", "t", "forms"])), None)
+        elif fault in ("n", "t"):
+            doc[fault] = draw(st.integers(-1, 5) | JSON_VALUES)
+        elif fault == "forms":
+            doc["forms"] = draw(JSON_VALUES)
+        elif fault == "form":
+            forms[k] = draw(st.lists(st.text("01", max_size=5), max_size=5) | JSON_VALUES)
+        elif fault == "row" and isinstance(forms[k], list) and i < len(forms[k]):
+            forms[k][i] = draw(st.text("01", max_size=5) | JSON_VALUES)
+        elif fault == "entry" and isinstance(forms[k], list) and i < len(forms[k]):
+            row = forms[k][i]
+            if isinstance(row, str) and j < len(row):
+                forms[k][i] = row[:j] + "10"[int(row[j] == "1")] + row[j + 1:]
+    return doc
+
+
 class TestInputDocuments:
     """Ideal, action, system and family documents: a value of the wrong type,
     booleans included, is a validation error on its field."""
@@ -591,6 +635,26 @@ class TestInputDocuments:
     def test_bad_family(self, capsys, tmp_path, doc, field):
         code, obj = run(capsys, "group", "rank", "--family", self.write(tmp_path, doc))
         assert_clean_validation(code, obj, [field])
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=family_documents())
+    def test_any_family_document_gets_a_clean_answer(self, capsys, tmp_path, doc):
+        code, obj = run(capsys, "group", "info", "--family", self.write(tmp_path, doc))
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_GUARD, EXIT_BAD_JSON), (code, doc)
+        if code == EXIT_OK:
+            assert obj["result"]["n"] == doc["n"] and obj["result"]["t"] == doc["t"]
+            return
+        error = obj["error"]
+        assert type(error["code"]) is str and type(error["message"]) is str, error
+        assert not PYTHON_TEXT.search(error["message"]), (error, doc)
+        if code == EXIT_VALIDATION:
+            assert error["code"] == "validation" and error["fields"], (error, doc)
+            assert all(type(f) is str for f in error["fields"])
+        elif code == EXIT_GUARD:
+            assert error["code"] == "guard_exceeded" and error["guard"], error
+        else:
+            assert error["code"] == "malformed_json", error
 
 
 class TestNumericFlags:

@@ -22,16 +22,12 @@ from sphererank.rng import SplitMix64
 from oracles import (
     bitstream_family,
     brute_smallest_common_zero,
+    family,
     form_value_bits,
     naive_form_value,
     naive_poly_values,
+    zero_family,
 )
-
-SYMPLECTIC_2 = BitMatrix.from_strings(["01", "10"])
-
-
-def d8_family() -> FormFamily:
-    return FormFamily.from_grams([SYMPLECTIC_2])
 
 
 def random_vec(rng, n):
@@ -57,18 +53,9 @@ class TestFormValueBits:
             )
 
 
-class TestFromGrams:
-    @pytest.mark.parametrize("grams, message", [
-        ([["01", "10"], ["010", "100", "000"]], "gram must be n x n"),  # sizes differ
-        ([["01", "00"]], "gram must be symmetric"),
-        ([["11", "10"]], "gram must have zero diagonal"),
-    ])
-    def test_rejects_malformed_gram(self, grams, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            FormFamily.from_grams([BitMatrix.from_strings(rows) for rows in grams])
-
-    def test_accepts_symplectic(self):
-        assert FormFamily.from_grams([SYMPLECTIC_2]).lower == ((0, 1),)
+class TestLowerTriangles:
+    def test_symplectic(self):
+        assert family(["01", "10"]).lower == ((0, 1),)
 
     def test_family_lower_triangles_are_the_masked_gram_rows(self):
         rng = random.Random(20)
@@ -93,7 +80,7 @@ class TestQuadraticRefinement:
                 assert quadratic_refinement(fam, BitVector.basis(n, i)).is_zero()
 
     def test_d8_diagonal_vector(self):
-        q = quadratic_refinement(d8_family(), BitVector.from_string("11"))
+        q = quadratic_refinement(family(["01", "10"]), BitVector.from_string("11"))
         assert q.to_string() == "1"
 
     def test_polarization_identity(self):
@@ -113,15 +100,14 @@ class TestQuadraticRefinement:
 
 class TestCommonRadical:
     def test_zero_family_full_radical(self):
-        fam = FormFamily.from_grams([BitMatrix.from_bits(3, 3, [0, 0, 0])])
-        assert common_radical(fam) == Subspace.full(3)
+        full = Subspace.span(3, [BitVector.basis(3, i) for i in range(3)])
+        assert common_radical(zero_family(3, 1)) == full
 
     def test_d8_trivial_radical(self):
-        assert common_radical(d8_family()).dim == 0
+        assert common_radical(family(["01", "10"])).dim == 0
 
     def test_block_family(self):
-        gram = BitMatrix.from_strings(["010", "100", "000"])
-        rad = common_radical(FormFamily.from_grams([gram]))
+        rad = common_radical(family(["010", "100", "000"]))
         assert rad.dim == 1 and rad.basis[0].to_string() == "001"
 
     def test_contained_in_every_kernel(self):
@@ -167,10 +153,10 @@ class TestRandomFamily:
                 assert [list(rows) for rows in fam.grams] == ref
 
     def test_alternating_by_construction(self):
-        fam = random_family(6, 2, 9)
-        for rows in fam.grams:
-            gram = BitMatrix(6, 6, rows)
-            assert gram.is_symmetric() and gram.has_zero_diagonal()
+        # the checked door accepts every family drawn, and reads back the same rows
+        for n, t, seed in ((1, 1, 0), (2, 3, 5), (6, 2, 9), (13, 4, 17)):
+            fam = random_family(n, t, seed)
+            assert FormFamily.from_json_dict(fam.to_json_dict()) == fam
 
     def test_the_form_views_read_the_gram_rows(self):
         # the reading of `fam.forms` that the benchmark's family writer relies on
@@ -251,6 +237,34 @@ class TestFamilyJson:
         with pytest.raises(SchemaError) as exc:
             FormFamily.from_json_dict(doc)
         assert exc.value.fields == fields
+
+    def test_accepts_exactly_the_alternating_matrices(self):
+        # entrywise facts on lists of 0/1 entries, against the door's verdict
+        rng = random.Random(13)
+        checked = 0
+        for n in range(1, 8):
+            for _ in range(20):
+                m = [[rng.getrandbits(1) for _ in range(n)] for _ in range(n)]
+                # m + m^T is symmetric with zero diagonal; then a random diagonal
+                sym = [[m[i][j] ^ m[j][i] for j in range(n)] for i in range(n)]
+                diag = [[e ^ (i == j and rng.getrandbits(1)) for j, e in enumerate(row)]
+                        for i, row in enumerate(sym)]
+                for e in (m, sym, diag):
+                    symmetric = all(e[i][j] == e[j][i] for i in range(n) for j in range(i))
+                    zero_diag = all(e[i][i] == 0 for i in range(n))
+                    doc = {"n": n, "t": 1, "forms": [["".join(map(str, row)) for row in e]]}
+                    if symmetric and zero_diag:
+                        fam = FormFamily.from_json_dict(doc)
+                        assert fam.grams == (tuple(sum(b << j for j, b in enumerate(row))
+                                                   for row in e),)
+                        checked += 1
+                        continue
+                    with pytest.raises(SchemaError) as exc:
+                        FormFamily.from_json_dict(doc)
+                    assert exc.value.fields == (
+                        ["forms[0]: gram not symmetric"] * (not symmetric)
+                        + ["forms[0]: gram diagonal not zero"] * (not zero_diag))
+        assert checked >= 140
 
     def test_asymmetric_gram_rejected_with_field(self):
         bad = {"n": 2, "t": 1, "forms": [["01", "00"]]}

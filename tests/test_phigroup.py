@@ -7,12 +7,8 @@ import pytest
 
 from sphererank import phigroup
 from sphererank.errors import GuardExceeded
-from sphererank.forms import (
-    FormFamily,
-    quadratic_refinement,
-    random_family,
-)
-from sphererank.gf2 import BitMatrix, BitVector, Subspace
+from sphererank.forms import FormFamily, quadratic_refinement, random_family
+from sphererank.gf2 import BitVector, Subspace
 from sphererank.phigroup import (
     IsotropicResult,
     _q_masks,
@@ -35,6 +31,7 @@ from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
     enumerate_subspaces,
+    family,
     form_value_bits,
     naive_form_value,
     naive_qzero_vectors,
@@ -43,15 +40,8 @@ from oracles import (
     span_bits,
     tables_isomorphic,
     witt_index_single,
+    zero_family,
 )
-
-
-def d8_group() -> PhiGroup:
-    return PhiGroup(FormFamily.from_grams([BitMatrix.from_strings(["01", "10"])]))
-
-
-def zero_family(n, t) -> FormFamily:
-    return FormFamily.from_grams([BitMatrix.from_bits(n, n, [0] * n) for _ in range(t)])
 
 
 def random_element(rng, G):
@@ -111,7 +101,7 @@ def scan_max_qzero_dim(fam: FormFamily) -> int:
 
 class TestGroupArithmetic:
     def test_d8_commutator_realizes_form(self):
-        G = d8_group()
+        G = PhiGroup(family(["01", "10"]))
         a1, a2 = 1 << 0, 1 << 1
         assert G.mul(a1, a2) == 0b11
         assert G.mul(a2, a1) == 0b11 | 1 << 2
@@ -146,7 +136,7 @@ class TestGroupArithmetic:
                 assert a_part(G, comm).is_zero() and b_part(G, comm) == expected
 
     def test_element_order_examples(self):
-        G = d8_group()
+        G = PhiGroup(family(["01", "10"]))
         assert element_order(G, 0) == 1
         assert element_order(G, 1 << 0) == 2
         assert element_order(G, G.b_ids()[0]) == 2
@@ -179,22 +169,23 @@ class TestGroupArithmetic:
 
 class TestD8Oracle:
     def test_isomorphic_to_hand_built_dihedral(self):
-        assert tables_isomorphic(phi_mul_table(d8_group()), dihedral_table(4))
+        assert tables_isomorphic(phi_mul_table(PhiGroup(family(["01", "10"]))), dihedral_table(4))
 
     def test_not_isomorphic_to_abelian(self):
         abelian = phi_mul_table(PhiGroup(zero_family(2, 1)))
-        assert not tables_isomorphic(phi_mul_table(d8_group()), abelian)
+        assert not tables_isomorphic(phi_mul_table(PhiGroup(family(["01", "10"]))), abelian)
 
 
 class TestCenter:
     def test_zero_family_abelian(self):
         G = PhiGroup(zero_family(3, 2))
         radical, rank = center(G)
-        assert radical == Subspace.full(3) and rank == 5
+        full = Subspace.span(3, [BitVector.basis(3, i) for i in range(3)])
+        assert radical == full and rank == 5
         assert center_order4_dim(G) == 0
 
     def test_d8_center_is_b(self):
-        radical, rank = center(d8_group())
+        radical, rank = center(PhiGroup(family(["01", "10"])))
         assert radical.dim == 0 and rank == 1
 
     def test_against_brute_force_centralizer(self):
@@ -221,13 +212,14 @@ class TestCenter:
 class TestIsotropicSearch:
     def test_zero_family_full_space(self):
         fam = zero_family(4, 2)
+        full = Subspace.span(4, [BitVector.basis(4, i) for i in range(4)])
         for mode in ("exhaustive", "branch_and_bound"):
             res = max_isotropic_qzero(fam, mode=mode)
-            assert res.dim == 4 and res.witness == Subspace.full(4)
+            assert res.dim == 4 and res.witness == full
 
     def test_d8_instance(self):
         for mode in ("exhaustive", "branch_and_bound"):
-            res = max_isotropic_qzero(d8_group().fam, mode=mode)
+            res = max_isotropic_qzero(family(["01", "10"]), mode=mode)
             assert res.dim == 1
             assert res.witness.basis[0].to_string() in ("10", "01")
 
@@ -289,16 +281,18 @@ class TestQZeroScan:
         for n in range(1, 11):
             for t in range(1, 4):
                 fam = random_family(n, t, rng.getrandbits(64))
-                assert _qzero_vectors(fam) == naive_qzero_vectors(gram_lists(fam), n), (n, t)
+                expected = naive_qzero_vectors(gram_lists(fam), n)
+                assert _qzero_vectors(fam, _q_masks(fam)) == expected, (n, t)
 
     def test_all_zero_forms(self):
         for n, t in [(1, 1), (3, 2), (6, 3)]:
-            assert _qzero_vectors(zero_family(n, t)) == list(range(1, 1 << n))
+            fam = zero_family(n, t)
+            assert _qzero_vectors(fam, _q_masks(fam)) == list(range(1, 1 << n))
 
     def test_sampled_vectors_at_n16(self):
         fam = random_family(16, 2, 77)
         grams = gram_lists(fam)
-        found = _qzero_vectors(fam)
+        found = _qzero_vectors(fam, _q_masks(fam))
         assert found == sorted(set(found)) and found[0] > 0 and found[-1] < 1 << 16
         zero = set(found)
         rng = random.Random(9)
@@ -353,7 +347,7 @@ class TestWittCeiling:
         for n, t in [(1, 1), (4, 2), (5, 3)]:
             fam = zero_family(n, t)
             assert _witt_ceiling(fam, _q_masks(fam)) == n
-        fam = d8_group().fam  # q = x0 x1: Arf invariant 0
+        fam = family(["01", "10"])  # q = x0 x1: Arf invariant 0
         assert _witt_ceiling(fam, _q_masks(fam)) == 1
 
     def test_every_family_reaches_the_lemma_bound(self):
@@ -371,7 +365,8 @@ class TestWittCeiling:
                     if witt == (n - 1) // 2:
                         attained.add(n)
         assert attained == set(range(3, 15))
-        for fam in [zero_family(n, t) for n, t in [(1, 1), (4, 2), (5, 3)]] + [d8_group().fam]:
+        zeros = [zero_family(n, t) for n, t in [(1, 1), (4, 2), (5, 3)]]
+        for fam in zeros + [family(["01", "10"])]:
             assert _witt_ceiling(fam, _q_masks(fam)) >= (fam.n - 1) // 2
 
     def test_a_ceiling_at_or_below_the_lemma_skips_the_witt_ceiling(self, monkeypatch):
@@ -429,7 +424,7 @@ class TestGroupRank:
         assert group_rank(PhiGroup(zero_family(3, 2))) == 5
 
     def test_d8(self):
-        G = d8_group()
+        G = PhiGroup(family(["01", "10"]))
         assert group_rank(G) == 2
         table = phi_mul_table(G)
         assert brute_max_elem_abelian_rank(lambda i, j: table[i][j], G.order) == 2
@@ -551,7 +546,7 @@ class TestSearchForms:
 
 class TestExtensionProfile:
     def test_d8(self):
-        profile = extension_profile(d8_group())
+        profile = extension_profile(PhiGroup(family(["01", "10"])))
         assert (profile.T, profile.N) == (2, 1)
 
     def test_zero_family(self):
@@ -574,7 +569,7 @@ class TestExtensionProfile:
         monkeypatch.setattr(phigroup, "max_isotropic_qzero", fake)
 
     def test_lift_with_an_order_4_element_is_refused(self, monkeypatch):
-        G = d8_group()
+        G = PhiGroup(family(["01", "10"]))
         v = BitVector(2, 0b11)
         assert not quadratic_refinement(G.fam, v).is_zero()
         self._with_witness(monkeypatch, Subspace.span(2, [v]))
@@ -582,11 +577,11 @@ class TestExtensionProfile:
             extension_profile(G)
 
     def test_non_abelian_lift_is_refused(self, monkeypatch):
-        G = d8_group()
-        u, v = Subspace.full(2).basis
+        G = PhiGroup(family(["01", "10"]))
+        u, v = BitVector.basis(2, 0), BitVector.basis(2, 1)
         assert quadratic_refinement(G.fam, u).is_zero() and quadratic_refinement(G.fam, v).is_zero()
         assert form_value_bits(G.fam.grams[0], u.bits, v.bits) == 1
-        self._with_witness(monkeypatch, Subspace.full(2))
+        self._with_witness(monkeypatch, Subspace.span(2, [u, v]))
         with pytest.raises(AssertionError, match="^lifted subgroup is not abelian$"):
             extension_profile(G)
 

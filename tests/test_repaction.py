@@ -8,8 +8,8 @@ from itertools import permutations
 import pytest
 
 from sphererank.errors import SchemaError
-from sphererank.forms import FormFamily, random_family
-from sphererank.gf2 import BitMatrix, BitVector
+from sphererank.forms import random_family
+from sphererank.gf2 import BitVector
 from sphererank import repaction
 from sphererank.phigroup import PhiGroup, group_rank, max_isotropic_qzero
 from sphererank.repaction import (
@@ -32,6 +32,7 @@ from oracles import (
     brute_max_elem_abelian_rank,
     dihedral_table,
     direct_product_table,
+    family,
     gl2_matrices,
     is_group_table,
     naive_mat_mul,
@@ -66,9 +67,7 @@ def accepts(table: list[list[int]]) -> bool:
 
 
 def d8_oracle() -> GroupOracle:
-    return GroupOracle.from_phi_group(
-        PhiGroup(FormFamily.from_grams([BitMatrix.from_strings(["01", "10"])]))
-    )
+    return GroupOracle.from_phi_group(PhiGroup(family(["01", "10"])))
 
 
 def cyclic4() -> GroupOracle:
