@@ -15,7 +15,7 @@ from sphererank.forms import (
     quadratic_refinement,
     random_family,
 )
-from sphererank.gf2 import BitMatrix, BitVector, Subspace
+from sphererank.gf2 import BitMatrix, BitVector, Subspace, _coordinate_masks
 from sphererank.phigroup import search_forms
 from sphererank.rng import SplitMix64
 
@@ -53,8 +53,10 @@ class TestFormValueBits:
             )
 
 
-class TestLowerTriangles:
-    def test_symplectic(self):
+class TestFromGrams:
+    """A family built from its Gram rows, through the checked door or a draw."""
+
+    def test_accepts_symplectic(self):
         assert family(["01", "10"]).lower == ((0, 1),)
 
     def test_family_lower_triangles_are_the_masked_gram_rows(self):
@@ -68,6 +70,16 @@ class TestLowerTriangles:
                 for i in range(n):
                     for j in range(n):
                         assert rows[i] >> j & 1 == (j < i and gram[i] >> j & 1)
+
+
+class TestConstructor:
+    def test_t_is_the_number_of_grams(self):
+        for t in range(1, 5):
+            fam = FormFamily(2, ((2, 1),) * t)
+            assert fam.t == t and fam.lower == ((0, 1),) * t
+            assert fam.beta(BitVector(2, 1), BitVector(2, 2)).n == t
+        with pytest.raises(TypeError):
+            FormFamily(2, ((2, 1),), 1)  # t is derived, not passed
 
 
 class TestQuadraticRefinement:
@@ -313,6 +325,14 @@ class TestCommonZero:
             polys = [[m for m in monos if rng.random() < density] for _ in range(rng.randint(0, 4))]
             z = common_zero_quadratics(QuadraticSystem.from_lists(v, polys))
             assert (z.bits if z else None) == brute_smallest_common_zero(v, polys), (v, polys)
+
+    def test_a_scan_leaves_the_cached_coordinate_masks_intact(self):
+        # v = 17 scans two blocks of 2^16 points and overwrites x[16] in its own copy;
+        # x16 + 1 vanishes only where x16 = 1, so the first zero is in the second block
+        z = common_zero_quadratics(QuadraticSystem.from_lists(17, [[(16,), ()]]))
+        assert z == BitVector(17, 1 << 16)
+        masks = _coordinate_masks(16)
+        assert type(masks) is tuple and masks == _coordinate_masks.__wrapped__(16)
 
     @staticmethod
     def _planted(v, zero, q, rng):

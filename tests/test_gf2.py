@@ -92,6 +92,18 @@ class TestBitMatrixShapeChecks:
         refused(lambda: BitMatrix.from_bits(3, 3, [0, 0]), "row count mismatch")
         refused(lambda: BitMatrix.from_bits(0, 2, [1]), "row count mismatch")
 
+    def test_from_strings_refusals(self):
+        refused(lambda: BitMatrix.from_strings([]), "cannot infer column count from zero rows")
+        refused(lambda: BitMatrix.from_strings(["01", "1"]), "ragged rows")
+        refused(lambda: BitMatrix.from_strings("0110"), "must be a list of '0'/'1' strings")
+        refused(lambda: BitMatrix.from_strings(["01", 10]), "must be a list of '0'/'1' strings")
+        refused(lambda: BitMatrix.from_strings(["01", "0x"]), "invalid bit string '0x'")
+
+    def test_from_strings_reads_character_j_as_bit_j(self):
+        m = BitMatrix.from_strings(["011", "100"])
+        assert (m.rows, m.cols, m.row_data) == (2, 3, (0b110, 0b001))
+        assert BitMatrix.from_strings(("",)).row_data == (0,)
+
     def test_valid_shapes_still_build(self):
         assert BitMatrix.from_bits(0, 3, []).rows == 0
         m = BitMatrix.from_bits(2, 3, [0b101, 0b010])
