@@ -161,6 +161,54 @@ def _quadratic_mask(x: Sequence[int], rows: Sequence[int]) -> int:
     return acc
 
 
+def _witt_index(gram: Sequence[int]) -> int:
+    """Witt index of the quadratic form Q(v) = sum_{i > j} gram[i][j] v_i v_j on F2^N.
+
+    `gram` holds the N int rows of a symmetric zero-diagonal Gram matrix, the
+    polar form B of Q; Q is the refinement that vanishes on the basis vectors.
+    A symplectic reduction: the first basis vector e still paired with some f,
+    B(e, f) = 1, splits off the plane <e, f>, and every other w becomes
+    w + B(w, f) e + B(w, e) f, orthogonal to both.  On the Gram rows that is
+    row w ^= row e where B(w, f) = 1 and row w ^= row f where B(w, e) = 1,
+    and Q(w) gains B(w, f) Q(e) + B(w, e) Q(f) + B(w, f) B(w, e).  The planes
+    give the rank r and the Arf invariant, the sum of Q(e) Q(f); the vectors
+    left unpaired span the radical, where Q is linear.  The index is
+    r/2 + (N - r), less one when Q is nonzero on the radical or the Arf
+    invariant is 1 (Taylor, The Geometry of the Classical Groups, 1992,
+    ch. 11).  O(N^2) operations on N-bit ints.
+    """
+    rows = list(gram)
+    n = len(rows)
+    q = 0  # bit w: Q of the current basis vector w
+    paired = rank = arf = defect = 0
+    for e in range(n):
+        if paired >> e & 1:
+            continue
+        row_e = rows[e]
+        if not row_e:  # e is orthogonal to everything left: a radical vector
+            defect |= q >> e & 1
+            continue
+        f = row_e & -row_e
+        j = f.bit_length() - 1
+        row_f = rows[j]
+        plane = 1 << e | f
+        paired |= f
+        rank += 2
+        q_e, q_f = q >> e & 1, q >> j & 1
+        arf ^= q_e & q_f
+        hit_f, hit_e = row_f & ~plane, row_e & ~plane  # B(w, f) and B(w, e)
+        q ^= (hit_f if q_e else 0) ^ (hit_e if q_f else 0) ^ (hit_f & hit_e)
+        while hit_f:
+            low = hit_f & -hit_f
+            rows[low.bit_length() - 1] ^= row_e
+            hit_f ^= low
+        while hit_e:
+            low = hit_e & -hit_e
+            rows[low.bit_length() - 1] ^= row_f
+            hit_e ^= low
+    return rank // 2 + n - rank - (defect | arf)
+
+
 def _rref_bits(rows: Iterable[int]) -> list[int]:
     """Reduced row echelon form of int-packed rows, sorted by pivot.
 

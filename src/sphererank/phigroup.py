@@ -16,19 +16,21 @@ first serving as the correctness oracle for the second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
 from .gf2 import (BitVector, Subspace, _coordinate_masks, _quadratic_mask, _reduce_bits,
-                  _rref_bits, fold_rows)
+                  _rref_bits, _witt_index, fold_rows)
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
 ISOTROPIC_EXHAUSTIVE_BUDGET = 40_000_000  # work units, see _max_isotropic_exhaustive
 ISOTROPIC_BNB_GUARD = 20
 SEARCH_TRIAL_BUDGET = 1 << 23  # work units, see search_forms
+_PENCIL_MODULI = (0b111, 0b1011, 0b10011)  # x^2+x+1, x^3+x+1, x^4+x+1: GF(4), GF(8), GF(16)
 
 
 class PhiGroup:
@@ -149,21 +151,108 @@ def _qzero_vectors(fam: FormFamily, q_masks: list[int]) -> list[int]:
     return list(compress(range(len(flags)), flags))
 
 
-def _witt_ceiling(fam: FormFamily, q_masks: list[int]) -> int:
+def _witt_ceiling(fam: FormFamily) -> int:
     """min_s witt(q_s): no subspace on which every q_s vanishes is larger.
 
-    A quadratic form on F2^n whose polar form has rank r has Witt index
-    r/2 + (n - r), less one when it is nonzero on the radical or has Arf
-    invariant 1 (Taylor, The Geometry of the Classical Groups, 1992, ch. 11).
-    Those are exactly the forms that take the value 1 on at least half of
-    F2^n: half when nonzero on the radical, more when the Arf invariant is 1,
-    fewer otherwise.  For t = 1 the ceiling is the exact answer.
+    Each q_s is the refinement of its Gram rows that vanishes on the basis
+    vectors, so `gf2._witt_index` reads it off `fam.grams[s]`.  For t = 1 the
+    ceiling is the exact answer.
     """
-    n = fam.n
-    ceiling = n
-    for rows, q in zip(fam.grams, q_masks):
-        r = len(_rref_bits(rows))
-        ceiling = min(ceiling, n - r // 2 - (2 * q.bit_count() >= 1 << n))
+    return min(map(_witt_index, fam.grams))
+
+
+def _gf_mul(x: int, y: int, modulus: int) -> int:
+    """Product in GF(2)[x] / (modulus): carry-less multiply, then reduce."""
+    top = 1 << (modulus.bit_length() - 1)
+    acc = 0
+    while y:
+        if y & 1:
+            acc ^= x
+        y >>= 1
+        x <<= 1
+        if x & top:
+            x ^= modulus
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _pencil_points(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]:
+    """The points (1 : c) of the pencil scan in order, as (k, c, pairs) at this n.
+
+    GF(2^k) is GF(2)[x] / (modulus) with alpha = x, and c is written in the
+    basis 1, alpha, ..., alpha^(k-1).  T_c[a] holds Tr(c alpha^(a + b)) at bit
+    b; pairs[a] is (S_1[a], S_c[a]), where S_c[a] is T_c[a] with bit b moved
+    to bit b n (see `_pencil_witt`).  The first point is (1 : 1) over GF(2);
+    then, per field of `_PENCIL_MODULI`, one Frobenius-orbit representative c
+    of the elements outside every proper subfield.  Conjugate points give the
+    same Witt index, because the forms are defined over GF(2).
+    """
+    points = [(1, 1, ((1, 1),))]
+    for modulus in _PENCIL_MODULI:
+        k = modulus.bit_length() - 1
+        trace_mask = 0  # bit m: Tr(alpha^m) = sum of the k conjugates of alpha^m
+        for m in range(k):
+            x = acc = 1 << m
+            for _ in range(k - 1):
+                x = _gf_mul(x, x, modulus)
+                acc ^= x
+            trace_mask |= acc << m  # acc is 0 or 1
+
+        def spread_table(c: int) -> list[int]:
+            powers = [c]  # c alpha^m for m <= 2k - 2
+            for _ in range(2 * k - 2):
+                powers.append(_gf_mul(powers[-1], 2, modulus))
+            return [sum(((powers[a + b] & trace_mask).bit_count() & 1) << b * n for b in range(k))
+                    for a in range(k)]
+
+        one = spread_table(1)
+        seen: set[int] = set()
+        for c in range(2, 1 << k):
+            orbit = {c}
+            x = _gf_mul(c, c, modulus)
+            while x != c:
+                orbit.add(x)
+                x = _gf_mul(x, x, modulus)
+            if len(orbit) == k and c not in seen:
+                seen |= orbit
+                points.append((k, c, tuple(zip(one, spread_table(c)))))
+    return tuple(points)
+
+
+def _pencil_witt(fam: FormFamily) -> Iterator[tuple[int, int, int]]:
+    """(k, c, witt_K(q_0 + c q_1)) for each point of `_pencil_points`, lazily.
+
+    Q_c = q_0 + c q_1 on K^n, K = GF(2^k), is read over GF(2) as the trace
+    form Tr Q_c on GF(2)^(kn), with coordinate a n + i the coefficient of
+    alpha^a in x_i.  Its Gram block (a, b) is T_1[a][b] gram_0 + T_c[a][b]
+    gram_1, with no diagonal terms, so row a n + i is
+    gram_0[i] * S_1[a] ^ gram_1[i] * S_c[a]: free of carries, since a Gram
+    row has n bits.  The trace form has the defect of Q_c: it is nonzero on
+    the radical exactly when Q_c is, since Q_c(lambda z) = lambda^2 Q_c(z)
+    there, and its Arf invariant is the trace of that of Q_c.  So
+    witt(Tr Q_c) = k witt_K(Q_c) - defect and witt_K = witt(Tr Q_c) // k.
+    """
+    grams = list(zip(*fam.grams))
+    for k, c, pairs in _pencil_points(fam.n):
+        rows = [x * s_1 ^ y * s_c for s_1, s_c in pairs for x, y in grams]
+        yield k, c, _witt_index(rows) // k
+
+
+def _pencil_ceiling(fam: FormFamily, ceiling: int, target: int) -> int:
+    """min(ceiling, witt_K(q_0 + c q_1)) over the pencil of a t = 2 family,
+    stopping once the minimum is at most `target`.
+
+    A subspace U on which q_0 and q_1 vanish gives a U (x) K on which every
+    Q_c = q_0 + c q_1 vanishes, so dim U <= witt_K(Q_c) for every field K
+    (Elman, Karpenko and Merkurjev, The Algebraic and Geometric Theory of
+    Quadratic Forms, 2008; Scharlau, Math. Z. 147, 1976).  The points are
+    (1 : 1) over GF(2), then those of GF(4), GF(8) and GF(16), seven in all:
+    the single forms are the Witt ceiling's.
+    """
+    for _, _, witt in _pencil_witt(fam):
+        ceiling = min(ceiling, witt)
+        if ceiling <= target:
+            break
     return ceiling
 
 
@@ -258,19 +347,25 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
 
     Returns `best` = [dim, basis, ceiling] (see _bnb_node).  The incumbent
     starts at dim `floor` with an empty basis, and the ceiling is the smaller
-    of `ceiling` and the Witt ceiling.  Every quadratic form on F2^n has Witt
-    index at least (n - 1) // 2, so a `ceiling` at or below that is already
-    the smaller and the Witt ceiling is not computed.  The root candidates,
-    the q-zero vectors, are read only when floor < ceiling, so a decision the
-    Witt ceiling settles builds no candidate list.  Every node works on n-bit
-    ints only.
+    of `ceiling`, the Witt ceiling and, for t = 2, the pencil ceiling.  Every
+    quadratic form in n variables has Witt index at least (n - 1) // 2, over
+    any field, so a `ceiling` at or below that is already the smallest and
+    neither is computed.  The pencil scan runs only while the ceiling is above
+    both the floor and that bound, and stops once it reaches them.  The root
+    candidates, the q-zero vectors, are read only when floor < ceiling, so a
+    decision a ceiling settles builds no candidate list.  Every node works on
+    n-bit ints only.
     """
-    q_masks = _q_masks(fam)
-    if ceiling > (fam.n - 1) // 2:
-        ceiling = min(ceiling, _witt_ceiling(fam, q_masks))
+    lemma = (fam.n - 1) // 2
+    if ceiling > lemma:
+        ceiling = min(ceiling, _witt_ceiling(fam))
+        target = max(floor, lemma)
+        if fam.t == 2 and ceiling > target:
+            ceiling = _pencil_ceiling(fam, ceiling, target)
     best: list = [floor, (), ceiling]
     if floor < ceiling:
-        _bnb_node(fam.grams, best, (), _weight_order(_qzero_vectors(fam, q_masks)))
+        cand = _qzero_vectors(fam, _q_masks(fam))
+        _bnb_node(fam.grams, best, (), _weight_order(cand))
     return best
 
 
@@ -327,7 +422,9 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     condition is reported, trials are skipped, and the skipped guard is
     named.  The same holds for a search over SEARCH_TRIAL_BUDGET work units,
     2^n + 128 t per trial: the q-zero scan and its list grow with 2^n, and
-    the family draw, which dominates below n = 8, with t.  A unit costs at
+    the family draw, which dominates below n = 8, with t.  When t = 2 and
+    k > (n - 1) // 2 a trial may also scan the pencil, seven symplectic
+    reductions of at most 4n rows, charged 16 n^2 more.  A unit costs at
     most about 0.45 us, so a search the budget admits spends at most about
     4 s on a 2-core Xeon outside its branch-and-bound nodes.  n, t or k
     below 1, or a negative trial count, raises ValueError.
@@ -340,7 +437,10 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     condition = 2 * n < t * (k - 1)
     if trials > 0 and n > ISOTROPIC_BNB_GUARD:
         return SearchResult(None, None, condition, 0, "max_isotropic_bnb")
-    if trials * ((1 << n) + (t << 7)) > SEARCH_TRIAL_BUDGET:
+    units = (1 << n) + (t << 7)
+    if t == 2 and k > (n - 1) // 2:
+        units += n * n << 4
+    if trials * units > SEARCH_TRIAL_BUDGET:
         return SearchResult(None, None, condition, 0, "search_trials")
     for trial in range(trials):
         fam = random_family(n, t, derive_seed(seed, trial))

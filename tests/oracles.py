@@ -198,6 +198,83 @@ def witt_index_single(gram: list[list[int]]) -> int:
     return m + r if 2 * zeros > 1 << n else m + r - 1
 
 
+# -- quadratic forms over GF(2^k) -----------------------------------------------
+
+# GF(2^k) = GF(2)[x] / (modulus), an element the bit mask of its coefficients
+GF2K_MODULI = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011}
+
+
+def gf2k_mul_table(k: int) -> list[list[int]]:
+    """Multiplication table of GF(2^k), by schoolbook polynomial products
+    reduced from the top degree down."""
+    modulus = GF2K_MODULI[k]
+    table = []
+    for a in range(1 << k):
+        row = []
+        for b in range(1 << k):
+            prod = 0
+            for i in range(k):
+                if b >> i & 1:
+                    prod ^= a << i
+            for d in range(2 * k - 2, k - 1, -1):
+                if prod >> d & 1:
+                    prod ^= modulus << (d - k)
+            row.append(prod)
+        table.append(row)
+    return table
+
+
+def witt_index_gf2k(grams: list[list[list[int]]], coeffs: Sequence[int], k: int) -> int:
+    """Witt index over K = GF(2^k) of Q = sum_s coeffs[s] q_s on K^n, where
+    q_s(x) = sum_{i > j} grams[s][i][j] x_i x_j, read off all |K|^n vectors.
+
+    The radical of the polar form B is found by enumeration: the x with
+    B(x, e_j) = 0 for every j.  With radical dim r and n - r = 2m the answer is
+    m + r - 1 when Q is nonzero on the radical; otherwise it is m + r when Q
+    has more than |K|^(n-1) zeros (hyperbolic) and m + r - 1 when it has fewer.
+    """
+    n = len(grams[0])
+    if k * n > 16:
+        raise ValueError("the oracle enumerates at most 2^16 vectors")
+    mul = gf2k_mul_table(k)
+    size = 1 << k
+    coef = [[0] * n for _ in range(n)]  # coef[i][j] = coef[j][i]: the x_i x_j coefficient
+    for c, gram in zip(coeffs, grams):
+        for i in range(n):
+            for j in range(i):
+                if gram[i][j]:
+                    coef[i][j] ^= c
+                    coef[j][i] ^= c
+    terms = [(i, j, coef[i][j]) for i in range(n) for j in range(i) if coef[i][j]]
+
+    def value(x) -> int:
+        acc = 0
+        for i, j, c in terms:
+            acc ^= mul[c][mul[x[i]][x[j]]]
+        return acc
+
+    def in_radical(x) -> bool:
+        for j in range(n):
+            acc = 0
+            for i in range(n):
+                acc ^= mul[coef[i][j]][x[i]]
+            if acc:
+                return False
+        return True
+
+    zeros = 0
+    radical = []
+    for x in product(range(size), repeat=n):
+        zeros += value(x) == 0
+        if in_radical(x):
+            radical.append(x)
+    r = (len(radical).bit_length() - 1) // k
+    m = (n - r) // 2
+    if any(value(z) for z in radical):
+        return m + r - 1
+    return m + r if zeros * size > size ** n else m + r - 1
+
+
 # -- quadratic systems ----------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from sphererank.gf2 import (
     _coordinate_masks,
     _rref_bits,
     _transpose_bits,
+    _witt_index,
     fold_rows,
     kernel,
     rank,
@@ -22,6 +23,7 @@ from oracles import (
     naive_rank,
     naive_rref,
     span_bits,
+    witt_index_single,
 )
 
 
@@ -119,6 +121,45 @@ class TestCoordinateMasks:
             assert len(x) == n
             assert all(x[i] >> v & 1 == v >> i & 1 for i in range(n) for v in range(1 << n))
             assert not any(m >> (1 << n) for m in x)
+
+
+def random_gram(rng, n: int) -> list[int]:
+    """A random symmetric zero-diagonal Gram matrix as int rows."""
+    lower = [rng.getrandbits(i) for i in range(n)]
+    return [low | col for low, col in zip(lower, _transpose_bits(lower, n))]
+
+
+class TestWittIndex:
+    def test_matches_the_single_form_oracle(self):
+        # against a count of the zeros of q over all of F2^n
+        rng = random.Random(25)
+        for n in range(1, 11):
+            for _ in range(12 if n < 9 else 4):
+                gram = random_gram(rng, n)
+                expected = witt_index_single([bits_to_list(r, n) for r in gram])
+                assert _witt_index(gram) == expected, (n, gram)
+
+    def test_zero_and_symplectic_forms(self):
+        for n in range(1, 11):
+            assert _witt_index([0] * n) == n  # q = 0: the whole space
+        assert _witt_index([0b10, 0b01]) == 1  # q = x0 x1, Arf invariant 0
+        for m in range(1, 6):  # q = sum_i x_i x_(m+i): m hyperbolic planes
+            gram = [1 << (i + m) for i in range(m)] + [1 << i for i in range(m)]
+            assert _witt_index(gram) == m == witt_index_single([bits_to_list(r, 2 * m) for r in gram])
+
+    def test_a_nonzero_radical_value_and_an_arf_invariant_lower_the_index(self):
+        # x0 x1 + x0 x2 + x1 x2: rank 2, radical <111>, where q is 1
+        assert _witt_index([0b110, 0b101, 0b011]) == 1
+        # every x_i x_j on F2^4: q(v) = C(weight, 2) mod 2 vanishes on 6 of the
+        # 16 vectors, so q is nondegenerate with Arf invariant 1
+        gram = [0b1110, 0b1101, 0b1011, 0b0111]
+        assert _witt_index(gram) == 1 == witt_index_single([bits_to_list(r, 4) for r in gram])
+
+    def test_the_input_rows_are_left_as_they_were(self):
+        gram = (0b110, 0b101, 0b011)
+        rows = list(gram)
+        _witt_index(rows)
+        assert tuple(rows) == gram
 
 
 class TestFoldRows:

@@ -52,6 +52,13 @@ GUARD_FAMILIES = {
     "fam_14_4_14.json": (14, 4, 14),
 }
 
+# A t=2 family on which the pencil ceiling binds: its forms' least Witt index
+# is 7, the pencil's 5, and the maximum 5, so the search stops at its first
+# subspace of dim 5 instead of proving that no 6 exists (2-4 s without it).
+PENCIL_FAMILIES = {
+    "fam_12_2_0.json": (12, 2, 0),
+}
+
 # Q8 x C2^2 (order 32): id = 4 * q + c; id 4 is the central -1 of Q8
 PRODUCT_REPS = json.dumps(
     [
@@ -162,6 +169,11 @@ def _cases() -> list[list[str]]:
     # the stock rep of an order-128 group (dim 64): two characters, each to the 32nd power
     cases.append(["poly", "euler", "--family", "fam_5_2_3.json", "--c-gens", "32", "--chars", "-1",
                   "--e-gens", "32,64", "--e-rank", "2"])
+    for name, (n, t, seed) in PENCIL_FAMILIES.items():
+        cases.append(["forms", "gen", "--n", str(n), "--t", str(t), "--seed", str(seed),
+                      "--save-family", name])
+        cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
+        cases.append(["group", "profile", "--family", name])
     return cases
 
 

@@ -11,6 +11,9 @@ from sphererank.forms import FormFamily, quadratic_refinement, random_family
 from sphererank.gf2 import BitVector, Subspace
 from sphererank.phigroup import (
     IsotropicResult,
+    _pencil_ceiling,
+    _pencil_points,
+    _pencil_witt,
     _q_masks,
     _qzero_vectors,
     _witt_ceiling,
@@ -39,6 +42,8 @@ from oracles import (
     naive_rank,
     span_bits,
     tables_isomorphic,
+    gf2k_mul_table,
+    witt_index_gf2k,
     witt_index_single,
     zero_family,
 )
@@ -74,6 +79,13 @@ def element_order(G: PhiGroup, g: int) -> int:
 
 def phi_mul_table(G: PhiGroup):
     return [[G.mul(i, j) for j in range(G.order)] for i in range(G.order)]
+
+
+def frobenius(mul: list[list[int]], x: int, times: int) -> int:
+    """x squared `times` times in the field of the multiplication table `mul`."""
+    for _ in range(times):
+        x = mul[x][x]
+    return x
 
 
 def gram_lists(fam: FormFamily) -> list[list[list[int]]]:
@@ -309,9 +321,8 @@ class TestWittCeiling:
             for t in range(1, 5):
                 for _ in range(3 if n < 9 else 1):
                     fam = random_family(n, t, rng.getrandbits(64))
-                    q_masks = _q_masks(fam)
                     expected = min(witt_index_single(g) for g in gram_lists(fam))
-                    assert _witt_ceiling(fam, q_masks) == expected, (n, t)
+                    assert _witt_ceiling(fam) == expected, (n, t)
 
     def test_no_node_starts_once_the_ceiling_is_reached(self, monkeypatch):
         starts = []
@@ -333,9 +344,10 @@ class TestWittCeiling:
         monkeypatch.setattr(phigroup, "_qzero_vectors", lambda *a: reads.append(a) or scan(*a))
         for seed in range(6):
             fam = random_family(7, 2, seed)
-            witt = _witt_ceiling(fam, _q_masks(fam))
+            witt = _witt_ceiling(fam)
+            exact = min(witt, _pencil_ceiling(fam, fam.n, -1))  # every pencil point scanned
             dim, _, ceiling = phigroup._bnb(fam, 0, fam.n)
-            assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, witt)
+            assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, exact)
             reads.clear()
             # a decision at k = witt + 1 is settled by the Witt ceiling alone
             assert phigroup._bnb(fam, witt, witt + 1) == [witt, (), witt]
@@ -346,9 +358,9 @@ class TestWittCeiling:
     def test_zero_and_symplectic_forms(self):
         for n, t in [(1, 1), (4, 2), (5, 3)]:
             fam = zero_family(n, t)
-            assert _witt_ceiling(fam, _q_masks(fam)) == n
+            assert _witt_ceiling(fam) == n
         fam = family(["01", "10"])  # q = x0 x1: Arf invariant 0
-        assert _witt_ceiling(fam, _q_masks(fam)) == 1
+        assert _witt_ceiling(fam) == 1
 
     def test_every_family_reaches_the_lemma_bound(self):
         # every quadratic form on F2^n has Witt index >= (n - 1) // 2, and the
@@ -360,43 +372,111 @@ class TestWittCeiling:
             for t in range(1, 5):
                 for _ in range(3):
                     fam = random_family(n, t, rng.getrandbits(64))
-                    witt = _witt_ceiling(fam, _q_masks(fam))
+                    witt = _witt_ceiling(fam)
                     assert witt >= (n - 1) // 2, (n, t)
                     if witt == (n - 1) // 2:
                         attained.add(n)
         assert attained == set(range(3, 15))
         zeros = [zero_family(n, t) for n, t in [(1, 1), (4, 2), (5, 3)]]
         for fam in zeros + [family(["01", "10"])]:
-            assert _witt_ceiling(fam, _q_masks(fam)) >= (fam.n - 1) // 2
+            assert _witt_ceiling(fam) >= (fam.n - 1) // 2
 
     def test_a_ceiling_at_or_below_the_lemma_skips_the_witt_ceiling(self, monkeypatch):
         witt = phigroup._witt_ceiling
+        pencil = phigroup._pencil_ceiling
 
         def reference(fam, floor, ceiling):  # always takes min(ceiling, Witt ceiling)
-            q_masks = _q_masks(fam)
-            best = [floor, (), min(ceiling, witt(fam, q_masks))]
+            best = [floor, (), min(ceiling, witt(fam))]
+            target = max(floor, (fam.n - 1) // 2)
+            if fam.t == 2 and best[2] > target:  # and at t = 2 the pencil, above the floor
+                best[2] = pencil(fam, best[2], target)
             if floor < best[2]:
-                cand = phigroup._weight_order(_qzero_vectors(fam, q_masks))
+                cand = phigroup._weight_order(_qzero_vectors(fam, _q_masks(fam)))
                 phigroup._bnb_node(fam.grams, best, (), cand)
             return best
 
-        def refused(fam, q_masks):
-            raise AssertionError("the Witt ceiling was computed")
+        def refused(*args):
+            raise AssertionError("the Witt or the pencil ceiling was computed")
 
         rng = random.Random(22)
         for n in range(1, 13):
             # above n = 10 only the skipped ceilings: a ceiling above the lemma
             # takes the path that did not change, and proving a maximum there
-            # takes up to seconds when t is 2 or 3
+            # takes up to seconds when t is 3
             top = n if n <= 10 else (n - 1) // 2
             for t in range(1, 5):
                 fam = random_family(n, t, rng.getrandbits(64))
                 for ceiling in range(top + 1):
                     skip = ceiling <= (n - 1) // 2
                     monkeypatch.setattr(phigroup, "_witt_ceiling", refused if skip else witt)
+                    monkeypatch.setattr(phigroup, "_pencil_ceiling", refused if skip else pencil)
                     for floor in range(ceiling + 1):
                         expected = reference(fam, floor, ceiling)
                         assert phigroup._bnb(fam, floor, ceiling) == expected, (n, t, floor)
+
+
+class TestPencilCeiling:
+    def test_the_points_are_one_per_frobenius_orbit_of_each_new_field_element(self):
+        points = _pencil_points(5)
+        assert [k for k, _, _ in points] == [1, 2, 3, 3, 4, 4, 4]
+        assert points[0][1] == 1  # (1 : 1) over GF(2)
+        for k in (2, 3, 4):
+            mul = gf2k_mul_table(k)
+            subfield = {x for x in range(1 << k) if any(
+                frobenius(mul, x, d) == x for d in range(1, k) if k % d == 0)}
+            reps = [c for kk, c, _ in points if kk == k]
+            orbits = [{frobenius(mul, c, e) for e in range(k)} for c in reps]
+            assert sorted(x for orbit in orbits for x in orbit) == sorted(
+                set(range(1 << k)) - subfield)
+
+    def test_each_trace_form_gives_the_witt_index_over_its_field(self):
+        # against a count of the zeros of Q_c over all of K^n, kn <= 16
+        rng = random.Random(23)
+        fams = [random_family(n, 2, rng.getrandbits(64)) for n in range(1, 9) for _ in range(2)]
+        fams += [zero_family(4, 2), family(["01", "10"], ["01", "10"]),
+                 family(["01", "10"], ["00", "00"])]
+        checked = 0
+        for fam in fams:
+            grams = gram_lists(fam)
+            for k, c, witt in _pencil_witt(fam):
+                if k * fam.n <= 16:
+                    assert witt == witt_index_gf2k(grams, (1, c), k), (fam.n, k, c)
+                    checked += 1
+        assert checked == 97  # every point with kn <= 16
+
+    def test_the_pencil_bounds_the_maximum_and_bnb_equals_exhaustive(self):
+        tight = 0
+        for n in range(2, 11):
+            for seed in range(12):
+                fam = random_family(n, 2, derive_seed(25, 100 * n + seed))
+                exhaustive = max_isotropic_qzero(fam, "exhaustive").dim
+                pencil = _pencil_ceiling(fam, _witt_ceiling(fam), -1)
+                assert pencil >= exhaustive, (n, seed)
+                assert phigroup._bnb(fam, 0, n)[0] == exhaustive, (n, seed)
+                tight += pencil == exhaustive
+        assert tight == 103  # the ceiling is exact on all but 5 of the 108 families
+
+    def test_the_scan_stops_at_its_target(self, monkeypatch):
+        fam = random_family(12, 2, 0)  # Witt ceiling 7; pencil 5 = the maximum = (n - 1) // 2
+        assert _witt_ceiling(fam) == 7
+        values = [witt for _, _, witt in _pencil_witt(fam)]
+        first = values.index(5)
+        assert min(values) == 5 and first < len(values) - 1  # the scan can stop early
+        calls = []
+        witt_index = phigroup._witt_index
+
+        def counted(rows):
+            calls.append(len(rows))
+            return witt_index(rows)
+
+        monkeypatch.setattr(phigroup, "_witt_index", counted)
+        assert _pencil_ceiling(fam, 7, 5) == 5
+        assert len(calls) == first + 1
+        calls.clear()
+        # floor 0: the scan stops at (n - 1) // 2, after the two single forms
+        # and the points up to the first that reaches it
+        assert phigroup._bnb(fam, 0, 12)[::2] == [5, 5]
+        assert len(calls) == 2 + first + 1
 
 
 class TestGuardHolds:
@@ -522,6 +602,20 @@ class TestSearchForms:
         res = search_forms(1, 1, 2, trials=admitted, seed=0)
         assert (res.trial_index, res.skipped_guard) == (0, None)
         res = search_forms(1, 1, 2, trials=admitted + 1, seed=0)
+        assert res == (None, None, False, 0, "search_trials")
+
+    def test_trial_budget_charges_16_n_squared_more_where_the_pencil_may_run(self):
+        # t = 2 and k > (n - 1) // 2: one trial at n = 1 is 2 + 256 + 16 units
+        admitted = SEARCH_TRIAL_BUDGET // 274
+        res = search_forms(1, 2, 2, trials=admitted, seed=0)
+        assert (res.trial_index, res.skipped_guard) == (0, None)
+        res = search_forms(1, 2, 2, trials=admitted + 1, seed=0)
+        assert res == (None, None, False, 0, "search_trials")
+        # k <= (n - 1) // 2 never scans the pencil: 32 + 256 units at n = 5
+        admitted = SEARCH_TRIAL_BUDGET // 288
+        res = search_forms(5, 2, 2, trials=admitted, seed=4)
+        assert (res.trial_index, res.skipped_guard) == (0, None)
+        res = search_forms(5, 2, 2, trials=admitted + 1, seed=4)
         assert res == (None, None, False, 0, "search_trials")
 
     def test_negative_trials_rejected(self):
