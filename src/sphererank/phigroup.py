@@ -129,36 +129,21 @@ class IsotropicResult(NamedTuple):
 _ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _q_masks(fam: FormFamily) -> list[int]:
-    """Per form s, the 2^n-bit mask of the vectors v with q_s(v) = 1.
+def _qzero_vectors(fam: FormFamily) -> list[int]:
+    """All nonzero a-vectors with q(v) = 0, ascending.
 
     Bit-sliced over all 2^n vectors at once: q_s(v) = XOR_i v_i parity(L_s[i] & v)
-    is the quadratic of `_quadratic_mask` with rows L_s, whose diagonal is zero.
+    is the quadratic of `_quadratic_mask` with rows L_s, whose diagonal is zero,
+    and q(v) = 0 off the union of the masks where some q_s is 1.
     """
     x = _coordinate_masks(fam.n)
-    return [_quadratic_mask(x, rows) for rows in fam.lower]
-
-
-def _qzero_vectors(fam: FormFamily, q_masks: list[int]) -> list[int]:
-    """All nonzero a-vectors with q(v) = 0, ascending, read off the masks
-    `_q_masks(fam)`."""
     nonzero = 0
-    for q in q_masks:
-        nonzero |= q
+    for rows in fam.lower:
+        nonzero |= _quadratic_mask(x, rows)
     zero = ((1 << (1 << fam.n)) - 1) ^ nonzero ^ 1
     # one pass over the binary digits, lowest first: flag k is bit k of zero
     flags = bin(zero)[:1:-1].encode().translate(_ONE_BITS)
     return list(compress(range(len(flags)), flags))
-
-
-def _witt_ceiling(fam: FormFamily) -> int:
-    """min_s witt(q_s): no subspace on which every q_s vanishes is larger.
-
-    Each q_s is the refinement of its Gram rows that vanishes on the basis
-    vectors, so `gf2._witt_index` reads it off `fam.grams[s]`.  For t = 1 the
-    ceiling is the exact answer.
-    """
-    return min(map(_witt_index, fam.grams))
 
 
 def _gf_mul(x: int, y: int, modulus: int) -> int:
@@ -182,7 +167,7 @@ def _pencil_points(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]]
     GF(2^k) is GF(2)[x] / (modulus) with alpha = x, and c is written in the
     basis 1, alpha, ..., alpha^(k-1).  T_c[a] holds Tr(c alpha^(a + b)) at bit
     b; pairs[a] is (S_1[a], S_c[a]), where S_c[a] is T_c[a] with bit b moved
-    to bit b n (see `_pencil_witt`).  The first point is (1 : 1) over GF(2);
+    to bit b n (see `_witt_ceilings`).  The first point is (1 : 1) over GF(2);
     then, per field of `_PENCIL_MODULI`, one Frobenius-orbit representative c
     of the elements outside every proper subfield.  Conjugate points give the
     same Witt index, because the forms are defined over GF(2).
@@ -206,54 +191,44 @@ def _pencil_points(n: int) -> tuple[tuple[int, int, tuple[tuple[int, int], ...]]
                     for a in range(k)]
 
         one = spread_table(1)
-        seen: set[int] = set()
         for c in range(2, 1 << k):
-            orbit = {c}
-            x = _gf_mul(c, c, modulus)
-            while x != c:
-                orbit.add(x)
-                x = _gf_mul(x, x, modulus)
-            if len(orbit) == k and c not in seen:
-                seen |= orbit
+            conjugates = [c]  # c, c^2, c^4, ...: k distinct unless c is in a proper subfield
+            for _ in range(k - 1):
+                conjugates.append(_gf_mul(conjugates[-1], conjugates[-1], modulus))
+            if len(set(conjugates)) == k and c == min(conjugates):
                 points.append((k, c, tuple(zip(one, spread_table(c)))))
     return tuple(points)
 
 
-def _pencil_witt(fam: FormFamily) -> Iterator[tuple[int, int, int]]:
-    """(k, c, witt_K(q_0 + c q_1)) for each point of `_pencil_points`, lazily.
+def _witt_ceilings(fam: FormFamily) -> Iterator[int]:
+    """Witt indices that bound the isotropic q-zero dim from above, lazily:
+    witt(q_s) for each form, then, for t = 2, witt_K(q_0 + c q_1) for each
+    point (1 : c) of `_pencil_points`.
 
-    Q_c = q_0 + c q_1 on K^n, K = GF(2^k), is read over GF(2) as the trace
-    form Tr Q_c on GF(2)^(kn), with coordinate a n + i the coefficient of
-    alpha^a in x_i.  Its Gram block (a, b) is T_1[a][b] gram_0 + T_c[a][b]
-    gram_1, with no diagonal terms, so row a n + i is
+    A subspace U on which every q_s vanishes gives a U (x) K on which every
+    Q_c = q_0 + c q_1 vanishes, so dim U <= witt_K(Q_c) for every field K
+    (Elman, Karpenko and Merkurjev, The Algebraic and Geometric Theory of
+    Quadratic Forms, 2008; Scharlau, Math. Z. 147, 1976); the single forms
+    are the points (1 : 0) and (0 : 1) over GF(2).  Each q_s is the
+    refinement of its Gram rows that vanishes on the basis vectors, so
+    `gf2._witt_index` reads it off `fam.grams[s]`; for t = 1 the one value
+    is the exact answer.  Q_c on K^n, K = GF(2^k), is read over GF(2) as the
+    trace form Tr Q_c on GF(2)^(kn), with coordinate a n + i the coefficient
+    of alpha^a in x_i.  Its Gram block (a, b) is T_1[a][b] gram_0 +
+    T_c[a][b] gram_1, with no diagonal terms, so row a n + i is
     gram_0[i] * S_1[a] ^ gram_1[i] * S_c[a]: free of carries, since a Gram
     row has n bits.  The trace form has the defect of Q_c: it is nonzero on
     the radical exactly when Q_c is, since Q_c(lambda z) = lambda^2 Q_c(z)
     there, and its Arf invariant is the trace of that of Q_c.  So
     witt(Tr Q_c) = k witt_K(Q_c) - defect and witt_K = witt(Tr Q_c) // k.
+    Every value is at least (n - 1) // 2, and at least 1 when n >= 1, since
+    every q_s and every Q_c vanishes on e_0.
     """
-    grams = list(zip(*fam.grams))
-    for k, c, pairs in _pencil_points(fam.n):
-        rows = [x * s_1 ^ y * s_c for s_1, s_c in pairs for x, y in grams]
-        yield k, c, _witt_index(rows) // k
-
-
-def _pencil_ceiling(fam: FormFamily, ceiling: int, target: int) -> int:
-    """min(ceiling, witt_K(q_0 + c q_1)) over the pencil of a t = 2 family,
-    stopping once the minimum is at most `target`.
-
-    A subspace U on which q_0 and q_1 vanish gives a U (x) K on which every
-    Q_c = q_0 + c q_1 vanishes, so dim U <= witt_K(Q_c) for every field K
-    (Elman, Karpenko and Merkurjev, The Algebraic and Geometric Theory of
-    Quadratic Forms, 2008; Scharlau, Math. Z. 147, 1976).  The points are
-    (1 : 1) over GF(2), then those of GF(4), GF(8) and GF(16), seven in all:
-    the single forms are the Witt ceiling's.
-    """
-    for _, _, witt in _pencil_witt(fam):
-        ceiling = min(ceiling, witt)
-        if ceiling <= target:
-            break
-    return ceiling
+    yield from map(_witt_index, fam.grams)
+    if fam.t == 2:
+        grams = list(zip(*fam.grams))
+        for k, _, pairs in _pencil_points(fam.n):
+            yield _witt_index([x * s_1 ^ y * s_c for s_1, s_c in pairs for x, y in grams]) // k
 
 
 def _max_isotropic_exhaustive(fam: FormFamily) -> tuple[int, ...]:
@@ -273,7 +248,7 @@ def _max_isotropic_exhaustive(fam: FormFamily) -> tuple[int, ...]:
     gram_rows = fam.grams
     best: tuple[int, ...] = ()
     visited: set[tuple[int, ...]] = {()}
-    stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam, _q_masks(fam)))]
+    stack: list[tuple[tuple[int, ...], list[int]]] = [((), _qzero_vectors(fam))]
     work = 0
     while stack:
         basis, cand = stack.pop()
@@ -346,26 +321,26 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
     counting bound, and a stop at the ceiling.
 
     Returns `best` = [dim, basis, ceiling] (see _bnb_node).  The incumbent
-    starts at dim `floor` with an empty basis, and the ceiling is the smaller
-    of `ceiling`, the Witt ceiling and, for t = 2, the pencil ceiling.  Every
-    quadratic form in n variables has Witt index at least (n - 1) // 2, over
-    any field, so a `ceiling` at or below that is already the smallest and
-    neither is computed.  The pencil scan runs only while the ceiling is above
-    both the floor and that bound, and stops once it reaches them.  The root
-    candidates, the q-zero vectors, are read only when floor < ceiling, so a
-    decision a ceiling settles builds no candidate list.  Every node works on
-    n-bit ints only.
+    starts at dim `floor` with an empty basis.  The ceiling starts at
+    `ceiling` and takes the minimum of `_witt_ceilings` while it is above the
+    target max(floor, (n - 1) // 2, 1), stopping once it reaches it: no Witt
+    index is below (n - 1) // 2 or below 1, and a ceiling at the floor
+    settles the answer, so a `ceiling` at or below the target computes none.
+    The returned ceiling is the smaller of `ceiling` and every value when the
+    scan runs to its end; otherwise it lies between that and the target.  The
+    root candidates, the q-zero vectors, are read only when floor < ceiling,
+    so a decision a ceiling settles builds no candidate list.  Every node
+    works on n-bit ints only.
     """
-    lemma = (fam.n - 1) // 2
-    if ceiling > lemma:
-        ceiling = min(ceiling, _witt_ceiling(fam))
-        target = max(floor, lemma)
-        if fam.t == 2 and ceiling > target:
-            ceiling = _pencil_ceiling(fam, ceiling, target)
+    target = max(floor, (fam.n - 1) // 2, 1)
+    if ceiling > target:
+        for witt in _witt_ceilings(fam):
+            ceiling = min(ceiling, witt)
+            if ceiling <= target:
+                break
     best: list = [floor, (), ceiling]
     if floor < ceiling:
-        cand = _qzero_vectors(fam, _q_masks(fam))
-        _bnb_node(fam.grams, best, (), _weight_order(cand))
+        _bnb_node(fam.grams, best, (), _weight_order(_qzero_vectors(fam)))
     return best
 
 
@@ -422,9 +397,12 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     condition is reported, trials are skipped, and the skipped guard is
     named.  The same holds for a search over SEARCH_TRIAL_BUDGET work units,
     2^n + 128 t per trial: the q-zero scan and its list grow with 2^n, and
-    the family draw, which dominates below n = 8, with t.  When t = 2 and
-    k > (n - 1) // 2 a trial may also scan the pencil, seven symplectic
-    reductions of at most 4n rows, charged 16 n^2 more.  A unit costs at
+    the family draw, which dominates below n = 8, with t.  A trial reads
+    `_witt_ceilings` only while its ceiling k is above max(k - 1,
+    (n - 1) // 2, 1), so only for k > (n - 1) // 2 and k > 1, and stops at
+    the first value below k, which decides the trial.  When t = 2 and k > (n - 1) // 2 a trial is
+    charged 16 n^2 more for the pencil, seven symplectic reductions of at
+    most 4n rows, which it may scan (it cannot at k = 1).  A unit costs at
     most about 0.45 us, so a search the budget admits spends at most about
     4 s on a 2-core Xeon outside its branch-and-bound nodes.  n, t or k
     below 1, or a negative trial count, raises ValueError.

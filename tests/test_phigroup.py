@@ -11,12 +11,9 @@ from sphererank.forms import FormFamily, quadratic_refinement, random_family
 from sphererank.gf2 import BitVector, Subspace
 from sphererank.phigroup import (
     IsotropicResult,
-    _pencil_ceiling,
     _pencil_points,
-    _pencil_witt,
-    _q_masks,
     _qzero_vectors,
-    _witt_ceiling,
+    _witt_ceilings,
     ISOTROPIC_BNB_GUARD,
     SEARCH_TRIAL_BUDGET,
     PhiGroup,
@@ -294,17 +291,17 @@ class TestQZeroScan:
             for t in range(1, 4):
                 fam = random_family(n, t, rng.getrandbits(64))
                 expected = naive_qzero_vectors(gram_lists(fam), n)
-                assert _qzero_vectors(fam, _q_masks(fam)) == expected, (n, t)
+                assert _qzero_vectors(fam) == expected, (n, t)
 
     def test_all_zero_forms(self):
         for n, t in [(1, 1), (3, 2), (6, 3)]:
             fam = zero_family(n, t)
-            assert _qzero_vectors(fam, _q_masks(fam)) == list(range(1, 1 << n))
+            assert _qzero_vectors(fam) == list(range(1, 1 << n))
 
     def test_sampled_vectors_at_n16(self):
         fam = random_family(16, 2, 77)
         grams = gram_lists(fam)
-        found = _qzero_vectors(fam, _q_masks(fam))
+        found = _qzero_vectors(fam)
         assert found == sorted(set(found)) and found[0] > 0 and found[-1] < 1 << 16
         zero = set(found)
         rng = random.Random(9)
@@ -316,13 +313,16 @@ class TestQZeroScan:
 
 class TestWittCeiling:
     def test_min_witt_index_over_forms(self):
+        # one value per form, each its Witt index, then seven pencil points at t = 2
         rng = random.Random(15)
         for n in range(1, 10):
             for t in range(1, 5):
                 for _ in range(3 if n < 9 else 1):
                     fam = random_family(n, t, rng.getrandbits(64))
-                    expected = min(witt_index_single(g) for g in gram_lists(fam))
-                    assert _witt_ceiling(fam) == expected, (n, t)
+                    values = list(_witt_ceilings(fam))
+                    assert len(values) == t + 7 * (t == 2), (n, t)
+                    expected = [witt_index_single(g) for g in gram_lists(fam)]
+                    assert values[:t] == expected, (n, t)
 
     def test_no_node_starts_once_the_ceiling_is_reached(self, monkeypatch):
         starts = []
@@ -344,12 +344,12 @@ class TestWittCeiling:
         monkeypatch.setattr(phigroup, "_qzero_vectors", lambda *a: reads.append(a) or scan(*a))
         for seed in range(6):
             fam = random_family(7, 2, seed)
-            witt = _witt_ceiling(fam)
-            exact = min(witt, _pencil_ceiling(fam, fam.n, -1))  # every pencil point scanned
+            values = list(_witt_ceilings(fam))
+            witt = min(values[:2])  # the single forms
             dim, _, ceiling = phigroup._bnb(fam, 0, fam.n)
-            assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, exact)
+            assert (dim, ceiling) == (max_isotropic_qzero(fam, "exhaustive").dim, min(values))
             reads.clear()
-            # a decision at k = witt + 1 is settled by the Witt ceiling alone
+            # a decision at k = witt + 1 is settled by the single forms alone
             assert phigroup._bnb(fam, witt, witt + 1) == [witt, (), witt]
             assert reads == []
             phigroup._bnb(fam, dim - 1, dim)
@@ -358,45 +358,41 @@ class TestWittCeiling:
     def test_zero_and_symplectic_forms(self):
         for n, t in [(1, 1), (4, 2), (5, 3)]:
             fam = zero_family(n, t)
-            assert _witt_ceiling(fam) == n
+            assert set(_witt_ceilings(fam)) == {n}
         fam = family(["01", "10"])  # q = x0 x1: Arf invariant 0
-        assert _witt_ceiling(fam) == 1
+        assert list(_witt_ceilings(fam)) == [1]
 
     def test_every_family_reaches_the_lemma_bound(self):
         # every quadratic form on F2^n has Witt index >= (n - 1) // 2, and the
         # bound is attained at every n >= 3, so it cannot be raised; below, q
-        # vanishes on the basis vectors, so every U = <e_0> qualifies
+        # and every pencil point vanish on e_0, so every value is at least 1
         rng = random.Random(21)
         attained = set()
         for n in range(1, 15):
             for t in range(1, 5):
                 for _ in range(3):
                     fam = random_family(n, t, rng.getrandbits(64))
-                    witt = _witt_ceiling(fam)
-                    assert witt >= (n - 1) // 2, (n, t)
+                    witt = min(_witt_ceilings(fam))
+                    assert witt >= max(1, (n - 1) // 2), (n, t)
                     if witt == (n - 1) // 2:
                         attained.add(n)
         assert attained == set(range(3, 15))
         zeros = [zero_family(n, t) for n, t in [(1, 1), (4, 2), (5, 3)]]
         for fam in zeros + [family(["01", "10"])]:
-            assert _witt_ceiling(fam) >= (fam.n - 1) // 2
+            assert min(_witt_ceilings(fam)) >= max(1, (fam.n - 1) // 2)
 
     def test_a_ceiling_at_or_below_the_lemma_skips_the_witt_ceiling(self, monkeypatch):
-        witt = phigroup._witt_ceiling
-        pencil = phigroup._pencil_ceiling
+        ceilings = phigroup._witt_ceilings
 
-        def reference(fam, floor, ceiling):  # always takes min(ceiling, Witt ceiling)
-            best = [floor, (), min(ceiling, witt(fam))]
-            target = max(floor, (fam.n - 1) // 2)
-            if fam.t == 2 and best[2] > target:  # and at t = 2 the pencil, above the floor
-                best[2] = pencil(fam, best[2], target)
+        def reference(fam, floor, ceiling):  # always takes every value
+            best = [floor, (), min(ceiling, *ceilings(fam))]
             if floor < best[2]:
-                cand = phigroup._weight_order(_qzero_vectors(fam, _q_masks(fam)))
+                cand = phigroup._weight_order(_qzero_vectors(fam))
                 phigroup._bnb_node(fam.grams, best, (), cand)
             return best
 
-        def refused(*args):
-            raise AssertionError("the Witt or the pencil ceiling was computed")
+        def refused(fam):
+            raise AssertionError("a Witt ceiling was computed")
 
         rng = random.Random(22)
         for n in range(1, 13):
@@ -407,12 +403,17 @@ class TestWittCeiling:
             for t in range(1, 5):
                 fam = random_family(n, t, rng.getrandbits(64))
                 for ceiling in range(top + 1):
-                    skip = ceiling <= (n - 1) // 2
-                    monkeypatch.setattr(phigroup, "_witt_ceiling", refused if skip else witt)
-                    monkeypatch.setattr(phigroup, "_pencil_ceiling", refused if skip else pencil)
                     for floor in range(ceiling + 1):
+                        target = max(floor, (n - 1) // 2, 1)
+                        skip = ceiling <= target
+                        monkeypatch.setattr(phigroup, "_witt_ceilings", refused if skip else ceilings)
                         expected = reference(fam, floor, ceiling)
-                        assert phigroup._bnb(fam, floor, ceiling) == expected, (n, t, floor)
+                        got = phigroup._bnb(fam, floor, ceiling)
+                        assert got[:2] == expected[:2], (n, t, floor)
+                        # the scan stops at the target, so the returned ceiling
+                        # is the full minimum or a bound between it and the target
+                        assert got[2] == expected[2] or expected[2] <= got[2] <= target, (
+                            n, t, floor, ceiling)
 
 
 class TestPencilCeiling:
@@ -438,7 +439,8 @@ class TestPencilCeiling:
         checked = 0
         for fam in fams:
             grams = gram_lists(fam)
-            for k, c, witt in _pencil_witt(fam):
+            values = list(_witt_ceilings(fam))
+            for (k, c, _), witt in zip(_pencil_points(fam.n), values[2:], strict=True):
                 if k * fam.n <= 16:
                     assert witt == witt_index_gf2k(grams, (1, c), k), (fam.n, k, c)
                     checked += 1
@@ -450,18 +452,18 @@ class TestPencilCeiling:
             for seed in range(12):
                 fam = random_family(n, 2, derive_seed(25, 100 * n + seed))
                 exhaustive = max_isotropic_qzero(fam, "exhaustive").dim
-                pencil = _pencil_ceiling(fam, _witt_ceiling(fam), -1)
+                pencil = min(_witt_ceilings(fam))
                 assert pencil >= exhaustive, (n, seed)
                 assert phigroup._bnb(fam, 0, n)[0] == exhaustive, (n, seed)
                 tight += pencil == exhaustive
         assert tight == 103  # the ceiling is exact on all but 5 of the 108 families
 
     def test_the_scan_stops_at_its_target(self, monkeypatch):
-        fam = random_family(12, 2, 0)  # Witt ceiling 7; pencil 5 = the maximum = (n - 1) // 2
-        assert _witt_ceiling(fam) == 7
-        values = [witt for _, _, witt in _pencil_witt(fam)]
-        first = values.index(5)
-        assert min(values) == 5 and first < len(values) - 1  # the scan can stop early
+        fam = random_family(12, 2, 0)  # single forms 7; pencil 5 = the maximum = (n - 1) // 2
+        values = list(_witt_ceilings(fam))
+        assert min(values[:2]) == 7
+        first = values[2:].index(5)
+        assert min(values) == 5 and first < len(values) - 3  # the scan can stop early
         calls = []
         witt_index = phigroup._witt_index
 
@@ -470,11 +472,12 @@ class TestPencilCeiling:
             return witt_index(rows)
 
         monkeypatch.setattr(phigroup, "_witt_index", counted)
-        assert _pencil_ceiling(fam, 7, 5) == 5
-        assert len(calls) == first + 1
+        # floor 5: the scan stops at the floor, after the two single forms and
+        # the points up to the first that reaches it
+        assert phigroup._bnb(fam, 5, 7) == [5, (), 5]
+        assert len(calls) == 2 + first + 1
         calls.clear()
-        # floor 0: the scan stops at (n - 1) // 2, after the two single forms
-        # and the points up to the first that reaches it
+        # floor 0: the scan stops at (n - 1) // 2 = 5 the same way
         assert phigroup._bnb(fam, 0, 12)[::2] == [5, 5]
         assert len(calls) == 2 + first + 1
 
@@ -591,6 +594,16 @@ class TestSearchForms:
             monkeypatch.setattr(phigroup, name, counted)
         res = search_forms(7, 2, 2, trials=5, seed=3)
         assert res.family is None and calls == {"random_family": 5, "_qzero_vectors": 5}
+
+    def test_a_decision_at_k_1_computes_no_witt_index(self, monkeypatch):
+        # every Witt index is at least 1, so a ceiling of 1 needs none of them,
+        # even where (n - 1) // 2 is 0 and t = 2 has a pencil to scan
+        calls = []
+        witt_index = phigroup._witt_index
+        monkeypatch.setattr(phigroup, "_witt_index", lambda rows: calls.append(rows) or witt_index(rows))
+        res = search_forms(2, 2, 1, 2000, 7)
+        assert (res.trial_index, res.trials_run) == (None, 2000)
+        assert calls == []
 
     def test_default_trials_at_the_guard_are_skipped_by_the_trial_budget(self):
         res = search_forms(20, 1, 2, trials=1000, seed=0)
