@@ -209,17 +209,14 @@ def _witt_index(gram: Sequence[int]) -> int:
     return rank // 2 + n - rank - (defect | arf)
 
 
-def _rref_bits(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form of int-packed rows, sorted by pivot.
+def _echelon_bits(rows: Iterable[int]) -> dict[int, int]:
+    """Forward elimination of int-packed rows: a table from pivot to echelon row.
 
-    Pivot = lowest set bit (leftmost coordinate).  Result rows are nonzero,
-    mutually reduced, pivots strictly increasing.
-
-    A table maps each pivot, keyed by bit_length (column + 1), to its row.
-    The forward pass XORs into an incoming row only the pivot rows it hits,
-    lowest first, until it is zero or has a new pivot.  The back pass runs
-    from the highest pivot down: the rows above a pivot are already reduced,
-    so clearing its row's pivot bits with them introduces no new ones.
+    Pivot = lowest set bit (leftmost coordinate), keyed by bit_length
+    (column + 1).  An incoming row XORs in only the pivot rows it hits,
+    lowest first, until it is zero or has a new pivot, under which it is
+    stored.  The rows are not reduced against each other; the table's size
+    is the rank of the input, which is all a rank reader needs.
     """
     piv: dict[int, int] = {}
     for v in rows:
@@ -230,6 +227,20 @@ def _rref_bits(rows: Iterable[int]) -> list[int]:
                 piv[p] = v
                 break
             v ^= b
+    return piv
+
+
+def _rref_bits(rows: Iterable[int]) -> list[int]:
+    """Reduced row echelon form of int-packed rows, sorted by pivot.
+
+    Pivot = lowest set bit (leftmost coordinate).  Result rows are nonzero,
+    mutually reduced, pivots strictly increasing.
+
+    The forward pass is `_echelon_bits`.  The back pass runs from the highest
+    pivot down: the rows above a pivot are already reduced, so clearing its
+    row's pivot bits with them introduces no new ones.
+    """
+    piv = _echelon_bits(rows)
     pivots = sorted(piv)
     pivmask = 0
     for p in reversed(pivots):
@@ -292,8 +303,8 @@ class Subspace:
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank."""
-    return len(_rref_bits(m.row_data))
+    """GF(2) row rank, from the forward pass alone."""
+    return len(_echelon_bits(m.row_data))
 
 
 def kernel(m: BitMatrix) -> Subspace:

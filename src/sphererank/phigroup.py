@@ -22,8 +22,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
-from .gf2 import (BitVector, Subspace, _coordinate_masks, _quadratic_mask, _reduce_bits,
-                  _rref_bits, _witt_index, fold_rows)
+from .gf2 import (BitVector, Subspace, _coordinate_masks, _echelon_bits, _quadratic_mask,
+                  _reduce_bits, _rref_bits, _witt_index, fold_rows)
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
@@ -105,7 +105,7 @@ def center(G: PhiGroup) -> CenterResult:
     """
     radical = common_radical(G.fam)
     q_rows = [quadratic_refinement(G.fam, v).bits for v in radical.basis]
-    q_rank = len(_rref_bits(q_rows))
+    q_rank = len(_echelon_bits(q_rows))
     return CenterResult(radical, G.t + radical.dim - q_rank)
 
 

@@ -3,7 +3,7 @@
 Polynomials are sets of exponent tuples with mod-2 coefficients; addition is
 symmetric difference, and a power of a linear form is written down term by
 term (Frobenius and Lucas), never multiplied out.
-Hilbert functions of graded quotients come from row-reducing monomial
+Hilbert functions of graded quotients come from the rank of the monomial
 multiples of the generators inside one graded piece, and for n homogeneous
 generators in n variables regularity is equivalent to the quotient dying at
 the Artinian boundary degree sum(d_i - 1) + 1.
@@ -12,12 +12,12 @@ the Artinian boundary degree sum(d_i - 1) + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, NonSquareSystemError, SchemaError, require_keys
-from .gf2 import BitMatrix, BitVector, _reduce_bits, _rref_bits, fold_rows, rank
+from .gf2 import BitMatrix, BitVector, _echelon_bits, _reduce_bits, _rref_bits, fold_rows, rank
 
 if TYPE_CHECKING:
     from .repaction import GroupOracle, MonomialRep
@@ -122,8 +122,8 @@ class GradedPoly:
         acc: set[Exponents] = set()
         for m1 in self.monomials:
             for m2 in other.monomials:
-                prod = tuple(a + b for a, b in zip(m1, m2))
-                acc.symmetric_difference_update({prod})
+                product = tuple(a + b for a, b in zip(m1, m2))
+                acc.symmetric_difference_update({product})
         return GradedPoly(self.nvars, self.degree + other.degree, frozenset(acc))
 
     def power(self, p: int) -> GradedPoly:
@@ -195,8 +195,10 @@ def hilbert_function(I: IdealGens, d: int) -> int:
 
     A monomial of degree <= d is coded as the int whose base-(d+1) digits are
     its exponents, so the code of a product is the sum of the codes and each
-    column of the Macaulay matrix is found with one dict lookup.  The piece is
-    refused above COLUMN_GUARD columns or PIECE_GUARD rows * cols.
+    column of the Macaulay matrix is found with one dict lookup.  The rows
+    stream into `_echelon_bits`: the value is columns minus rank, so the
+    forward pass suffices and no row is back-reduced.  The piece is refused
+    above COLUMN_GUARD columns or PIECE_GUARD rows * cols.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -228,7 +230,7 @@ def hilbert_function(I: IdealGens, d: int) -> int:
                     row ^= 1 << column[m + gc]
                 yield row
 
-    return ncols - len(_rref_bits(rows()))
+    return ncols - len(_echelon_bits(rows()))
 
 
 def is_regular_sequence(I: IdealGens) -> bool:
@@ -251,11 +253,17 @@ def is_regular_sequence(I: IdealGens) -> bool:
 
 
 def quotient_total_dim(I: IdealGens) -> Optional[int]:
-    """Total dimension of the quotient when regular (= prod d_i), else None."""
+    """Total dimension of the quotient when regular (= prod d_i), else None.
+
+    The one Hilbert value is the one `is_regular_sequence` reads.  For a
+    homogeneous regular sequence the Koszul complex is a free resolution, so
+    the Hilbert series is prod (1 + t + ... + t^(d_i - 1)) and its values sum
+    to prod d_i (Stanley, Hilbert functions of graded algebras, Adv. Math. 28,
+    1978); no other piece is reduced.
+    """
     if not is_regular_sequence(I):
         return None
-    boundary = sum(g.degree - 1 for g in I.gens)
-    return sum(hilbert_function(I, d) for d in range(boundary + 1))
+    return prod(g.degree for g in I.gens)
 
 
 # -- Euler classes of induced representations ---------------------------------
@@ -373,7 +381,7 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
     if any(y.degree != 1 or y.nvars != act.nvars for y in ys):
         raise ValueError("ys must be degree-1 forms in the action's variables")
     lines = [y.linear_coeffs().bits for y in ys]
-    if len(_rref_bits(lines)) != len(ys):
+    if len(_echelon_bits(lines)) != len(ys):
         raise ValueError("ys must be linearly independent")
     index: dict[Exponents, int] = {}  # a column per monomial, given when first seen
 

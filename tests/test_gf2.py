@@ -7,6 +7,7 @@ from sphererank.gf2 import (
     BitVector,
     Subspace,
     _coordinate_masks,
+    _echelon_bits,
     _rref_bits,
     _transpose_bits,
     _witt_index,
@@ -228,6 +229,29 @@ class TestRank:
             pivot_mask = sum(1 << p for p in pivots)
             assert all(r & pivot_mask == 1 << p for r, p in zip(got, pivots))
             assert all(r >> cols == 0 for r in got)
+
+    def test_forward_pass_against_rref(self):
+        # the forward pass keeps the RREF's pivots, each row under its lowest
+        # bit, and spans what the RREF spans; rank reads its size alone
+        rng = random.Random(28)
+        cases = [[]]
+        for _ in range(80):
+            cols = rng.randint(1, 300)
+            rows = [rng.getrandbits(cols) >> rng.randrange(cols) for _ in range(rng.randint(1, 30))]
+            rows += [0, rows[0], rows[-1] ^ rows[0]]  # zero, duplicate, dependent
+            rng.shuffle(rows)
+            cases.append(rows)
+        for rows in cases:
+            echelon = _echelon_bits(rows)
+            reduced = _rref_bits(rows)
+            assert sorted(echelon) == [(r & -r).bit_length() for r in reduced]
+            assert all((row & -row).bit_length() == key for key, row in echelon.items())
+            for r in reduced:
+                while r and (r & -r).bit_length() in echelon:
+                    r ^= echelon[(r & -r).bit_length()]
+                assert r == 0
+            width = max((r.bit_length() for r in rows), default=1)
+            assert rank(BitMatrix.from_bits(len(rows), width, rows)) == len(reduced)
 
     def test_rank_nullity(self):
         rng = random.Random(5)

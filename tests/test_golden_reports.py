@@ -106,6 +106,14 @@ def _cubics(nvars: int, density: float, seed: int) -> dict:
 IDEALS = {"ideal_cubic5_reg.json": _cubics(5, 0.4, 0),
           "ideal_cubic5_sing.json": _cubics(5, 0.15, 0)}
 
+# A mixed-degree regular sequence in three variables, x^2 + yz, y^3 + xz^2 + xyz
+# and z^4 + xy^2z + x^2yz: Hilbert values 1, 3, 5, 6, 5, 3, 1, total 2 * 3 * 4.
+MIXED_IDEAL = ("ideal_mixed234.json", {"nvars": 3, "gens": [
+    {"degree": 2, "monomials": [[2, 0, 0], [0, 1, 1]]},
+    {"degree": 3, "monomials": [[0, 3, 0], [1, 0, 2], [1, 1, 1]]},
+    {"degree": 4, "monomials": [[0, 0, 4], [1, 2, 1], [2, 1, 1]]},
+]})
+
 # Quadratic systems for `forms czero`, each monomial a list of variable indices:
 # two equations of total degree 4 in six variables, which have a nonzero common
 # zero by Chevalley-Warning, and x0 + x1 + x0 x1 (x0 or x1), zero only at 0.
@@ -174,6 +182,7 @@ def _cases() -> list[list[str]]:
                       "--save-family", name])
         cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
         cases.append(["group", "profile", "--family", name])
+    cases.append(["poly", "regseq", "--ideal", MIXED_IDEAL[0]])
     return cases
 
 
@@ -182,7 +191,7 @@ def _render(capture) -> list[dict]:
     Path("q8xc2c2.json").write_text(json.dumps(
         {"order": 32, "mul": direct_product_table(quaternion_table(), elementary_abelian_table(2))}
     ))
-    for name, doc in {**IDEALS, **SYSTEMS}.items():
+    for name, doc in {**IDEALS, MIXED_IDEAL[0]: MIXED_IDEAL[1], **SYSTEMS}.items():
         Path(name).write_text(json.dumps(doc))
     for name, action in ACTIONS.items():
         Path(name).write_text(json.dumps(action))

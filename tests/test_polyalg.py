@@ -308,6 +308,58 @@ class TestQuotientTotalDim:
                 assert hilbert_function(ideal, deg) == c
             assert quotient_total_dim(ideal) == math.prod(degrees)
 
+    @staticmethod
+    def substituted_complete_intersections(seed, count):
+        """Images of x_i^(d_i), mixed degrees, under random invertible substitutions."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            nvars = rng.randint(2, 4)
+            degrees = [rng.randint(1, 4) for _ in range(nvars)]
+            m = random_invertible(rng, nvars)
+            yield IdealGens(nvars, tuple(
+                apply_linear(var_power(nvars, i, d), m) for i, d in enumerate(degrees)
+            ))
+
+    def test_product_of_degrees_is_the_summed_hilbert_function(self):
+        for ideal in self.substituted_complete_intersections(28, 12):
+            boundary = sum(g.degree - 1 for g in ideal.gens)
+            summed = sum(hilbert_function(ideal, d) for d in range(boundary + 1))
+            assert quotient_total_dim(ideal) == summed
+
+    def test_none_on_dependent_or_zero_generators(self):
+        for ideal in self.substituted_complete_intersections(29, 6):
+            gens, n = list(ideal.gens), ideal.nvars
+            dependent = gens[:-1] + [gens[0]]
+            zero = gens[:-1] + [GradedPoly.zero(n, gens[-1].degree)]
+            assert quotient_total_dim(IdealGens(n, tuple(dependent))) is None
+            assert quotient_total_dim(IdealGens(n, tuple(zero))) is None
+
+    def test_one_hilbert_value_and_no_back_pass(self, monkeypatch):
+        from sphererank import bounds, gf2, phigroup, polyalg
+
+        # the benchmark's tracer patches _rref_bits under these names
+        assert all(mod._rref_bits is gf2._rref_bits for mod in (phigroup, polyalg, bounds))
+
+        def no_back_pass(rows):
+            raise AssertionError("a Hilbert value needs only the forward pass")
+
+        monkeypatch.setattr(gf2, "_rref_bits", no_back_pass)
+        monkeypatch.setattr(polyalg, "_rref_bits", no_back_pass)
+        calls = []
+        hilbert = polyalg.hilbert_function
+
+        def counted(I, d):
+            calls.append(d)
+            return hilbert(I, d)
+
+        monkeypatch.setattr(polyalg, "hilbert_function", counted)
+        regular = IdealGens(3, (var_power(3, 0, 2), var_power(3, 1, 3), var_power(3, 2, 4)))
+        xy = poly(2, (1, 0), (0, 1))
+        assert quotient_total_dim(regular) == 24
+        assert calls == [7]
+        assert quotient_total_dim(IdealGens(2, (xy, xy))) is None
+        assert calls == [7, 1]  # each at its Artinian cutoff
+
 
 class TestEulerClassRestriction:
     def test_two_copies_of_sign_character(self):
