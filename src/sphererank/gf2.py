@@ -1,16 +1,20 @@
 """Exact linear algebra over GF(2): bit-packed vectors, matrices, subspaces.
 
 Coordinate i of a vector lives at bit position i of an arbitrary-precision
-integer (LSB first).  Subspaces carry a canonical reduced-row-echelon basis
-with strictly increasing pivot columns, so set-level equality is plain tuple
-equality.  Everything here is immutable and pure; no floating point.
+integer (LSB first).  The computations run on int rows; `BitVector`,
+`BitMatrix` and `Subspace` are the values of the input and report boundary.
+A `Subspace` checks nothing: its canonical reduced-row-echelon basis, with
+strictly increasing pivot columns, is a promise of its producers, `kernel`
+and the isotropic searches, which read it from `_rref_bits`, so set-level
+equality is plain tuple equality.  Everything here is immutable and pure;
+no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -43,12 +47,6 @@ class BitVector:
             raise ValueError(f"invalid bit string {s!r}")
         return cls.from_coords(int(ch) for ch in s)
 
-    @classmethod
-    def basis(cls, n: int, i: int) -> BitVector:
-        if not 0 <= i < n:
-            raise ValueError("basis index out of range")
-        return cls(n, 1 << i)
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -67,8 +65,7 @@ class BitVector:
 class BitMatrix:
     """Dense GF(2) matrix stored as a tuple of int-packed rows (entry j = bit j).
 
-    `row(i)` wraps a row in a BitVector on demand; `row_data` is the tuple
-    itself, for readers that only fold or compare rows.
+    `row_data` is that tuple; readers fold or compare its rows as ints.
     """
 
     rows: int
@@ -97,9 +94,6 @@ class BitMatrix:
         if len({r.n for r in rows}) > 1:
             raise ValueError("ragged rows")
         return cls(len(rows), rows[0].n, tuple(r.bits for r in rows))
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_data[i])
 
     def row_bits(self) -> list[int]:
         return list(self.row_data)
@@ -263,39 +257,11 @@ def _reduce_bits(v: int, basis: Sequence[int]) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Canonical subspace of F2^n: RREF basis, pivots strictly increasing."""
+class Subspace(NamedTuple):
+    """Subspace of F2^n as its RREF basis, pivots strictly increasing; not checked."""
 
     ambient_dim: int
     basis: tuple[BitVector, ...]
-
-    def __post_init__(self):
-        prev_pivot = -1
-        pivots = 0
-        for r in self.basis:
-            if r.n != self.ambient_dim:
-                raise ValueError("basis row length mismatch")
-            if r.is_zero():
-                raise ValueError("zero basis row")
-            pivot = (r.bits & -r.bits).bit_length() - 1
-            if pivot <= prev_pivot:
-                raise ValueError("pivots not strictly increasing")
-            prev_pivot = pivot
-            pivots |= 1 << pivot
-        for r in self.basis:
-            own_pivot = r.bits & -r.bits
-            if (r.bits & pivots) != own_pivot:
-                raise ValueError("basis not fully reduced")
-
-    @classmethod
-    def span(cls, ambient_dim: int, vectors: Iterable[BitVector]) -> Subspace:
-        bits = []
-        for v in vectors:
-            if v.n != ambient_dim:
-                raise ValueError("length mismatch")
-            bits.append(v.bits)
-        return cls(ambient_dim, tuple(BitVector(ambient_dim, b) for b in _rref_bits(bits)))
 
     @property
     def dim(self) -> int:
@@ -308,7 +274,10 @@ def rank(m: BitMatrix) -> int:
 
 
 def kernel(m: BitMatrix) -> Subspace:
-    """Canonical right kernel {v : m.v = 0}; dim = cols - rank."""
+    """Canonical right kernel {v : m.v = 0}; dim = cols - rank.
+
+    One int generator per free column, reduced once to the RREF basis.
+    """
     reduced = _rref_bits(m.row_data)
     pivot_cols = [(r & -r).bit_length() - 1 for r in reduced]
     pivot_set = set(pivot_cols)
@@ -320,5 +289,5 @@ def kernel(m: BitMatrix) -> Subspace:
         for r, p in zip(reduced, pivot_cols):
             if (r >> free) & 1:
                 v |= 1 << p
-        gens.append(BitVector(m.cols, v))
-    return Subspace.span(m.cols, gens)
+        gens.append(v)
+    return Subspace(m.cols, tuple(BitVector(m.cols, b) for b in _rref_bits(gens)))

@@ -15,7 +15,6 @@ first serving as the correctness oracle for the second.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -427,8 +426,7 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     return SearchResult(None, None, condition, trials)
 
 
-@dataclass(frozen=True)
-class ExtensionProfile:
+class ExtensionProfile(NamedTuple):
     """Shape of 1 -> (Z/2)^T -> G -> (Z/2)^N -> 1 with V maximal elementary abelian."""
 
     T: int

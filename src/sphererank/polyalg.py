@@ -88,10 +88,6 @@ class GradedPoly:
         return cls(nvars, 0, frozenset({(0,) * nvars}))
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> GradedPoly:
-        return cls.linear(nvars, BitVector.basis(nvars, i))
-
-    @classmethod
     def linear(cls, nvars: int, coeffs: BitVector) -> GradedPoly:
         if coeffs.n != nvars:
             raise ValueError("coefficient length mismatch")
@@ -352,21 +348,6 @@ class LinearAction:
                 raise ValueError("generators must be nvars x nvars")
             if rank(m) != self.nvars:
                 raise ValueError("generators must be invertible")
-
-
-def apply_linear(poly: GradedPoly, m: BitMatrix) -> GradedPoly:
-    """Ring substitution x_i -> sum_j m[i][j] x_j applied to a polynomial."""
-    if m.rows != poly.nvars or m.cols != poly.nvars:
-        raise ValueError("matrix size mismatch")
-    images = [GradedPoly.linear(poly.nvars, m.row(i)) for i in range(poly.nvars)]
-    out = GradedPoly.zero(poly.nvars, poly.degree)
-    for mono in poly.monomials:
-        term = GradedPoly.one(poly.nvars)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * images[i].power(e)
-        out = out + term
-    return out
 
 
 class PowerSpanResult(NamedTuple):

@@ -2,10 +2,13 @@
 
 Everything here deliberately avoids the package's bit-packed code paths:
 matrices are lists of lists, polynomials are dicts of exponent tuples,
-eigenvalue questions go through exact rational arithmetic.  The two
-family builders, `family` and `zero_family`, are the exception: they are
-not oracles but fixtures, and go through the package's one checked door for
-form families, `FormFamily.from_json_dict`.
+eigenvalue questions go through exact rational arithmetic.  The family
+builders, `family` and `zero_family`, and the ring substitution
+`apply_linear` are the exception: they are not oracles but fixtures.  The
+builders go through the package's one checked door for form families,
+`FormFamily.from_json_dict`; the substitution writes polynomials with
+`GradedPoly`, so it makes the non-monomial regular sequences the polynomial
+tests feed the package.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from itertools import combinations, combinations_with_replacement, product
 from weakref import WeakKeyDictionary
 
 from sphererank.forms import FormFamily
+from sphererank.gf2 import BitMatrix, BitVector
+from sphererank.polyalg import GradedPoly
 
 
 # -- naive GF(2) linear algebra -------------------------------------------------
@@ -74,6 +79,25 @@ def span_bits(rows: list[int]) -> set[int]:
     for r in rows:
         out |= {v ^ r for v in out}
     return out
+
+
+def is_rref(n: int, rows: Sequence[int]) -> bool:
+    """The int rows are a reduced row echelon basis in F2^n: each row nonzero
+    with no bit at or above n, pivots (lowest set bits) strictly increasing,
+    and each pivot column clear in every other row."""
+    if not all(0 < r and r >> n == 0 for r in rows):
+        return False
+    pivots = [next(j for j in range(n) if r >> j & 1) for r in rows]
+    return all(a < b for a, b in zip(pivots, pivots[1:])) and all(
+        (other >> p & 1) == (i == k) for i, p in enumerate(pivots) for k, other in enumerate(rows)
+    )
+
+
+def is_canonical(s) -> bool:
+    """A reported Subspace: n-coordinate vectors forming a reduced row echelon basis."""
+    return all(v.n == s.ambient_dim for v in s.basis) and is_rref(
+        s.ambient_dim, [v.bits for v in s.basis]
+    )
 
 
 def naive_kernel_vectors(rows: list[list[int]], n: int) -> set[tuple[int, ...]]:
@@ -632,3 +656,18 @@ def naive_hilbert(nvars: int, gens: list[set[tuple]], degrees: list[int], d: int
             shifted = {tuple(a + b for a, b in zip(m, gm)) for gm in g}
             reduce_and_insert(set(shifted))
     return len(list(monomials(d))) - len(span)
+
+
+def apply_linear(poly: GradedPoly, m: BitMatrix) -> GradedPoly:
+    """Ring substitution x_i -> sum_j m[i][j] x_j applied to a polynomial."""
+    if m.rows != poly.nvars or m.cols != poly.nvars:
+        raise ValueError("matrix size mismatch")
+    images = [GradedPoly.linear(poly.nvars, BitVector(m.cols, row)) for row in m.row_data]
+    out = GradedPoly.zero(poly.nvars, poly.degree)
+    for mono in poly.monomials:
+        term = GradedPoly.one(poly.nvars)
+        for i, e in enumerate(mono):
+            if e:
+                term = term * images[i].power(e)
+        out = out + term
+    return out

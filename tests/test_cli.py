@@ -540,6 +540,139 @@ def family_documents(draw):
     return doc
 
 
+def _at(container, index):
+    """container[index] when the container is a list that long, else None."""
+    if isinstance(container, list) and 0 <= index < len(container):
+        return container[index]
+    return None
+
+
+@st.composite
+def system_documents(draw):
+    """A quadratic system document with up to three faults: a key left out,
+    or v, the polys, one poly, one monomial or one index replaced."""
+    v = draw(st.integers(0, 6))
+    monomial = st.lists(st.integers(0, v - 1), max_size=2).map(sorted) if v else st.just([])
+    polys = draw(st.lists(st.lists(monomial, max_size=4), max_size=3))
+    doc = {"v": v, "polys": polys}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "v", "polys", "poly", "monomial", "index"]))
+        k, i, j = (draw(st.integers(0, 3)) for _ in range(3))
+        poly, mono = _at(polys, k), _at(_at(polys, k), i)
+        if fault == "drop":
+            doc.pop(draw(st.sampled_from(["v", "polys"])), None)
+        elif fault == "v":
+            doc["v"] = draw(st.integers(-1, 30) | JSON_VALUES)
+        elif fault == "polys":
+            doc["polys"] = draw(JSON_VALUES)
+        elif fault == "poly" and poly is not None:
+            polys[k] = draw(st.lists(st.lists(st.integers(-1, v + 1), max_size=3)) | JSON_VALUES)
+        elif fault == "monomial" and mono is not None:
+            poly[i] = draw(st.lists(st.integers(-2, v + 2), max_size=3) | JSON_VALUES)
+        elif fault == "index" and isinstance(mono, list) and j < len(mono):
+            mono[j] = draw(st.integers(-2, v + 2) | JSON_VALUES)
+    return doc
+
+
+@st.composite
+def ideal_documents(draw):
+    """An ideal document of nvars generators in nvars variables, with up to
+    three faults: a key left out, or nvars, the gens, one generator, its
+    monomials, one monomial, one exponent or its degree replaced."""
+    nvars = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(nvars):
+        d = draw(st.integers(1, 3))
+        monos = []
+        for factors in draw(st.lists(st.lists(st.integers(0, nvars - 1), min_size=d, max_size=d),
+                                     min_size=1, max_size=3)):
+            monos.append([factors.count(x) for x in range(nvars)])
+        gen = {"monomials": monos}
+        if draw(st.booleans()):
+            gen["degree"] = d
+        gens.append(gen)
+    doc = {"nvars": nvars, "gens": gens}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(
+            ["drop", "nvars", "gens", "gen", "monomials", "monomial", "exponent", "degree"]))
+        k, i, j = (draw(st.integers(0, 2)) for _ in range(3))
+        gen = _at(gens, k)
+        monos = gen.get("monomials") if isinstance(gen, dict) else None
+        mono = _at(monos, i)
+        if fault == "drop":
+            doc.pop(draw(st.sampled_from(["nvars", "gens"])), None)
+        elif fault == "nvars":
+            doc["nvars"] = draw(st.integers(-1, 20) | JSON_VALUES)
+        elif fault == "gens":
+            doc["gens"] = draw(JSON_VALUES)
+        elif fault == "gen" and gen is not None:
+            gens[k] = draw(JSON_VALUES | st.dictionaries(
+                st.sampled_from(["monomials", "degree", "nvars"]), st.integers(-1, 4) | JSON_VALUES))
+        elif fault == "monomials" and isinstance(gen, dict):
+            gen["monomials"] = draw(JSON_VALUES)
+        elif fault == "monomial" and mono is not None:
+            monos[i] = draw(st.lists(st.integers(-1, 9), max_size=4) | JSON_VALUES)
+        elif fault == "exponent" and isinstance(mono, list) and j < len(mono):
+            mono[j] = draw(st.integers(-2, 9) | JSON_VALUES)
+        elif fault == "degree" and isinstance(gen, dict):
+            gen["degree"] = draw(st.integers(-1, 9) | JSON_VALUES)
+    return doc
+
+
+@st.composite
+def action_documents(draw):
+    """An action document of invertible generators (a permutation matrix with
+    one row added to another) with up to three faults: a key left out, or
+    nvars, the generators, one matrix, one row or one entry replaced."""
+    n = draw(st.integers(1, 4))
+    generators = []
+    for _ in range(draw(st.integers(0, 2))):
+        rows = [1 << p for p in draw(st.permutations(range(n)))]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            rows[i] ^= rows[j]
+        generators.append(["".join(str(r >> c & 1) for c in range(n)) for r in rows])
+    doc = {"nvars": n, "generators": generators}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "nvars", "generators", "matrix", "row", "entry"]))
+        k, i, j = draw(st.integers(0, 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix = _at(generators, k)
+        row = _at(matrix, i)
+        if fault == "drop":
+            doc.pop(draw(st.sampled_from(["nvars", "generators"])), None)
+        elif fault == "nvars":
+            doc["nvars"] = draw(st.integers(-1, 20) | JSON_VALUES)
+        elif fault == "generators":
+            doc["generators"] = draw(JSON_VALUES)
+        elif fault == "matrix" and matrix is not None:
+            generators[k] = draw(st.lists(st.text("01", max_size=5), max_size=5) | JSON_VALUES)
+        elif fault == "row" and row is not None:
+            matrix[i] = draw(st.text("01", max_size=5) | JSON_VALUES)
+        elif fault == "entry" and isinstance(row, str) and j < len(row):
+            matrix[i] = row[:j] + "10"[int(row[j] == "1")] + row[j + 1:]
+    return doc, n
+
+
+def assert_clean_answer(code, obj, doc, named_fields=False) -> None:
+    """A documented exit code with a report or a well-formed error: a named
+    guard on exit 3, no Python text, and (when asked) the failing fields."""
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_GUARD, EXIT_BAD_JSON), (code, doc)
+    if code == EXIT_OK:
+        return
+    error = obj["error"]
+    assert type(error["code"]) is str and type(error["message"]) is str, error
+    assert not PYTHON_TEXT.search(error["message"]), (error, doc)
+    if code == EXIT_VALIDATION:
+        assert error["code"] == "validation", (error, doc)
+        if named_fields or "fields" in error:
+            assert error["fields"] and all(type(f) is str for f in error["fields"]), (error, doc)
+    elif code == EXIT_GUARD:
+        assert error["code"] == "guard_exceeded", error
+        assert type(error["guard"]) is str and error["guard"], error
+    else:
+        assert error["code"] == "malformed_json", error
+
+
 class TestInputDocuments:
     """Ideal, action, system and family documents: a value of the wrong type,
     booleans included, is a validation error on its field."""
@@ -641,20 +774,42 @@ class TestInputDocuments:
     @given(doc=family_documents())
     def test_any_family_document_gets_a_clean_answer(self, capsys, tmp_path, doc):
         code, obj = run(capsys, "group", "info", "--family", self.write(tmp_path, doc))
-        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_GUARD, EXIT_BAD_JSON), (code, doc)
+        assert_clean_answer(code, obj, doc, named_fields=True)
         if code == EXIT_OK:
             assert obj["result"]["n"] == doc["n"] and obj["result"]["t"] == doc["t"]
-            return
-        error = obj["error"]
-        assert type(error["code"]) is str and type(error["message"]) is str, error
-        assert not PYTHON_TEXT.search(error["message"]), (error, doc)
-        if code == EXIT_VALIDATION:
-            assert error["code"] == "validation" and error["fields"], (error, doc)
-            assert all(type(f) is str for f in error["fields"])
-        elif code == EXIT_GUARD:
-            assert error["code"] == "guard_exceeded" and error["guard"], error
-        else:
-            assert error["code"] == "malformed_json", error
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=system_documents())
+    def test_any_system_document_gets_a_clean_answer(self, capsys, tmp_path, doc):
+        code, obj = run(capsys, "forms", "czero", "--system", self.write(tmp_path, doc))
+        assert_clean_answer(code, obj, doc, named_fields=True)
+        if code == EXIT_OK:
+            v, zero = doc["v"], obj["result"]["zero"]
+            assert obj["result"]["variables"] == v
+            assert zero is None or (len(zero) == v and set(zero) <= {"0", "1"} and "1" in zero)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=ideal_documents())
+    def test_any_ideal_document_gets_a_clean_answer(self, capsys, tmp_path, doc):
+        code, obj = run(capsys, "poly", "regseq", "--ideal", self.write(tmp_path, doc))
+        assert_clean_answer(code, obj, doc)
+        if code == EXIT_OK:
+            regular, total = obj["result"]["regular"], obj["result"]["total_dim"]
+            assert regular is (total is not None), obj
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=action_documents(), p=st.integers(0, 3))
+    def test_any_action_document_gets_a_clean_answer(self, capsys, tmp_path, case, p):
+        doc, n = case
+        ys = json.dumps([[int(i == j) for j in range(n)] for i in range(n)])
+        code, obj = run(capsys, "poly", "powertest", "--action", self.write(tmp_path, doc),
+                        "--ys", ys, "--p", str(p))
+        assert_clean_answer(code, obj, doc)
+        if code == EXIT_OK:
+            assert obj["result"]["permuted"] <= obj["result"]["stable"], obj
 
 
 class TestNumericFlags:

@@ -24,8 +24,10 @@ from oracles import (
     brute_smallest_common_zero,
     family,
     form_value_bits,
+    is_canonical,
     naive_form_value,
     naive_poly_values,
+    span_bits,
     zero_family,
 )
 
@@ -89,7 +91,7 @@ class TestQuadraticRefinement:
             n, t = rng.randint(1, 6), rng.randint(1, 4)
             fam = random_family(n, t, rng.getrandbits(64))
             for i in range(n):
-                assert quadratic_refinement(fam, BitVector.basis(n, i)).is_zero()
+                assert quadratic_refinement(fam, BitVector(n, 1 << i)).is_zero()
 
     def test_d8_diagonal_vector(self):
         q = quadratic_refinement(family(["01", "10"]), BitVector.from_string("11"))
@@ -112,7 +114,7 @@ class TestQuadraticRefinement:
 
 class TestCommonRadical:
     def test_zero_family_full_radical(self):
-        full = Subspace.span(3, [BitVector.basis(3, i) for i in range(3)])
+        full = Subspace(3, tuple(BitVector(3, 1 << i) for i in range(3)))
         assert common_radical(zero_family(3, 1)) == full
 
     def test_d8_trivial_radical(self):
@@ -127,9 +129,31 @@ class TestCommonRadical:
         for _ in range(20):
             fam = random_family(rng.randint(1, 6), rng.randint(1, 3), rng.getrandbits(64))
             rad = common_radical(fam)
+            assert is_canonical(rad) and rad.ambient_dim == fam.n
             for gram in fam.grams:
                 for v in rad.basis:
                     assert not any((r & v.bits).bit_count() & 1 for r in gram)
+
+    def test_low_rank_forms_give_a_canonical_radical(self):
+        # each form is a sum of one or two u v^T + v u^T, so the radical is
+        # large and lies in general position; Subspace checks nothing
+        rng = random.Random(29)
+        for _ in range(40):
+            n, t = rng.randint(2, 8), rng.randint(1, 2)
+            forms = []
+            for _ in range(t):
+                rows = [0] * n
+                for _ in range(rng.randint(1, 2)):
+                    u, v = rng.getrandbits(n), rng.getrandbits(n)
+                    rows = [r ^ (v if u >> i & 1 else 0) ^ (u if v >> i & 1 else 0)
+                            for i, r in enumerate(rows)]
+                forms.append(["".join(str(b) for b in coords(r, n)) for r in rows])
+            fam = family(*forms)
+            rad = common_radical(fam)
+            assert is_canonical(rad) and rad.ambient_dim == n
+            radical = {a for a in range(1 << n)
+                       if not any(form_value_bits(g, a, b) for g in fam.grams for b in range(1 << n))}
+            assert span_bits([v.bits for v in rad.basis]) == radical
 
 
 class TestRandomFamily:

@@ -19,6 +19,8 @@ from sphererank.gf2 import (
 import oracles
 from oracles import (
     gaussian_binomial_recurrence,
+    is_canonical,
+    is_rref,
     naive_kernel_vectors,
     naive_matvec,
     naive_rank,
@@ -110,8 +112,7 @@ class TestBitMatrixShapeChecks:
     def test_valid_shapes_still_build(self):
         assert BitMatrix.from_bits(0, 3, []).rows == 0
         m = BitMatrix.from_bits(2, 3, [0b101, 0b010])
-        assert (m.rows, m.cols, [m.row(i).to_string() for i in range(2)]) == (2, 3, ["101", "010"])
-        assert [m.row(i) for i in range(2)] == [BitVector(3, 0b101), BitVector(3, 0b010)]
+        assert (m.rows, m.cols, m.row_data) == (2, 3, (0b101, 0b010))
         assert m.row_bits() == [0b101, 0b010]
 
 
@@ -267,7 +268,7 @@ class TestKernel:
 
     def test_zero_matrix_kernel_full(self):
         k = kernel(BitMatrix.from_bits(3, 3, [0, 0, 0]))
-        assert k == Subspace.span(3, [BitVector.basis(3, i) for i in range(3)])
+        assert k == Subspace(3, tuple(BitVector(3, 1 << i) for i in range(3)))
 
     def test_small_example(self):
         k = kernel(BitMatrix.from_strings(["11", "00"]))
@@ -283,38 +284,65 @@ class TestKernel:
             got = {tuple(bits_to_list(v, n)) for v in subspace_bits(kernel(m))}
             assert got == expected
 
+    def test_basis_is_canonical(self):
+        # Subspace checks nothing, so kernel's reduced form is asserted here
+        rng = random.Random(29)
+        cases = [BitMatrix.from_bits(r, c, [0] * r) for r, c in ((1, 1), (3, 3), (2, 70))]
+        cases += [identity(n) for n in (1, 4, 65)]
+        cases += [random_matrix(rng, rng.randint(1, 8), rng.randint(1, 10)) for _ in range(60)]
+        cases += [random_matrix(rng, rng.randint(1, 6), cols) for cols in (64, 65, 130, 300)]
+        for m in cases:
+            k = kernel(m)
+            assert is_canonical(k), m
+            assert (k.ambient_dim, k.dim) == (m.cols, m.cols - rank(m))
+            assert not any((r & v.bits).bit_count() & 1 for r in m.row_data for v in k.basis)
+
 
 class TestSpan:
+    """The reduced form of a span, which `kernel` and the searches read."""
+
     def test_full_plane(self):
-        s = Subspace.span(2, [BitVector.from_string("10"), BitVector.from_string("11")])
-        assert s == Subspace.span(2, [BitVector.basis(2, 0), BitVector.basis(2, 1)])
+        assert _rref_bits([0b01, 0b11]) == _rref_bits([0b01, 0b10]) == [0b01, 0b10]
 
     def test_empty(self):
-        assert Subspace.span(4, []) == Subspace(4, ())
+        assert _rref_bits([]) == []
         assert Subspace(4, ()).dim == 0
 
     def test_dependent_triple(self):
-        vecs = [BitVector.from_string(s) for s in ("110", "011", "101")]
-        assert Subspace.span(3, vecs).dim == 2
+        assert len(_rref_bits([0b011, 0b110, 0b101])) == 2
 
     def test_idempotent_and_order_independent(self):
         rng = random.Random(13)
         for _ in range(20):
             n = rng.randint(1, 8)
-            vecs = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randint(0, 5))]
-            s = Subspace.span(n, vecs)
-            assert Subspace.span(n, s.basis) == s
+            vecs = [rng.getrandbits(n) for _ in range(rng.randint(0, 5))]
+            s = _rref_bits(vecs)
+            assert is_rref(n, s)
+            assert _rref_bits(s) == s
             shuffled = vecs[:]
             rng.shuffle(shuffled)
-            assert Subspace.span(n, shuffled) == s
+            assert _rref_bits(shuffled) == s
 
-    def test_rejects_mixed_lengths(self):
-        with pytest.raises(ValueError):
-            Subspace.span(2, [BitVector.from_string("10"), BitVector.from_string("100")])
 
-    def test_subspace_validates_canonical_form(self):
-        with pytest.raises(ValueError):
-            Subspace(2, (BitVector.from_string("11"), BitVector.from_string("01")))
+class TestIsRref:
+    """Self-checks of the reduced-row-echelon predicate in oracles.py."""
+
+    def test_accepts_reduced_bases(self):
+        assert is_rref(0, []) and is_rref(3, [])
+        assert is_rref(3, [0b001, 0b010, 0b100])
+        assert is_rref(4, [0b0101, 0b1010])  # pivots 0 and 1, other bits off the pivots
+
+    @pytest.mark.parametrize("n, rows", [
+        (2, [0b01, 0]),  # a zero row
+        (2, [0b101]),  # a bit at n
+        (2, [-1]),
+        (2, [0b10, 0b01]),  # pivots decreasing
+        (2, [0b01, 0b11]),  # a pivot repeated
+        (2, [0b11, 0b10]),  # the second row's pivot set in the first
+        (3, [0b001, 0b110, 0b100]),  # the third row's pivot set in the second
+    ])
+    def test_refuses_each_defect(self, n, rows):
+        assert not is_rref(n, rows)
 
 
 class TestEnumerateSubspaces:
@@ -330,4 +358,4 @@ class TestEnumerateSubspaces:
                 subs = list(oracles.enumerate_subspaces(n, d))
                 assert len(subs) == gaussian_binomial_recurrence(n, d)
                 assert len(set(subs)) == len(subs)
-                assert all(Subspace(n, tuple(BitVector(n, r) for r in s)).dim == d for s in subs)
+                assert all(len(s) == d and is_rref(n, s) for s in subs)

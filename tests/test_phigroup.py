@@ -8,7 +8,7 @@ import pytest
 from sphererank import phigroup
 from sphererank.errors import GuardExceeded
 from sphererank.forms import FormFamily, quadratic_refinement, random_family
-from sphererank.gf2 import BitVector, Subspace
+from sphererank.gf2 import BitVector, Subspace, _rref_bits
 from sphererank.phigroup import (
     IsotropicResult,
     _pencil_points,
@@ -33,6 +33,7 @@ from oracles import (
     enumerate_subspaces,
     family,
     form_value_bits,
+    is_canonical,
     naive_form_value,
     naive_qzero_vectors,
     naive_quadratic_value,
@@ -189,7 +190,7 @@ class TestCenter:
     def test_zero_family_abelian(self):
         G = PhiGroup(zero_family(3, 2))
         radical, rank = center(G)
-        full = Subspace.span(3, [BitVector.basis(3, i) for i in range(3)])
+        full = Subspace(3, tuple(BitVector(3, 1 << i) for i in range(3)))
         assert radical == full and rank == 5
         assert center_order4_dim(G) == 0
 
@@ -221,7 +222,7 @@ class TestCenter:
 class TestIsotropicSearch:
     def test_zero_family_full_space(self):
         fam = zero_family(4, 2)
-        full = Subspace.span(4, [BitVector.basis(4, i) for i in range(4)])
+        full = Subspace(4, tuple(BitVector(4, 1 << i) for i in range(4)))
         for mode in ("exhaustive", "branch_and_bound"):
             res = max_isotropic_qzero(fam, mode=mode)
             assert res.dim == 4 and res.witness == full
@@ -255,6 +256,17 @@ class TestIsotropicSearch:
             ex = max_isotropic_qzero(fam, mode="exhaustive")
             bb = max_isotropic_qzero(fam, mode="branch_and_bound")
             assert ex.dim == bb.dim
+
+    def test_witness_basis_is_canonical_in_both_modes(self):
+        # Subspace checks nothing: each search promises the reduced form
+        rng = random.Random(29)
+        fams = [zero_family(4, 2), family(["01", "10"])]
+        fams += [random_family(rng.randint(1, 8), rng.randint(1, 4), rng.getrandbits(64))
+                 for _ in range(30)]
+        for fam in fams:
+            for mode in ("exhaustive", "branch_and_bound"):
+                res = max_isotropic_qzero(fam, mode=mode)
+                assert is_canonical(res.witness) and res.witness.ambient_dim == fam.n, (fam, mode)
 
     def test_single_form_matches_witt_index(self):
         rng = random.Random(10)
@@ -667,9 +679,12 @@ class TestExtensionProfile:
             profile = extension_profile(G)
             assert profile.T + profile.N == G.n + G.t
             assert profile.T == G.t + profile.v_witness.dim
+            assert is_canonical(profile.v_witness) and profile.v_witness.ambient_dim == G.n
 
     @staticmethod
-    def _with_witness(monkeypatch, witness: Subspace) -> None:
+    def _with_witness(monkeypatch, *vectors: BitVector) -> None:
+        witness = Subspace(2, tuple(BitVector(2, b) for b in _rref_bits(v.bits for v in vectors)))
+
         def fake(fam, mode="branch_and_bound"):
             return IsotropicResult(witness.dim, witness)
 
@@ -679,16 +694,16 @@ class TestExtensionProfile:
         G = PhiGroup(family(["01", "10"]))
         v = BitVector(2, 0b11)
         assert not quadratic_refinement(G.fam, v).is_zero()
-        self._with_witness(monkeypatch, Subspace.span(2, [v]))
+        self._with_witness(monkeypatch, v)
         with pytest.raises(AssertionError, match="^lifted subgroup contains an element of order 4$"):
             extension_profile(G)
 
     def test_non_abelian_lift_is_refused(self, monkeypatch):
         G = PhiGroup(family(["01", "10"]))
-        u, v = BitVector.basis(2, 0), BitVector.basis(2, 1)
+        u, v = BitVector(2, 0b01), BitVector(2, 0b10)
         assert quadratic_refinement(G.fam, u).is_zero() and quadratic_refinement(G.fam, v).is_zero()
         assert form_value_bits(G.fam.grams[0], u.bits, v.bits) == 1
-        self._with_witness(monkeypatch, Subspace.span(2, [u, v]))
+        self._with_witness(monkeypatch, u, v)
         with pytest.raises(AssertionError, match="^lifted subgroup is not abelian$"):
             extension_profile(G)
 
