@@ -9,7 +9,6 @@ audits of the rank inequalities for permutation and general linear actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -74,8 +73,7 @@ def olshanskii_condition(n: int, t: int, k: int) -> bool:
     return 2 * n < t * (k - 1)
 
 
-@dataclass(frozen=True)
-class HeadlineReport:
+class HeadlineReport(NamedTuple):
     """Bound arithmetic for a form-search instance (n, t, k).
 
     T_bound/N_bound describe the extension 1 -> (Z/2)^T -> G -> (Z/2)^N -> 1
@@ -93,10 +91,6 @@ class HeadlineReport:
     sphere_dim: int
     browder_min_m: int
     carlsson_min_m: CarlssonBound
-
-    def __post_init__(self):
-        assert self.T_bound + self.N_bound == self.n + self.t
-        assert (self.sphere_dim + 1) == 1 << (self.n + self.t - 1)
 
 
 def headline_report(n: int, t: int, k: int) -> HeadlineReport:

@@ -17,8 +17,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import GuardExceeded, SchemaError, require_keys
@@ -49,8 +48,7 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     inputs: dict
     result: dict
@@ -58,7 +56,7 @@ class Report:
     version: str = __version__
 
     def to_json(self) -> str:
-        return _canonical(asdict(self))
+        return _canonical(self._asdict())
 
 
 def _canonical(obj: Any) -> str:
@@ -152,6 +150,8 @@ def load_ideal(path: str) -> polyalg.IdealGens:
     for i, g in enumerate(gen_objs):
         if not isinstance(g, dict):
             raise SchemaError([f"gens[{i}]: must be an object"])
+        if "monomials" not in g:
+            raise SchemaError([f"gens[{i}]: missing key 'monomials'"])
         try:
             gens.append(polyalg.GradedPoly.from_json_dict({"nvars": nvars, **g}))
         except SchemaError as exc:
@@ -367,6 +367,8 @@ def _cmd_poly_powertest(args) -> dict:
     for i, coords in enumerate(_json_list(args.ys, "ys", "0/1 coordinate lists")):
         if not _is_int_list(coords, (0, 1)):
             raise SchemaError([f"ys[{i}]: must be a list of 0/1 ints"])
+        if len(coords) != action.nvars:
+            raise SchemaError([f"ys[{i}]: must have {action.nvars} coordinates, one per variable"])
         ys.append(polyalg.GradedPoly.linear(action.nvars, BitVector.from_coords(coords)))
     res = polyalg.power_span_test(action, ys, args.p)
     return {"stable": res.stable, "permuted": res.permuted}

@@ -1,13 +1,13 @@
 """Families of alternating bilinear forms on F2^n and quadratic zero search.
 
-A FormFamily holds t alternating forms on F2^n as int Gram rows, `grams`,
-and per form the int rows of its strictly-lower-triangular half L (row i,
-col j entry = gram[i][j] for i > j).  The rows are checked once, where data
-enters, in `FormFamily.from_json_dict`; `random_family` builds symmetric
-zero-diagonal rows by construction and checks nothing, and `AlternatingForm`
-is only a read-only view of one form as a BitMatrix.  The derived quadratic
-refinement q_s(e) = e^T L_s e satisfies q_s(basis vector) = 0 and polarizes
-to the form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
+A FormFamily holds t alternating forms on F2^n as int Gram rows, `grams`;
+`lower` derives per form the int rows of its strictly-lower-triangular half
+L (row i, col j entry = gram[i][j] for i > j).  The rows are checked once,
+where data enters, in `FormFamily.from_json_dict`; `random_family` builds
+symmetric zero-diagonal rows by construction and checks nothing, and
+`AlternatingForm` is only a read-only view of one form as a BitMatrix.  The
+derived quadratic refinement q_s(e) = e^T L_s e satisfies q_s(basis vector)
+= 0 and polarizes to the form: q(u + v) = q(u) + q(v) + (phi_s(u, v))_s.
 
 The lower-triangle convention is frozen: any other triangle choice gives an
 equivalent theory but different serialized bits.
@@ -15,9 +15,8 @@ equivalent theory but different serialized bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import and_, or_
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError, require_keys
 from .gf2 import (BitMatrix, BitVector, Subspace, _coordinate_masks, _quadratic_mask,
@@ -30,8 +29,7 @@ _FIRST_VARS = 8  # for v > 8 the points below 2^8 are scanned first
 RANDOM_FAMILY_GUARD = 1 << 20  # max Gram bits t * n(n-1)/2 drawn by random_family
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
+class AlternatingForm(NamedTuple):
     """Read-only view of one form of a FormFamily: its Gram matrix on F2^n.
 
     Built on demand by `FormFamily.forms`; the family's `grams` are the data.
@@ -41,28 +39,27 @@ class AlternatingForm:
     gram: BitMatrix
 
 
-@dataclass(frozen=True)
-class FormFamily:
-    """t alternating forms on F2^n as int Gram rows, plus their lower triangles.
+class FormFamily(NamedTuple):
+    """t alternating forms on F2^n as int Gram rows.
 
     `grams[s]` holds the n int rows of form s's Gram matrix (entry j of row i
-    is bit j), symmetric with a zero diagonal; t is their count and `lower[s]`
-    holds the same rows, row i masked to its bits below the diagonal.  The
-    constructor trusts its rows: data is checked where it enters, in
-    `from_json_dict`, and `random_family` builds alternating rows by
-    construction.
+    is bit j), symmetric with a zero diagonal.  The constructor trusts its
+    rows: data is checked where it enters, in `from_json_dict`, and
+    `random_family` builds alternating rows by construction.
     """
 
     n: int
     grams: tuple[tuple[int, ...], ...]
-    t: int = field(init=False)  # len(grams)
-    lower: tuple[tuple[int, ...], ...] = field(init=False)  # derived from the grams
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", len(self.grams))
-        masks = [(1 << i) - 1 for i in range(self.n)]  # row i keeps its bits below i
-        lower = tuple([tuple(map(and_, rows, masks)) for rows in self.grams])
-        object.__setattr__(self, "lower", lower)
+    @property
+    def t(self) -> int:
+        return len(self.grams)
+
+    @property
+    def lower(self) -> tuple[tuple[int, ...], ...]:
+        """Each form's rows, row i masked to its bits below i; built per read."""
+        masks = [(1 << i) - 1 for i in range(self.n)]
+        return tuple([tuple(map(and_, rows, masks)) for rows in self.grams])
 
     @property
     def forms(self) -> tuple[AlternatingForm, ...]:
@@ -161,26 +158,27 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
 Monomial = tuple[int, ...]  # sorted variable indices, repeats allowed, len <= 2
 
 
-@dataclass(frozen=True)
-class QuadraticSystem:
-    """Polynomials of degree <= 2 over F2 in v variables, as monomial sets."""
+class QuadraticSystem(NamedTuple):
+    """Polynomials of degree <= 2 over F2 in v variables, as monomial sets; not checked."""
 
     v: int
     polys: tuple[frozenset[Monomial], ...]
 
-    def __post_init__(self):
-        for p in self.polys:
-            for mono in p:
-                if len(mono) > 2:
-                    raise ValueError("monomial degree exceeds 2")
-                if any(not 0 <= i < self.v for i in mono):
-                    raise ValueError("variable index out of range")
-                if tuple(sorted(mono)) != mono:
-                    raise ValueError("monomial indices must be sorted")
-
     @classmethod
     def from_lists(cls, v: int, polys: Sequence[Sequence[Sequence[int]]]) -> QuadraticSystem:
-        return cls(v, tuple(frozenset(tuple(sorted(m)) for m in p) for p in polys))
+        """The system of index lists, each checked; coefficients are mod 2,
+        so a monomial listed twice cancels."""
+        out = []
+        for p in polys:
+            monos: set[Monomial] = set()
+            for m in p:
+                if len(m) > 2:
+                    raise ValueError("monomial degree exceeds 2")
+                if any(not 0 <= i < v for i in m):
+                    raise ValueError("variable index out of range")
+                monos ^= {tuple(sorted(m))}
+            out.append(frozenset(monos))
+        return cls(v, tuple(out))
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> QuadraticSystem:

@@ -2,33 +2,25 @@
 
 Coordinate i of a vector lives at bit position i of an arbitrary-precision
 integer (LSB first).  The computations run on int rows; `BitVector`,
-`BitMatrix` and `Subspace` are the values of the input and report boundary.
-A `Subspace` checks nothing: its canonical reduced-row-echelon basis, with
+`BitMatrix` and `Subspace` are the values of the input and report boundary,
+named tuples that check nothing: outside bits enter through `from_coords`,
+`from_string` and `from_strings`.  A `Subspace`'s canonical RREF basis, with
 strictly increasing pivot columns, is a promise of its producers, `kernel`
 and the isotropic searches, which read it from `_rref_bits`, so set-level
-equality is plain tuple equality.  Everything here is immutable and pure;
-no floating point.
+equality is plain tuple equality.  All of it is immutable and pure; no floats.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class BitVector:
+class BitVector(NamedTuple):
     """Vector in F2^n packed into an int (coordinate i = bit i)."""
 
     n: int
     bits: int = 0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("negative dimension")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits set beyond dimension {self.n}")
 
     @classmethod
     def from_coords(cls, coords: Iterable[int]) -> BitVector:
@@ -61,8 +53,7 @@ class BitVector:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(NamedTuple):
     """Dense GF(2) matrix stored as a tuple of int-packed rows (entry j = bit j).
 
     `row_data` is that tuple; readers fold or compare its rows as ints.
@@ -71,13 +62,6 @@ class BitMatrix:
     rows: int
     cols: int
     row_data: tuple[int, ...]
-
-    def __post_init__(self):
-        row_data = self.row_data
-        if self.rows != len(row_data):
-            raise ValueError("row count mismatch")
-        if row_data and (min(row_data) < 0 or max(row_data) >> self.cols):
-            raise ValueError(f"bits set beyond dimension {self.cols}")
 
     @classmethod
     def from_bits(cls, rows: int, cols: int, bits: Sequence[int]) -> BitMatrix:

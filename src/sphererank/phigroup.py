@@ -45,13 +45,14 @@ class PhiGroup:
         self.n = n = fam.n
         self.t = fam.t
         amask = (1 << n) - 1
+        lower = fam.lower
         folds: dict[int, list[int]] = {}  # a-part -> per-form row fold, lazily
 
         def mul(i: int, j: int) -> int:
             a1, a2 = i & amask, j & amask
             fold = folds.get(a1)
             if fold is None:
-                fold = folds[a1] = [fold_rows(rows, a1) for rows in fam.lower]
+                fold = folds[a1] = [fold_rows(rows, a1) for rows in lower]
             beta = 0
             for s, acc in enumerate(fold):
                 beta |= ((acc & a2).bit_count() & 1) << s

@@ -11,7 +11,6 @@ the Artinian boundary degree sum(d_i - 1) + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
@@ -48,49 +47,54 @@ def _check_terms(count: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GradedPoly:
+class GradedPoly(NamedTuple):
     """Homogeneous polynomial: set of exponent tuples sharing a total degree.
 
     The empty set is the zero polynomial of its declared degree; the marker
     keeps a vanished Euler class distinguishable from the constant 1.
-    The constructor trusts its monomials; `from_monomials` checks each one.
+    The constructor checks nothing: the producers of a new nvars or degree
+    check the guards, and `from_monomials` checks each monomial.
     """
 
     nvars: int
     degree: int
     monomials: frozenset[Exponents]
 
-    def __post_init__(self):
-        _check_nvars(self.nvars)
-        _check_degree(self.degree)
-
     @classmethod
     def from_monomials(cls, nvars: int, monomials: Sequence[Sequence[int]]) -> GradedPoly:
-        """The polynomial of exponent lists from outside the library, each checked."""
-        monos = frozenset(tuple(m) for m in monomials)
+        """The polynomial of exponent lists from outside the library, each
+        checked; coefficients are mod 2, so a monomial listed twice cancels."""
+        monos = [tuple(m) for m in monomials]
         if not monos:
             raise ValueError("use GradedPoly.zero for the zero polynomial")
-        poly = cls(nvars, sum(next(iter(monos))), monos)
+        _check_nvars(nvars)
+        degree = sum(monos[0])
+        _check_degree(degree)
+        odd: set[Exponents] = set()
         for m in monos:
             if len(m) != nvars or any(e < 0 for e in m):
                 raise ValueError(f"bad exponent tuple {m}")
-            if sum(m) != poly.degree:
-                raise ValueError(f"monomial {m} is not of degree {poly.degree}")
-        return poly
+            if sum(m) != degree:
+                raise ValueError(f"monomial {m} is not of degree {degree}")
+            odd ^= {m}
+        return cls(nvars, degree, frozenset(odd))
 
     @classmethod
     def zero(cls, nvars: int, degree: int) -> GradedPoly:
+        _check_nvars(nvars)
+        _check_degree(degree)
         return cls(nvars, degree, frozenset())
 
     @classmethod
     def one(cls, nvars: int) -> GradedPoly:
+        _check_nvars(nvars)
         return cls(nvars, 0, frozenset({(0,) * nvars}))
 
     @classmethod
     def linear(cls, nvars: int, coeffs: BitVector) -> GradedPoly:
         if coeffs.n != nvars:
             raise ValueError("coefficient length mismatch")
+        _check_nvars(nvars)
         monos = frozenset(
             tuple(1 if j == i else 0 for j in range(nvars)) for i in coeffs.support()
         )
@@ -115,6 +119,7 @@ class GradedPoly:
     def __mul__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
+        _check_degree(self.degree + other.degree)
         acc: set[Exponents] = set()
         for m1 in self.monomials:
             for m2 in other.monomials:
@@ -173,17 +178,15 @@ class GradedPoly:
         return poly
 
 
-@dataclass(frozen=True)
 class IdealGens:
-    """Homogeneous generators of an ideal of F2[x_1..x_n]."""
+    """Homogeneous generators of an ideal of F2[x_1..x_n]; the constructor checks them."""
 
-    nvars: int
-    gens: tuple[GradedPoly, ...]
-
-    def __post_init__(self):
-        _check_nvars(self.nvars)
-        if any(g.nvars != self.nvars for g in self.gens):
+    def __init__(self, nvars: int, gens: tuple[GradedPoly, ...]):
+        _check_nvars(nvars)
+        if any(g.nvars != nvars for g in gens):
             raise ValueError("generators must share the variable count")
+        self.nvars = nvars
+        self.gens = gens
 
 
 def hilbert_function(I: IdealGens, d: int) -> int:
@@ -334,20 +337,18 @@ def euler_class_restriction(rep: MonomialRep, e_gens: Sequence[int], e_rank: int
 # -- linear actions on the degree-one part ------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearAction:
-    """Invertible generators acting on the span of the degree-1 variables."""
+    """Invertible generators acting on the span of the degree-1 variables; checked."""
 
-    nvars: int
-    generators: tuple[BitMatrix, ...]
-
-    def __post_init__(self):
-        _check_nvars(self.nvars)
-        for m in self.generators:
-            if m.rows != self.nvars or m.cols != self.nvars:
+    def __init__(self, nvars: int, generators: tuple[BitMatrix, ...]):
+        _check_nvars(nvars)
+        for m in generators:
+            if m.rows != nvars or m.cols != nvars:
                 raise ValueError("generators must be nvars x nvars")
-            if rank(m) != self.nvars:
+            if rank(m) != nvars:
                 raise ValueError("generators must be invertible")
+        self.nvars = nvars
+        self.generators = generators
 
 
 class PowerSpanResult(NamedTuple):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,6 +25,7 @@ from sphererank.errors import SchemaError
 from sphererank.forms import random_family
 from sphererank.repaction import elementary_abelian_table, quaternion_table
 
+from oracles import brute_smallest_common_zero, naive_hilbert
 
 COMMANDS = [
     "audit gl", "audit sn", "bounds headline", "bounds rp-rank", "forms czero", "forms gen",
@@ -300,6 +302,20 @@ class TestFormsCommands:
         assert code == EXIT_OK
         assert obj["result"]["zero"] is None
 
+    @pytest.mark.parametrize("v, polys", [
+        (1, [[[0], [0]]]),
+        (3, [[[0, 1], [1, 0], [0]], [[], [1], []]]),
+        (3, [[[0, 0], [0], [1, 2], [2, 1], [2, 1]]]),
+    ], ids=["x+x", "xy+yx+x", "x2+x+yz+zy+zy"])
+    def test_czero_repeated_monomials_cancel(self, capsys, tmp_path, v, polys):
+        # coefficients are mod 2: a monomial listed twice is no monomial
+        sys_path = tmp_path / "repeats.json"
+        sys_path.write_text(json.dumps({"v": v, "polys": polys}))
+        code, obj = run(capsys, "forms", "czero", "--system", str(sys_path))
+        assert code == EXIT_OK
+        point = brute_smallest_common_zero(v, polys)
+        assert obj["result"]["zero"] == "".join(str(point >> i & 1) for i in range(v))
+
 
 class TestRepCommands:
     def test_free_on_family_defaults(self, capsys, d8_family_file):
@@ -351,6 +367,24 @@ class TestPolyCommands:
         assert code == EXIT_OK
         assert obj["result"]["regular"] is True
         assert obj["result"]["total_dim"] == 16
+
+    @pytest.mark.parametrize("nvars, gens", [
+        (1, [[[2], [2]]]),
+        (2, [[[1, 1], [2, 0], [1, 1]], [[0, 2], [2, 0], [0, 2], [2, 0]]]),
+        (2, [[[2, 0], [2, 0], [2, 0]], [[0, 3], [1, 2], [1, 2]]]),
+    ], ids=["x2+x2", "xy+x2+xy_y2+x2+y2+x2", "x2+x2+x2_y3+xy2+xy2"])
+    def test_regseq_repeated_monomials_cancel(self, capsys, tmp_path, nvars, gens):
+        # the oracle folds each generator's monomials mod 2, then asks whether
+        # the quotient dies at the Artinian boundary degree
+        path = tmp_path / "repeats.json"
+        path.write_text(json.dumps({"nvars": nvars, "gens": [{"monomials": g} for g in gens]}))
+        code, obj = run(capsys, "poly", "regseq", "--ideal", str(path))
+        assert code == EXIT_OK
+        odd = [{tuple(m) for m in g if g.count(m) % 2} for g in gens]
+        degrees = [sum(g[0]) for g in gens]
+        regular = naive_hilbert(nvars, odd, degrees, sum(d - 1 for d in degrees) + 1) == 0
+        assert obj["result"] == {"regular": regular,
+                                 "total_dim": math.prod(degrees) if regular else None}
 
     def test_hilbert(self, capsys, powers_ideal_file):
         code, obj = run(capsys, "poly", "hilbert", "--ideal", powers_ideal_file, "--degree", "3")
@@ -653,6 +687,63 @@ def action_documents(draw):
     return doc, n
 
 
+@st.composite
+def ys_documents(draw, n):
+    """A list of 0/1 coordinate lists of length n with up to three faults: the
+    list, one item or one coordinate replaced, or one item lengthened or cut."""
+    ys = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=3))
+    doc = ys
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["ys", "item", "coordinate", "longer", "shorter"]))
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, n))
+        item = _at(ys, i)
+        if fault == "ys":
+            doc = draw(JSON_VALUES)
+        elif fault == "item" and item is not None:
+            ys[i] = draw(st.lists(st.integers(-1, 2), max_size=n + 1) | JSON_VALUES)
+        elif fault == "coordinate" and isinstance(item, list) and j < len(item):
+            item[j] = draw(st.integers(-1, 2) | JSON_VALUES)
+        elif fault == "longer" and isinstance(item, list):
+            item.append(draw(st.integers(0, 1)))
+        elif fault == "shorter" and isinstance(item, list) and item:
+            item.pop()
+    return doc
+
+
+@st.composite
+def reps_documents(draw, order):
+    """A list of {c_gens, chars} objects over a group of the given order with
+    up to three faults: a key left out, or the list, one item, its c_gens, its
+    chars, one id or one character value replaced."""
+    reps = []
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, 3))
+        reps.append({"c_gens": draw(st.lists(st.integers(0, order - 1), min_size=k, max_size=k)),
+                     "chars": draw(st.lists(st.sampled_from([1, -1]), min_size=k, max_size=k))})
+    doc = reps
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["drop", "reps", "item", "c_gens", "chars", "id", "char"]))
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        item = _at(reps, i)
+        if fault == "reps":
+            doc = draw(JSON_VALUES)
+        elif not isinstance(item, dict):
+            continue
+        elif fault == "drop":
+            item.pop(draw(st.sampled_from(["c_gens", "chars"])), None)
+        elif fault == "item":
+            reps[i] = draw(JSON_VALUES)
+        elif fault == "c_gens":
+            item["c_gens"] = draw(st.lists(st.integers(-1, order), max_size=4) | JSON_VALUES)
+        elif fault == "chars":
+            item["chars"] = draw(st.lists(st.integers(-2, 2), max_size=4) | JSON_VALUES)
+        elif fault == "id" and isinstance(item.get("c_gens"), list) and j < len(item["c_gens"]):
+            item["c_gens"][j] = draw(st.integers(-1, 2 * order) | JSON_VALUES)
+        elif fault == "char" and isinstance(item.get("chars"), list) and j < len(item["chars"]):
+            item["chars"][j] = draw(st.integers(-2, 2) | JSON_VALUES)
+    return doc
+
+
 def assert_clean_answer(code, obj, doc, named_fields=False) -> None:
     """A documented exit code with a report or a well-formed error: a named
     guard on exit 3, no Python text, and (when asked) the failing fields."""
@@ -696,6 +787,8 @@ class TestInputDocuments:
              "gens[0].monomials: must be a list of integer exponent lists"),
             ({"nvars": 2, "gens": [{"monomials": [], "degree": "x"}]},
              "gens[0].degree: must be an integer"),
+            ({"nvars": 2, "gens": [{"monomials": [[1, 0]]}, {"degree": 1}]},
+             "gens[1]: missing key 'monomials'"),
         ],
     )
     def test_bad_ideal(self, capsys, tmp_path, doc, field):
@@ -718,6 +811,13 @@ class TestInputDocuments:
         code, obj = run(capsys, "poly", "powertest", "--action", self.write(tmp_path, doc),
                         "--ys", "[[1, 0]]", "--p", "2")
         assert_clean_validation(code, obj, [field])
+
+    @pytest.mark.parametrize("ys", ["[[1, 0, 1]]", "[[1]]", "[[0, 1], []]"])
+    def test_ys_of_another_length_than_the_action(self, capsys, swap_action_file, ys):
+        code, obj = run(capsys, "poly", "powertest", "--action", swap_action_file,
+                        "--ys", ys, "--p", "2")
+        field = "ys[1]" if ys.endswith("[]]") else "ys[0]"
+        assert_clean_validation(code, obj, [f"{field}: must have 2 coordinates, one per variable"])
 
     @pytest.mark.parametrize("order", [True, False, 1.0, "1", None])
     def test_table_order_must_be_an_integer(self, capsys, tmp_path, order):
@@ -810,6 +910,35 @@ class TestInputDocuments:
         assert_clean_answer(code, obj, doc)
         if code == EXIT_OK:
             assert obj["result"]["permuted"] <= obj["result"]["stable"], obj
+
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ys=ys_documents(3), p=st.integers(0, 3))
+    def test_any_ys_document_gets_a_clean_answer(self, capsys, tmp_path, ys, p):
+        # the 3-cycle of the variables, and the ys read from a file
+        action = self.write(tmp_path, {"nvars": 3, "generators": [["010", "001", "100"]]})
+        ys_path = tmp_path / "ys.json"
+        ys_path.write_text(json.dumps(ys))
+        code, obj = run(capsys, "poly", "powertest", "--action", action,
+                        "--ys", str(ys_path), "--p", str(p))
+        assert_clean_answer(code, obj, ys)
+        if code == EXIT_OK:
+            assert obj["result"]["permuted"] <= obj["result"]["stable"], obj
+
+    STOCK_FAMILY = random_family(3, 2, 7)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(reps=reps_documents(1 << 5))
+    def test_any_reps_document_gets_a_clean_answer(self, capsys, tmp_path, reps):
+        family = self.write(tmp_path, self.STOCK_FAMILY.to_json_dict())
+        reps_path = tmp_path / "reps.json"
+        reps_path.write_text(json.dumps(reps))
+        code, obj = run(capsys, "rep", "free", "--family", family, "--reps", str(reps_path))
+        assert_clean_answer(code, obj, reps)
+        if code == EXIT_OK:
+            assert obj["result"]["factors"] == len(reps), obj
 
 
 class TestNumericFlags:

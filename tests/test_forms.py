@@ -205,10 +205,10 @@ class TestRandomFamily:
 
 class TestIntRowHotPath:
     def test_a_family_draw_and_a_form_search_build_no_bitmatrix(self, monkeypatch):
-        def refuse(matrix):
+        def refuse(cls, *fields):
             raise AssertionError("a BitMatrix was built")
 
-        monkeypatch.setattr(BitMatrix, "__post_init__", refuse)
+        monkeypatch.setattr(BitMatrix, "__new__", refuse)
         with pytest.raises(AssertionError):
             BitMatrix(1, 1, (0,))
         for seed in range(4):
@@ -414,6 +414,22 @@ class TestCommonZero:
             t0 = time.perf_counter()
             assert common_zero_quadratics(QuadraticSystem.from_lists(v, polys)) is None
             assert time.perf_counter() - t0 < 10.0
+
+    def test_from_lists_checks_every_monomial(self):
+        for polys, message in [([[(0, 1, 2)]], "monomial degree exceeds 2"),
+                               ([[(0,), (0,), (3,)]], "variable index out of range"),
+                               ([[(0, 1)], [(-1,)]], "variable index out of range")]:
+            with pytest.raises(ValueError) as exc:
+                QuadraticSystem.from_lists(3, polys)
+            assert str(exc.value) == message
+
+    def test_repeated_monomials_cancel(self):
+        # mod-2 coefficients: (1, 0) is the sorted (0, 1), and () twice is no constant
+        polys = [[(0, 1), (1, 0), (2,), (2, 2), (2, 2), (2, 2)], [(), (), (0,), ()]]
+        sys_ = QuadraticSystem.from_lists(3, polys)
+        assert sys_.polys == (frozenset({(2,), (2, 2)}), frozenset({(0,), ()}))
+        for point in range(8):
+            assert naive_poly_values(sys_.polys, point) == naive_poly_values(polys, point)
 
     def test_json_document_loads(self):
         sys_ = QuadraticSystem.from_lists(3, [[(0, 1), (2, 2)], [()]])

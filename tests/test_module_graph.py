@@ -86,3 +86,26 @@ def test_audit_sn_loads_the_subgroup_search_only():
     loaded = command_modules("audit", "sn", "--n", "4")
     assert {"bounds", "repaction"} <= loaded
     assert not loaded & {"phigroup", "forms", "polyalg"}
+
+
+def test_no_command_loads_dataclasses(inputs):
+    # dataclasses loads inspect, ast, dis and tokenize: about 8 ms of every
+    # command's start, for value types that a NamedTuple or a plain class serves
+    argv = [["bounds", "rp-rank", "--m", "5", "--n", "3"],
+            ["group", "rank", "--family", inputs["family"]],
+            ["poly", "regseq", "--ideal", inputs["ideal"]],
+            ["audit", "sn", "--n", "4"]]
+    code = (
+        "import importlib, json, os, sys\n"
+        "import sphererank\n"
+        "from sphererank import cli\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    assert cli.dispatch(args) == cli.EXIT_OK\n"
+        "for name in sorted(os.listdir(sphererank.__path__[0])):\n"
+        "    if name.endswith('.py') and name != '__init__.py':\n"
+        "        importlib.import_module('sphererank.' + name[:-3])\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

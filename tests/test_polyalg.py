@@ -129,11 +129,23 @@ class TestGradedPoly:
         ([(1, 0), (1, 1)], "monomial (1, 1) is not of degree 1"),
         ([(1, 0), (1,)], "bad exponent tuple (1,)"),
         ([(2, 0), (3, -1)], "bad exponent tuple (3, -1)"),
-    ], ids=["mixed_degrees", "short_tuple", "negative_exponent"])
+        # each listed monomial is checked before any cancels
+        ([(1, 0), (1, 0), (1,)], "bad exponent tuple (1,)"),
+        ([(1, 0), (0, 2), (1, 0)], "monomial (0, 2) is not of degree 1"),
+    ], ids=["mixed_degrees", "short_tuple", "negative_exponent", "short_after_a_pair",
+            "mixed_inside_a_pair"])
     def test_from_monomials_checks_every_monomial(self, monos, message):
         with pytest.raises(ValueError) as exc:
             GradedPoly.from_monomials(2, monos)
         assert str(exc.value) == message
+
+    def test_repeated_monomials_cancel(self):
+        # mod-2 coefficients; when every monomial cancels, the zero of their degree
+        assert poly(2, (2, 0), (1, 1), (2, 0), (0, 2), (2, 0)) == poly(2, (2, 0), (1, 1), (0, 2))
+        assert poly(1, (2,), (2,)) == GradedPoly.zero(1, 2)
+        assert poly(3, (1, 1, 0), (0, 0, 2), (1, 1, 0), (0, 0, 2)) == GradedPoly.zero(3, 2)
+        with pytest.raises(ValueError, match="^use GradedPoly.zero for the zero polynomial$"):
+            poly(2)
 
     def test_zero_marker_is_distinguished(self):
         z = GradedPoly.zero(2, 4)
