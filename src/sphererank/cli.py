@@ -152,8 +152,11 @@ def load_ideal(path: str) -> polyalg.IdealGens:
             raise SchemaError([f"gens[{i}]: must be an object"])
         if "monomials" not in g:
             raise SchemaError([f"gens[{i}]: missing key 'monomials'"])
+        gen_nvars = g.get("nvars", nvars)
+        if type(gen_nvars) is not int or gen_nvars != nvars:
+            raise SchemaError([f"gens[{i}].nvars: must equal the document's nvars"])
         try:
-            gens.append(polyalg.GradedPoly.from_json_dict({"nvars": nvars, **g}))
+            gens.append(polyalg.GradedPoly.from_json_dict({**g, "nvars": nvars}))
         except SchemaError as exc:
             raise SchemaError([f"gens[{i}].{f}" for f in exc.fields]) from exc
     return polyalg.IdealGens(nvars, tuple(gens))

@@ -344,43 +344,49 @@ def elementary_abelian_search(
 
     The children of H are H u Hv for the candidates v not in H, in order; a
     child keeps the later candidates that commute with v.  Each subgroup is
-    reached once, deduplicated by its element set.  extend(state, gens,
-    elements, coset) returns the child's state, or None to prune the child
-    and everything below it.  The trivial subgroup {identity} has state root.
-    Elements must be totally ordered (ints, or tuples of ints such as
-    permutations): a subgroup is remembered by its sorted element tuple,
-    which is smaller than a frozenset.
+    offered once, along its canonical path: its generators are the first
+    listed involution in it, then the first outside their span, and so on.
+    So no visited set is kept, and elements need only be hashable.
+    extend(state, gens, elements, coset) returns the child's state, or None
+    to prune the child and everything below it; None must stand for a
+    condition that every larger subgroup shares, since a subgroup whose
+    canonical path passes a pruned one is never offered.  The trivial
+    subgroup {identity} has state root.
 
     Whether two involutions commute is decided with two products the first
     time a kept child asks, and remembered for the rest of the walk, so each
     pair is compared at most once, and only where a kept child needs it.
     """
     invs = list(involutions)
-    _walk(mul, extend, set(), invs, [None] * len(invs), root, (),
+    index = {v: k for k, v in reversed(list(enumerate(invs)))}  # first position wins
+    _walk(mul, extend, index, invs, [None] * len(invs), root, (),
           frozenset((identity,)), list(range(len(invs))))
 
 
 def _walk(
-    mul: Callable, extend: Callable, visited: set, invs: list,
+    mul: Callable, extend: Callable, index: dict, invs: list,
     commutes: list[Optional[bytearray]], state: Any, gens: tuple, elements: frozenset,
     cand: list[int],
 ) -> None:
-    """The subtree of elementary_abelian_search below one subgroup.  `cand`
-    holds indices into `invs`, ascending; commutes[k][j] is 0 while invs[k]
-    and invs[j] have not been compared, 1 if they commute and 2 if not.  A
-    module function, not a recursive closure, so that the visited set is
-    freed when the search returns rather than at the next cyclic garbage
-    collection."""
+    """The subtree of elementary_abelian_search below one canonically reached
+    subgroup.  `cand` holds indices into `invs`, ascending; index[x] is the
+    first position of x in `invs`; commutes[k][j] is 0 while invs[k] and
+    invs[j] have not been compared, 1 if they commute and 2 if not.  The
+    child with v = invs[k] is on its canonical path iff no element of its
+    coset is listed before k, so the coset stops at the first that is."""
     for pos, k in enumerate(cand):
         v = invs[k]
         if v in elements:
             continue
-        coset = [mul(e, v) for e in elements]
-        child = elements.union(coset)
-        key = tuple(sorted(child))
-        if key in visited:
+        coset = []
+        for e in elements:
+            x = mul(e, v)
+            if index.get(x, k) < k:
+                break
+            coset.append(x)
+        if len(coset) < len(elements):
             continue
-        visited.add(key)
+        child = elements.union(coset)
         child_gens = gens + (v,)
         child_state = extend(state, child_gens, child, coset)
         if child_state is None:
@@ -396,7 +402,7 @@ def _walk(
                 status = row[j] = 1 if mul(v, w) == mul(w, v) else 2
             if status == 1:
                 later.append(j)
-        _walk(mul, extend, visited, invs, commutes, child_state, child_gens, child, later)
+        _walk(mul, extend, index, invs, commutes, child_state, child_gens, child, later)
 
 
 class IsotropyResult(NamedTuple):

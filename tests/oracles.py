@@ -506,8 +506,11 @@ def brute_center(mul, order: int) -> set[int]:
 
 def reference_elementary_abelian_search(mul, identity, involutions, root, extend) -> None:
     """The elementary abelian subgroup walk with a commuting filter at every
-    kept child, kept as the reference for the package's walk: that walk must
-    make the same `extend` calls in the same order."""
+    kept child and a visited set of sorted element tuples, kept as the
+    reference for the package's walk: without pruning, that walk must make
+    the same `extend` calls in the same order; under pruning that holds for
+    every larger subgroup, it keeps the same subgroups in the same order and
+    skips only calls that this walk prunes."""
     _reference_walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
 
 

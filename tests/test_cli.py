@@ -797,6 +797,27 @@ class TestInputDocuments:
         assert_clean_validation(code, obj, [field])
 
     @pytest.mark.parametrize(
+        "gen",
+        [{"nvars": 300, "monomials": [[1, 0]]}, {"nvars": 3, "monomials": [[1, 0, 0]]},
+         {"nvars": True, "monomials": [[1, 0]]}],
+        ids=["300", "3", "true"],
+    )
+    def test_the_document_nvars_governs_its_generators(self, capsys, tmp_path, gen):
+        """A generator's own nvars that differs from the document's is an error
+        on that generator, not the poly_nvars guard (300) or a message that
+        names no field (3)."""
+        doc = {"nvars": 2, "gens": [{"monomials": [[0, 1]]}, gen]}
+        code, obj = run(capsys, "poly", "regseq", "--ideal", self.write(tmp_path, doc))
+        assert_clean_validation(code, obj, ["gens[1].nvars: must equal the document's nvars"])
+
+    def test_a_generator_may_repeat_the_document_nvars(self, capsys, tmp_path):
+        doc = {"nvars": 2, "gens": [{"nvars": 2, "monomials": [[1, 0]]},
+                                    {"monomials": [[0, 1]]}]}
+        code, obj = run(capsys, "poly", "regseq", "--ideal", self.write(tmp_path, doc))
+        assert code == 0
+        assert obj["result"] == {"regular": True, "total_dim": 1}
+
+    @pytest.mark.parametrize(
         "doc, field",
         [
             ({"nvars": 2, "generators": 3}, "generators: must be a list of matrices"),

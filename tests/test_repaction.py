@@ -451,6 +451,18 @@ class TestElementaryAbelianSearch:
         # C2^3 has 7 subgroups of order 2 and 7 of order 4; the whole group lies below a prune
         assert sorted(len(e) for e in seen) == [2] * 7 + [4] * 7
 
+    def test_an_involution_listed_twice_is_walked_once(self):
+        oracle = GroupOracle.from_table(elementary_abelian_table(3))
+        invs = oracle.involutions()
+        seen = []
+
+        def extend(state, gens, elements, coset):
+            seen.append(elements)
+            return state
+
+        elementary_abelian_search(oracle.mul, 0, invs + invs[::-1], True, extend)
+        assert len(seen) == len(set(seen)) == 7 + 7 + 1
+
 
 class TestMaxIsotropyRank:
     def test_free_action_rank_zero(self):
@@ -550,17 +562,20 @@ WALKS = {**{f"s{n}": symmetric_walk(n) for n in range(1, 7)},
 
 
 def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list, list]:
-    """The extend calls of one walk as (gens, elements, coset set), and every
-    product it took; with prune_every = p, every p-th child is pruned."""
+    """The extend calls of one walk as (gens, elements, coset set, kept), and
+    every product it took.  With prune_every = p, a subgroup holding any of
+    invs[p - 1 :: p] is pruned, a condition every larger subgroup shares."""
     calls, products = [], []
+    pruning = set(invs[prune_every - 1 :: prune_every]) if prune_every else set()
 
     def counting_mul(a, b):
         products.append((a, b))
         return mul(a, b)
 
     def extend(state, gens, elements, coset):
-        calls.append((gens, elements, frozenset(coset)))
-        return None if prune_every and len(calls) % prune_every == 0 else state
+        kept = pruning.isdisjoint(elements)
+        calls.append((gens, elements, frozenset(coset), kept))
+        return state if kept else None
 
     search(counting_mul, identity, invs, True, extend)
     return calls, products
@@ -568,7 +583,8 @@ def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list
 
 def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
     """max_isotropy_rank(G, reps) run on the given walk, with its extend calls
-    and products logged as in logged_walk."""
+    and products logged as in logged_walk.  The call that reaches the
+    ceiling ends the walk and counts as kept."""
     calls, products = [], []
 
     def logged_search(mul, identity, invs, root, extend):
@@ -577,13 +593,17 @@ def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
             return mul(a, b)
 
         def logged_extend(state, gens, elements, coset):
-            calls.append((gens, elements, frozenset(coset)))
-            return extend(state, gens, elements, coset)
+            call = [gens, elements, frozenset(coset), True]
+            calls.append(call)
+            child = extend(state, gens, elements, coset)
+            call[3] = child is not None
+            return child
 
         search(counting_mul, identity, invs, root, logged_extend)
 
     monkeypatch.setattr(repaction, "elementary_abelian_search", logged_search)
-    return max_isotropy_rank(G, reps), calls, products
+    result = max_isotropy_rank(G, reps)
+    return result, [tuple(call) for call in calls], products
 
 
 def compared_pairs(products: list) -> Counter:
@@ -604,23 +624,46 @@ def compared_pairs(products: list) -> Counter:
     return pairs
 
 
+def assert_follows_reference(got: tuple, expected: tuple) -> None:
+    """`got` and `expected` are (calls, products) of the walk and of the
+    reference over the same involutions, where pruning holds for every
+    larger subgroup too.  Both keep the same subgroups in the same order;
+    the walk's calls are a subsequence of the reference's, and a call only
+    the reference makes is one it prunes; each pair is compared once, and
+    the pairs compared are the reference's."""
+    calls, ref_calls = got[0], expected[0]
+    assert [c for c in calls if c[3]] == [c for c in ref_calls if c[3]]
+    offered = {c[1] for c in calls}
+    assert [c for c in ref_calls if c[1] in offered] == calls
+    assert not any(c[3] for c in ref_calls if c[1] not in offered)
+    pairs = compared_pairs(got[1])
+    assert max(pairs.values(), default=1) == 1
+    assert set(pairs) == set(compared_pairs(expected[1]))
+
+
 class TestWalkMatchesReference:
-    """The walk makes the reference's extend calls and compares the pairs
-    the reference compares, each once."""
+    """Without pruning, the walk makes the reference's extend calls and
+    compares the pairs the reference compares, each once.  Under pruning the
+    reference still offers subgroups above a pruned one and prunes them
+    there; the walk, which reaches each subgroup only along its canonical
+    path, skips them."""
 
     @pytest.mark.parametrize("prune_every", [0, 3])
     @pytest.mark.parametrize("name", sorted(WALKS))
     def test_audit_groups(self, name, prune_every):
         mul, identity, invs = WALKS[name]
-        got, products = logged_walk(elementary_abelian_search, mul, identity, invs, prune_every)
-        expected, ref_products = logged_walk(
-            reference_elementary_abelian_search, mul, identity, invs, prune_every
-        )
-        assert got == expected
-        pairs = compared_pairs(products)
-        assert max(pairs.values(), default=1) == 1
-        assert set(pairs) == set(compared_pairs(ref_products))
-        assert all(pair <= set(invs) for pair in pairs)
+        got = logged_walk(elementary_abelian_search, mul, identity, invs, prune_every)
+        expected = logged_walk(reference_elementary_abelian_search, mul, identity, invs, prune_every)
+        if not prune_every:
+            assert got[0] == expected[0]
+        assert_follows_reference(got, expected)
+        assert all(pair <= set(invs) for pair in compared_pairs(got[1]))
+
+    @pytest.mark.parametrize("prune_every", [0, 3])
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_no_subgroup_is_offered_twice(self, name, prune_every):
+        calls, _ = logged_walk(elementary_abelian_search, *WALKS[name], prune_every)
+        assert len({c[1] for c in calls}) == len(calls)
 
     def test_the_reference_compares_some_pairs_again(self):
         mul, identity, invs = WALKS["s6"]
@@ -631,6 +674,19 @@ class TestWalkMatchesReference:
         # and the pruning walks above do prune: fewer subgroups are offered
         assert len(logged_walk(elementary_abelian_search, mul, identity, invs, 3)[0]) < len(calls)
 
+    @pytest.mark.parametrize("name", ["s6", "gl3"])
+    def test_the_walk_takes_fewer_coset_products(self, name):
+        """A child reached first along another path stops at the first coset
+        element listed before its generator, where the reference builds the
+        whole coset and looks the union up: fewer products in all, and fewer
+        outside the commuting tests."""
+        _, products = logged_walk(elementary_abelian_search, *WALKS[name])
+        _, ref_products = logged_walk(reference_elementary_abelian_search, *WALKS[name])
+        assert len(products) < len(ref_products)
+        tests = 2 * sum(compared_pairs(products).values())
+        ref_tests = 2 * sum(compared_pairs(ref_products).values())
+        assert len(products) - tests < len(ref_products) - ref_tests
+
     @pytest.mark.parametrize("ceiling", [True, False], ids=["ceiling", "full"])
     @pytest.mark.parametrize("case", SMALL_FAMILIES + sorted(TABLE_REPS), ids=str)
     def test_isotropy_walks(self, case, ceiling, monkeypatch):
@@ -640,12 +696,26 @@ class TestWalkMatchesReference:
         if not ceiling:
             monkeypatch.setattr(repaction, "_isotropy_ceiling", lambda *args: None)
         for factors in factor_sets:
-            got = logged_isotropy(walk, G, factors, monkeypatch)
-            expected = logged_isotropy(reference_elementary_abelian_search, G, factors, monkeypatch)
-            assert got[:2] == expected[:2]
-            pairs = compared_pairs(got[2])
-            assert max(pairs.values(), default=1) == 1
-            assert set(pairs) == set(compared_pairs(expected[2]))
+            result, *got = logged_isotropy(walk, G, factors, monkeypatch)
+            ref_result, *expected = logged_isotropy(
+                reference_elementary_abelian_search, G, factors, monkeypatch
+            )
+            assert result == ref_result
+            assert_follows_reference(got, expected)
+
+    @pytest.mark.parametrize(
+        "case, rank, witness",
+        [
+            ((8, 3, 0), 4, (2, 41, 43, 1280)),
+            ((7, 4, 0), 5, (4, 32, 384, 640, 1152)),
+            ((9, 2, 0), 5, (29, 41, 74, 99, 389)),
+        ],
+        ids=str,
+    )
+    def test_order_2048_witnesses(self, case, rank, witness):
+        """Past the reach of the reference, the stock reps keep the rank and
+        the witness the visited-set walk found."""
+        assert max_isotropy_rank(*stock(*case)) == (rank, witness)
 
 
 class TestFrobeniusTraces:
