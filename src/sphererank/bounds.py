@@ -9,9 +9,10 @@ audits of the rank inequalities for permutation and general linear actions.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
-from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from operator import itemgetter, or_, xor
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
 from .gf2 import _reduce_bits, _rref_bits, fold_rows
@@ -134,6 +135,36 @@ def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return itemgetter(*b)(a)
 
 
+def _bit_sliced_commuting(
+    perms: Sequence[tuple[int, ...]], degree: int, base: Sequence[int]
+) -> Callable[[int, list[int]], list[int]]:
+    """The commuting relation of elementary_abelian_search on involutions of
+    0..degree-1, computed up front as one int row per involution: bit j of
+    rows[k] is set iff perms[j] commutes with perms[k].
+
+    plane[i][j] has bit w set iff perms[w] maps i to j.  For an involution v,
+    bit w of plane[i][j] ^ plane[v(i)][v(j)] is set iff exactly one of
+    w(i) = j and w(v(i)) = v(j) holds, and it is clear for every j iff
+    w(v(i)) = v(w(i)).  So w commutes with v on `base` iff its bit is clear
+    in the OR over i in base and every point j.  The base is every point, or
+    a basis when all the maps are linear.  No product is taken.
+    """
+    plane = [[0] * degree for _ in range(degree)]
+    for k, w in enumerate(perms):
+        bit = 1 << k
+        for i, j in enumerate(w):
+            plane[i][j] |= bit
+    full = (1 << len(perms)) - 1
+    rows = []
+    for v in perms:
+        take = itemgetter(*v)  # v moves some point, so take returns a tuple
+        differ = 0
+        for i in base:
+            differ = reduce(or_, map(xor, plane[i], take(plane[v[i]])), differ)
+        rows.append(full ^ differ)
+    return lambda k, later: [j for j in later if rows[k] >> j & 1]
+
+
 def _perm_orbits(perms: Sequence[tuple[int, ...]], n: int) -> int:
     parent = list(range(n))
 
@@ -154,9 +185,10 @@ def _perm_orbits(perms: Sequence[tuple[int, ...]], n: int) -> int:
 def perm_rank_audit(n: int) -> PermAuditResult:
     """Verify rank <= n - orbits for every elementary abelian 2-subgroup of S_n.
 
-    Exhaustive over the commuting-involution graph with span deduplication;
-    the worst case reported is the first subgroup (in search order) of
-    maximal rank.  A subgroup's orbits are those of its generators.
+    Exhaustive: the walk offers each subgroup once, along its canonical
+    path, and reads which involutions commute from bit-sliced rows built up
+    front.  The worst case reported is the first subgroup (in search order)
+    of maximal rank.  A subgroup's orbits are those of its generators.
     """
     from .repaction import elementary_abelian_search
 
@@ -185,7 +217,8 @@ def perm_rank_audit(n: int) -> PermAuditResult:
             worst = (len(gens), orbits)
         return True
 
-    elementary_abelian_search(_compose, identity, invs, True, extend)
+    commuting = _bit_sliced_commuting(invs, n, points)
+    elementary_abelian_search(_compose, identity, invs, True, extend, commuting)
     return PermAuditResult(True, worst[0], worst[1], checked)
 
 
@@ -217,12 +250,13 @@ def _involutions(n: int, rows: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def gl_rank_audit(n: int) -> GlAuditResult:
     """Max elementary abelian rank inside GL(n, 2) versus floor(n^2/4).
 
-    Streams the involutions, walks commuting sets of them closed under
-    span, and asserts the quadratic bound.  The walk holds each involution
-    m as its permutation x -> x m of the 2^n row vectors, so a product is a
-    tuple composition.  Composing permutations multiplies the matrices in
-    the opposite order, which gives the same subgroups and the same
-    commuting pairs.
+    Streams the involutions, walks every elementary abelian subgroup they
+    generate once, along its canonical path, and asserts the quadratic
+    bound.  The walk holds each involution m as its permutation x -> x m of
+    the 2^n row vectors, so a product is a tuple composition.  Composing
+    permutations multiplies the matrices in the opposite order, which gives
+    the same subgroups and the same commuting pairs.  The maps are linear,
+    so the bit-sliced commuting rows compare them on the unit vectors alone.
     """
     from .repaction import elementary_abelian_search
 
@@ -247,5 +281,6 @@ def gl_rank_audit(n: int) -> GlAuditResult:
                 raise AssertionError(f"rank {best} exceeds the bound {bound}")
         return True
 
-    elementary_abelian_search(_compose, tuple(vectors), invs, True, extend)
+    commuting = _bit_sliced_commuting(invs, len(vectors), identity)  # the unit vectors
+    elementary_abelian_search(_compose, tuple(vectors), invs, True, extend, commuting)
     return GlAuditResult(best, bound, checked)

@@ -4,7 +4,8 @@ Reports are canonical JSON (sorted keys, fixed separators, one trailing
 newline) so identical invocations are byte-identical.  Integers that can
 exceed 64 bits travel as decimal strings.  Exit codes: 0 success, 2
 validation error, 3 guard exceeded, 64 unknown subcommand, 65 malformed
-JSON input file.
+JSON input file, 70 internal error (a library module that cannot be
+imported).
 
 Every command runs in a fresh interpreter, so each loader and handler imports
 the library modules it calls, and `dispatch` builds only the parser of the
@@ -28,6 +29,7 @@ EXIT_VALIDATION = 2
 EXIT_GUARD = 3
 EXIT_UNKNOWN_COMMAND = 64
 EXIT_BAD_JSON = 65
+EXIT_INTERNAL = 70
 
 
 class _CliError(Exception):
@@ -565,6 +567,10 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, TypeError, KeyError, _CliError) as exc:
         sys.stdout.write(_error_json("validation", str(exc)))
         return EXIT_VALIDATION
+    except ImportError as exc:  # a handler's or loader's own import of a library module
+        module = exc.name or "unknown"
+        sys.stdout.write(_error_json("internal", f"cannot import module {module}", module=module))
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

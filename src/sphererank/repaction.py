@@ -338,7 +338,8 @@ def is_free_on_product(G: GroupOracle, reps: Sequence[MonomialRep]) -> FreenessR
 
 
 def elementary_abelian_search(
-    mul: Callable, identity: Any, involutions: Sequence, root: Any, extend: Callable
+    mul: Callable, identity: Any, involutions: Sequence, root: Any, extend: Callable,
+    commuting: Callable[[int, list[int]], list[int]],
 ) -> None:
     """Depth-first walk over the elementary abelian subgroups the involutions generate.
 
@@ -353,27 +354,26 @@ def elementary_abelian_search(
     canonical path passes a pruned one is never offered.  The trivial
     subgroup {identity} has state root.
 
-    Whether two involutions commute is decided with two products the first
-    time a kept child asks, and remembered for the rest of the walk, so each
-    pair is compared at most once, and only where a kept child needs it.
+    The caller supplies the commuting relation: commuting(k, later) returns,
+    in order, the positions j in `later` (ascending, all above k) whose
+    involution commutes with involutions[k].  It is asked once per kept
+    child, and `mul` is only used to build cosets.
     """
     invs = list(involutions)
     index = {v: k for k, v in reversed(list(enumerate(invs)))}  # first position wins
-    _walk(mul, extend, index, invs, [None] * len(invs), root, (),
+    _walk(mul, extend, commuting, index, invs, root, (),
           frozenset((identity,)), list(range(len(invs))))
 
 
 def _walk(
-    mul: Callable, extend: Callable, index: dict, invs: list,
-    commutes: list[Optional[bytearray]], state: Any, gens: tuple, elements: frozenset,
-    cand: list[int],
+    mul: Callable, extend: Callable, commuting: Callable, index: dict, invs: list,
+    state: Any, gens: tuple, elements: frozenset, cand: list[int],
 ) -> None:
     """The subtree of elementary_abelian_search below one canonically reached
     subgroup.  `cand` holds indices into `invs`, ascending; index[x] is the
-    first position of x in `invs`; commutes[k][j] is 0 while invs[k] and
-    invs[j] have not been compared, 1 if they commute and 2 if not.  The
-    child with v = invs[k] is on its canonical path iff no element of its
-    coset is listed before k, so the coset stops at the first that is."""
+    first position of x in `invs`.  The child with v = invs[k] is on its
+    canonical path iff no element of its coset is listed before k, so the
+    coset stops at the first that is."""
     for pos, k in enumerate(cand):
         v = invs[k]
         if v in elements:
@@ -391,18 +391,38 @@ def _walk(
         child_state = extend(state, child_gens, child, coset)
         if child_state is None:
             continue
+        later = commuting(k, cand[pos + 1 :])
+        _walk(mul, extend, commuting, index, invs, child_state, child_gens, child, later)
+
+
+def _pairwise_commuting(
+    mul: Callable, involutions: Sequence
+) -> Callable[[int, list[int]], list[int]]:
+    """The commuting relation of elementary_abelian_search decided lazily:
+    a pair is compared with two products the first time a kept child asks,
+    and remembered for the rest of the walk, so each pair is compared at
+    most once, and only where a kept child needs it.  commutes[k][j] is 0
+    while invs[k] and invs[j] have not been compared, 1 if they commute and
+    2 if not."""
+    invs = list(involutions)
+    commutes: list[Optional[bytearray]] = [None] * len(invs)
+
+    def commuting(k: int, later: list[int]) -> list[int]:
         row = commutes[k]
         if row is None:
             row = commutes[k] = bytearray(len(invs))
-        later = []
-        for j in cand[pos + 1 :]:
+        v = invs[k]
+        kept = []
+        for j in later:
             status = row[j]
             if not status:
                 w = invs[j]
                 status = row[j] = 1 if mul(v, w) == mul(w, v) else 2
             if status == 1:
-                later.append(j)
-        _walk(mul, extend, index, invs, commutes, child_state, child_gens, child, later)
+                kept.append(j)
+        return kept
+
+    return commuting
 
 
 class IsotropyResult(NamedTuple):
@@ -474,7 +494,8 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
         return new_sums
 
     try:
-        elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend)
+        elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend,
+                                  _pairwise_commuting(G.mul, invs))
     except _CeilingReached:
         pass
     return best

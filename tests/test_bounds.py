@@ -1,8 +1,12 @@
+from itertools import permutations
+
 import pytest
 
+from sphererank import bounds, repaction
 from sphererank.bounds import (
     HEADLINE_GUARD,
     CarlssonBound,
+    _compose,
     browder_min_m,
     carlsson_min_m,
     free_rank_rp,
@@ -14,6 +18,24 @@ from sphererank.bounds import (
 from sphererank.errors import GuardExceeded
 
 from oracles import all_elem_abelian_subgroups, gl2_table
+
+
+def symmetric_table(n: int) -> list[list[int]]:
+    """Cayley table of S_n on the permutations in lexicographic order, the
+    identity first: (a * b)(i) = a(b(i))."""
+    perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+
+
+def walk_arguments(audit, n: int, monkeypatch) -> tuple[list, object]:
+    """The involutions and the commuting relation that audit(n) hands the walk."""
+    seen = []
+    monkeypatch.setattr(repaction, "elementary_abelian_search",
+                        lambda mul, identity, invs, root, extend, commuting:
+                        seen.append((invs, commuting)))
+    audit(n)
+    return seen[0]
 
 
 class TestFreeRankRp:
@@ -135,8 +157,14 @@ class TestPermRankAudit:
         assert res.ok and res.worst_rank == 2 and res.worst_orbits == 2
 
     def test_every_n_within_guard(self):
-        for n in range(1, 8):
+        for n in range(8):
             assert perm_rank_audit(n).ok
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_subgroup_is_checked_once(self, n):
+        table = symmetric_table(n)
+        subgroups = all_elem_abelian_subgroups(lambda i, j: table[i][j], len(table))
+        assert perm_rank_audit(n).subgroups_checked == len(subgroups)
 
     def test_seven_points_worst_case(self):
         res = perm_rank_audit(7)
@@ -174,3 +202,39 @@ class TestGlRankAudit:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="^n must be >= 0, got -1$"):
             gl_rank_audit(-1)
+
+
+class TestBitSlicedCommuting:
+    """The relation both audits hand the walk, read off bit-sliced rows built
+    with no product, against two products on every ordered pair."""
+
+    @pytest.mark.parametrize(
+        "audit, n",
+        [pytest.param(perm_rank_audit, n, id=f"s{n}") for n in range(8)]
+        + [pytest.param(gl_rank_audit, n, id=f"gl{n}") for n in range(5)],
+    )
+    def test_every_ordered_pair(self, audit, n, monkeypatch):
+        invs, commuting = walk_arguments(audit, n, monkeypatch)
+        assert (len(invs) == 0) == (n <= 1)
+        everyone = list(range(len(invs)))
+        for k, v in enumerate(invs):
+            expected = [j for j, w in enumerate(invs) if _compose(v, w) == _compose(w, v)]
+            assert commuting(k, everyone) == expected
+
+    @pytest.mark.parametrize(
+        "audit, n, result, products",
+        [(gl_rank_audit, 4, (4, 4, 2656), 26958),
+         (perm_rank_audit, 7, (True, 3, 4, 1317), 8445)],
+        ids=["gl4", "s7"],
+    )
+    def test_every_product_is_a_coset_product(self, audit, n, result, products, monkeypatch):
+        count = 0
+
+        def counting(a, b):
+            nonlocal count
+            count += 1
+            return _compose(a, b)
+
+        monkeypatch.setattr(bounds, "_compose", counting)
+        assert audit(n) == result
+        assert count == products

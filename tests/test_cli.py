@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sphererank.cli import (
     EXIT_BAD_JSON,
     EXIT_GUARD,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
     EXIT_VALIDATION,
@@ -157,6 +158,19 @@ class TestDispatchContract:
         assert code == EXIT_GUARD
         assert obj["error"]["code"] == "guard_exceeded"
         assert "bnb" in obj["error"]["guard"]
+
+    def test_a_module_that_cannot_be_imported_is_an_internal_error(self, capsys, monkeypatch):
+        # the handler's `from . import bounds` finds no module, even when an
+        # earlier test has loaded it
+        import sphererank
+
+        monkeypatch.delattr(sphererank, "bounds", raising=False)
+        monkeypatch.setitem(sys.modules, "sphererank.bounds", None)
+        code, obj = run(capsys, "audit", "sn", "--n", "3")
+        assert code == EXIT_INTERNAL == 70
+        assert obj == {"error": {"code": "internal",
+                                 "message": "cannot import module sphererank.bounds",
+                                 "module": "sphererank.bounds"}}
 
     def test_report_shape(self, capsys):
         code, obj = run(capsys, "bounds", "rp-rank", "--m", "3", "--n", "5")

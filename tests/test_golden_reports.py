@@ -183,6 +183,9 @@ def _cases() -> list[list[str]]:
         cases.append(["group", "rank", "--family", name, "--mode", "bnb"])
         cases.append(["group", "profile", "--family", name])
     cases.append(["poly", "regseq", "--ideal", MIXED_IDEAL[0]])
+    # the empty audits: no involution, only the trivial subgroup
+    cases.append(["audit", "sn", "--n", "0"])
+    cases.append(["audit", "gl", "--n", "0"])
     return cases
 
 

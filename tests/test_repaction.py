@@ -7,9 +7,10 @@ from itertools import permutations
 
 import pytest
 
+from sphererank.bounds import _bit_sliced_commuting
 from sphererank.errors import SchemaError
 from sphererank.forms import random_family
-from sphererank.gf2 import BitVector
+from sphererank.gf2 import BitVector, fold_rows
 from sphererank import repaction
 from sphererank.phigroup import PhiGroup, group_rank, max_isotropic_qzero
 from sphererank.repaction import (
@@ -25,6 +26,7 @@ from sphererank.repaction import (
     max_isotropy_rank,
     quaternion_table,
     _generating_set,
+    _pairwise_commuting,
 )
 
 from oracles import (
@@ -435,7 +437,7 @@ class TestElementaryAbelianSearch:
             seen.append(elements)
             return depth + 1
 
-        elementary_abelian_search(oracle.mul, 0, oracle.involutions(), 0, extend)
+        pairwise_walk(oracle.mul, 0, oracle.involutions(), 0, extend)
         assert len(seen) == len(set(seen))
         assert set(seen) == all_elem_abelian_subgroups(oracle.mul, oracle.order)
 
@@ -447,7 +449,7 @@ class TestElementaryAbelianSearch:
             seen.append(elements)
             return None if len(gens) == 2 else state
 
-        elementary_abelian_search(oracle.mul, 0, oracle.involutions(), True, extend)
+        pairwise_walk(oracle.mul, 0, oracle.involutions(), True, extend)
         # C2^3 has 7 subgroups of order 2 and 7 of order 4; the whole group lies below a prune
         assert sorted(len(e) for e in seen) == [2] * 7 + [4] * 7
 
@@ -460,7 +462,7 @@ class TestElementaryAbelianSearch:
             seen.append(elements)
             return state
 
-        elementary_abelian_search(oracle.mul, 0, invs + invs[::-1], True, extend)
+        pairwise_walk(oracle.mul, 0, invs + invs[::-1], True, extend)
         assert len(seen) == len(set(seen)) == 7 + 7 + 1
 
 
@@ -561,6 +563,31 @@ WALKS = {**{f"s{n}": symmetric_walk(n) for n in range(1, 7)},
          **{f"gl{n}": general_linear_walk(n) for n in range(1, 4)}}
 
 
+def pairwise_walk(mul, identity, invs, root, extend) -> None:
+    """The walk with the isotropy search's commuting relation: a pair is
+    compared with two products the first time a kept child asks."""
+    elementary_abelian_search(mul, identity, invs, root, extend, _pairwise_commuting(mul, invs))
+
+
+def audit_relation(name: str):
+    """The audits' bit-sliced commuting relation on the involutions of
+    WALKS[name]: S_n compared on every point, GL(n, 2) on the unit vectors,
+    each matrix m as its permutation x -> x m of the row vectors."""
+    _, identity, invs = WALKS[name]
+    n = len(identity)
+    if name.startswith("s"):
+        return _bit_sliced_commuting(invs, n, identity)
+    perms = [tuple(fold_rows(m, x) for x in range(1 << n)) for m in invs]
+    return _bit_sliced_commuting(perms, 1 << n, identity)
+
+
+def without_relation(search):
+    """A walk that decides commuting itself, called like the package's walk."""
+    return lambda mul, identity, invs, root, extend, commuting: search(
+        mul, identity, invs, root, extend
+    )
+
+
 def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list, list]:
     """The extend calls of one walk as (gens, elements, coset set, kept), and
     every product it took.  With prune_every = p, a subgroup holding any of
@@ -583,15 +610,19 @@ def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list
 
 def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
     """max_isotropy_rank(G, reps) run on the given walk, with its extend calls
-    and products logged as in logged_walk.  The call that reaches the
-    ceiling ends the walk and counts as kept."""
+    and products logged as in logged_walk, those of its commuting relation
+    included.  The call that reaches the ceiling ends the walk and counts as
+    kept."""
     calls, products = [], []
 
-    def logged_search(mul, identity, invs, root, extend):
+    def counting(mul):
         def counting_mul(a, b):
             products.append((a, b))
             return mul(a, b)
 
+        return counting_mul
+
+    def logged_search(mul, identity, invs, root, extend, commuting):
         def logged_extend(state, gens, elements, coset):
             call = [gens, elements, frozenset(coset), True]
             calls.append(call)
@@ -599,9 +630,11 @@ def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
             call[3] = child is not None
             return child
 
-        search(counting_mul, identity, invs, root, logged_extend)
+        search(counting(mul), identity, invs, root, logged_extend, commuting)
 
     monkeypatch.setattr(repaction, "elementary_abelian_search", logged_search)
+    monkeypatch.setattr(repaction, "_pairwise_commuting",
+                        lambda mul, invs: _pairwise_commuting(counting(mul), invs))
     result = max_isotropy_rank(G, reps)
     return result, [tuple(call) for call in calls], products
 
@@ -642,17 +675,18 @@ def assert_follows_reference(got: tuple, expected: tuple) -> None:
 
 
 class TestWalkMatchesReference:
-    """Without pruning, the walk makes the reference's extend calls and
-    compares the pairs the reference compares, each once.  Under pruning the
-    reference still offers subgroups above a pruned one and prunes them
-    there; the walk, which reaches each subgroup only along its canonical
-    path, skips them."""
+    """Without pruning, the walk makes the reference's extend calls and, with
+    the pairwise relation, compares the pairs the reference compares, each
+    once; with the audits' bit-sliced rows it makes the same calls and
+    compares none.  Under pruning the reference still offers subgroups above
+    a pruned one and prunes them there; the walk, which reaches each
+    subgroup only along its canonical path, skips them."""
 
     @pytest.mark.parametrize("prune_every", [0, 3])
     @pytest.mark.parametrize("name", sorted(WALKS))
     def test_audit_groups(self, name, prune_every):
         mul, identity, invs = WALKS[name]
-        got = logged_walk(elementary_abelian_search, mul, identity, invs, prune_every)
+        got = logged_walk(pairwise_walk, mul, identity, invs, prune_every)
         expected = logged_walk(reference_elementary_abelian_search, mul, identity, invs, prune_every)
         if not prune_every:
             assert got[0] == expected[0]
@@ -662,17 +696,17 @@ class TestWalkMatchesReference:
     @pytest.mark.parametrize("prune_every", [0, 3])
     @pytest.mark.parametrize("name", sorted(WALKS))
     def test_no_subgroup_is_offered_twice(self, name, prune_every):
-        calls, _ = logged_walk(elementary_abelian_search, *WALKS[name], prune_every)
+        calls, _ = logged_walk(pairwise_walk, *WALKS[name], prune_every)
         assert len({c[1] for c in calls}) == len(calls)
 
     def test_the_reference_compares_some_pairs_again(self):
         mul, identity, invs = WALKS["s6"]
         calls, ref_products = logged_walk(reference_elementary_abelian_search, mul, identity, invs)
-        _, products = logged_walk(elementary_abelian_search, mul, identity, invs)
+        _, products = logged_walk(pairwise_walk, mul, identity, invs)
         assert max(compared_pairs(ref_products).values()) > 1
         assert len(products) < len(ref_products)
         # and the pruning walks above do prune: fewer subgroups are offered
-        assert len(logged_walk(elementary_abelian_search, mul, identity, invs, 3)[0]) < len(calls)
+        assert len(logged_walk(pairwise_walk, mul, identity, invs, 3)[0]) < len(calls)
 
     @pytest.mark.parametrize("name", ["s6", "gl3"])
     def test_the_walk_takes_fewer_coset_products(self, name):
@@ -680,12 +714,26 @@ class TestWalkMatchesReference:
         element listed before its generator, where the reference builds the
         whole coset and looks the union up: fewer products in all, and fewer
         outside the commuting tests."""
-        _, products = logged_walk(elementary_abelian_search, *WALKS[name])
+        _, products = logged_walk(pairwise_walk, *WALKS[name])
         _, ref_products = logged_walk(reference_elementary_abelian_search, *WALKS[name])
         assert len(products) < len(ref_products)
         tests = 2 * sum(compared_pairs(products).values())
         ref_tests = 2 * sum(compared_pairs(ref_products).values())
         assert len(products) - tests < len(ref_products) - ref_tests
+
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_the_audits_relation_takes_no_product(self, name):
+        """The audits' bit-sliced rows give the walk the same extend calls as
+        the pairwise relation, and the walk takes only its coset products."""
+        mul, identity, invs = WALKS[name]
+        relation = audit_relation(name)
+        calls, products = logged_walk(
+            lambda *args: elementary_abelian_search(*args, relation), mul, identity, invs
+        )
+        pairwise_calls, pairwise_products = logged_walk(pairwise_walk, mul, identity, invs)
+        assert calls == pairwise_calls
+        tests = 2 * sum(compared_pairs(pairwise_products).values())
+        assert len(products) == len(pairwise_products) - tests
 
     @pytest.mark.parametrize("ceiling", [True, False], ids=["ceiling", "full"])
     @pytest.mark.parametrize("case", SMALL_FAMILIES + sorted(TABLE_REPS), ids=str)
@@ -698,7 +746,7 @@ class TestWalkMatchesReference:
         for factors in factor_sets:
             result, *got = logged_isotropy(walk, G, factors, monkeypatch)
             ref_result, *expected = logged_isotropy(
-                reference_elementary_abelian_search, G, factors, monkeypatch
+                without_relation(reference_elementary_abelian_search), G, factors, monkeypatch
             )
             assert result == ref_result
             assert_follows_reference(got, expected)
