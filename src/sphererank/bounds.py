@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import permutations
-from operator import itemgetter, or_, xor
+from operator import itemgetter, ne, or_, xor
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GuardExceeded
@@ -165,30 +165,15 @@ def _bit_sliced_commuting(
     return lambda k, later: [j for j in later if rows[k] >> j & 1]
 
 
-def _perm_orbits(perms: Sequence[tuple[int, ...]], n: int) -> int:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(n) if find(i) == i)
-
-
 def perm_rank_audit(n: int) -> PermAuditResult:
     """Verify rank <= n - orbits for every elementary abelian 2-subgroup of S_n.
 
     Exhaustive: the walk offers each subgroup once, along its canonical
     path, and reads which involutions commute from bit-sliced rows built up
     front.  The worst case reported is the first subgroup (in search order)
-    of maximal rank.  A subgroup's orbits are those of its generators.
+    of maximal rank.  Orbits are counted by Burnside's lemma, n less the mean
+    number of points an element moves: the walk's state is the total moved
+    over H, and each child adds the points moved by its coset.
     """
     from .repaction import elementary_abelian_search
 
@@ -204,21 +189,24 @@ def perm_rank_audit(n: int) -> PermAuditResult:
         if p != identity and tuple(p[p[i]] for i in points) == identity
     ]
 
+    moved = {p: sum(map(ne, p, points)) for p in invs}
+
     checked = 1  # the trivial subgroup: rank 0, n orbits
     worst = (0, n)  # (rank, orbits) of the first subgroup of maximal rank
 
-    def extend(state: bool, gens: tuple, elements: frozenset, coset: list) -> bool:
+    def extend(total: int, gens: tuple, elements: frozenset, coset: list) -> int:
         nonlocal checked, worst
         checked += 1
-        orbits = _perm_orbits(gens, n)
+        total += sum(map(moved.__getitem__, coset))
+        orbits = n - (total >> len(gens))  # |H| = 2^len(gens)
         if len(gens) > n - orbits:
             raise AssertionError(f"rank {len(gens)} exceeds {n} - {orbits} orbits")
         if len(gens) > worst[0]:
             worst = (len(gens), orbits)
-        return True
+        return total
 
     commuting = _bit_sliced_commuting(invs, n, points)
-    elementary_abelian_search(_compose, identity, invs, True, extend, commuting)
+    elementary_abelian_search(_compose, identity, invs, 0, extend, commuting)
     return PermAuditResult(True, worst[0], worst[1], checked)
 
 

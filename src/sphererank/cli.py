@@ -206,6 +206,14 @@ def _ints(text: str, flag: str) -> list[int]:
         raise _CliError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
 
+def _seed(args) -> int:
+    """args.seed, refused outside 0..2^64 - 1: splitmix64 keeps only the low
+    64 bits, so a seed outside would print another seed's family."""
+    if not 0 <= args.seed < 1 << 64:
+        raise _CliError(f"--seed: must be in 0..{(1 << 64) - 1}, got {args.seed}")
+    return args.seed
+
+
 def _json_list(text: str, name: str, items: str) -> list:
     """A JSON list given inline (text starting with '[') or in the file it names."""
     data = _parse_json(text, name) if text.lstrip().startswith("[") else _load_json(text)
@@ -254,7 +262,7 @@ _MODES = {"exhaustive": "exhaustive", "bnb": "branch_and_bound"}
 
 def _cmd_forms_gen(args) -> dict:
     from . import forms
-    fam = forms.random_family(args.n, args.t, args.seed)
+    fam = forms.random_family(args.n, args.t, _seed(args))
     if args.save_family:
         _emit(_canonical(fam.to_json_dict()), args.save_family, "--save-family")
     return {"family": fam.to_json_dict()}
@@ -310,7 +318,7 @@ def _cmd_group_profile(args) -> dict:
 
 def _cmd_search_olshanskii(args) -> dict:
     from . import phigroup
-    res = phigroup.search_forms(args.n, args.t, args.k, args.trials, args.seed)
+    res = phigroup.search_forms(args.n, args.t, args.k, args.trials, _seed(args))
     if res.family is not None and args.save_family:
         _emit(_canonical(res.family.to_json_dict()), args.save_family, "--save-family")
     return {

@@ -39,9 +39,6 @@ class BitVector(NamedTuple):
             raise ValueError(f"invalid bit string {s!r}")
         return cls.from_coords(int(ch) for ch in s)
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def support(self) -> Iterator[int]:
         bits = self.bits
         while bits:

@@ -303,12 +303,6 @@ def build_induced(
     return MonomialRep(G, c_gens, character_on_gens)
 
 
-def has_plus_one_eigenvalue(rep: MonomialRep, g: int) -> bool:
-    """True iff g has a +1 eigenvalue: the fixed space of <g>, read off the
-    traces over <g>, is nonzero."""
-    return fixed_subspace_dim(rep, [g]) > 0
-
-
 def fixed_subspace_dim(rep: MonomialRep, h_gens: Sequence[int]) -> int:
     """Dimension of the subspace fixed by <h_gens>: (1/|H|) sum of traces."""
     elements = rep.group.closure(h_gens)
@@ -327,12 +321,13 @@ def is_free_on_product(G: GroupOracle, reps: Sequence[MonomialRep]) -> FreenessR
     """Freeness of the diagonal action on the product of unit spheres.
 
     g fixes a product point iff it has a +1 eigenvalue on every factor
-    (fixed points on distinct factors are independent).
+    (fixed points on distinct factors are independent), that is, iff <g>
+    fixes a nonzero vector of each, read off the traces over <g>.
     """
     if any(rep.group is not G for rep in reps):
         raise ValueError("all representations must live over the given group")
     for g in range(1, G.order):
-        if all(has_plus_one_eigenvalue(rep, g) for rep in reps):
+        if all(fixed_subspace_dim(rep, [g]) > 0 for rep in reps):
             return FreenessResult(False, g)
     return FreenessResult(True, None)
 

@@ -498,6 +498,25 @@ def brute_max_elem_abelian_rank(mul, order: int) -> int:
     return max(len(s).bit_length() - 1 for s in iter_elem_abelian_subgroups(mul, order))
 
 
+def perm_orbits(perms, n: int) -> int:
+    """Orbits on 0..n-1 of the group the permutations `perms` generate (each a
+    tuple of images), by union-find over the edges i - perm[i]."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for i, j in enumerate(perm):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    return sum(1 for i in range(n) if find(i) == i)
+
+
 def brute_center(mul, order: int) -> set[int]:
     return {
         g for g in range(order) if all(mul(g, h) == mul(h, g) for h in range(order))

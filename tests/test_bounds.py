@@ -17,7 +17,7 @@ from sphererank.bounds import (
 )
 from sphererank.errors import GuardExceeded
 
-from oracles import all_elem_abelian_subgroups, gl2_table
+from oracles import all_elem_abelian_subgroups, gl2_table, perm_orbits
 
 
 def symmetric_table(n: int) -> list[list[int]]:
@@ -36,6 +36,26 @@ def walk_arguments(audit, n: int, monkeypatch) -> tuple[list, object]:
                         seen.append((invs, commuting)))
     audit(n)
     return seen[0]
+
+
+def logged_walk(audit, n: int, monkeypatch) -> tuple[object, list]:
+    """audit(n) and (gens, elements, state) of every subgroup its walk offers,
+    the trivial one first with the root state, each other with the state its
+    extend returns."""
+    search = repaction.elementary_abelian_search
+    log = []
+
+    def logging_search(mul, identity, invs, root, extend, commuting):
+        def logged(state, gens, elements, coset):
+            child = extend(state, gens, elements, coset)
+            log.append((gens, elements, child))
+            return child
+
+        log.append(((), frozenset((identity,)), root))
+        search(mul, identity, invs, root, logged, commuting)
+
+    monkeypatch.setattr(repaction, "elementary_abelian_search", logging_search)
+    return audit(n), log
 
 
 class TestFreeRankRp:
@@ -165,6 +185,19 @@ class TestPermRankAudit:
         table = symmetric_table(n)
         subgroups = all_elem_abelian_subgroups(lambda i, j: table[i][j], len(table))
         assert perm_rank_audit(n).subgroups_checked == len(subgroups)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_state_counts_its_subgroups_orbits(self, n, monkeypatch):
+        """Burnside: the state of H, the points moved summed over its
+        elements, is |H| (n - orbits), with the orbits of a union-find over
+        the elements; the worst case reports the first subgroup of top rank."""
+        res, log = logged_walk(perm_rank_audit, n, monkeypatch)
+        assert len(log) == res.subgroups_checked
+        for gens, elements, total in log:
+            assert len(elements) == 1 << len(gens)
+            assert total == (n - perm_orbits(elements, n)) * len(elements), gens
+        first_worst = next(elements for gens, elements, _ in log if len(gens) == res.worst_rank)
+        assert res.worst_orbits == perm_orbits(first_worst, n)
 
     def test_seven_points_worst_case(self):
         res = perm_rank_audit(7)

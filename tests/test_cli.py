@@ -24,9 +24,9 @@ from sphererank.cli import (
 )
 from sphererank.errors import SchemaError
 from sphererank.forms import random_family
-from sphererank.repaction import elementary_abelian_table, quaternion_table
+from sphererank.repaction import cyclic_table, elementary_abelian_table, quaternion_table
 
-from oracles import brute_smallest_common_zero, naive_hilbert
+from oracles import brute_smallest_common_zero, dihedral_table, naive_hilbert
 
 COMMANDS = [
     "audit gl", "audit sn", "bounds headline", "bounds rp-rank", "forms czero", "forms gen",
@@ -758,6 +758,41 @@ def reps_documents(draw, order):
     return doc
 
 
+STOCK_TABLES = [cyclic_table(m) for m in (1, 2, 3, 4, 6, 8)] + [
+    elementary_abelian_table(2), elementary_abelian_table(3), quaternion_table(), dihedral_table(4)]
+
+
+@st.composite
+def table_documents(draw):
+    """A stock Cayley table document (order at most 8) with up to three
+    faults: a key left out, the order past the table guard with a matching
+    mul, or the order, the mul, one row or one entry replaced, or two entries
+    of a row swapped."""
+    table = [list(row) for row in draw(st.sampled_from(STOCK_TABLES))]
+    order = len(table)
+    doc = {"order": order, "mul": table}
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(
+            ["drop", "guard", "order", "mul", "row", "entry", "swap"]))
+        i, j, k = (draw(st.integers(0, order - 1)) for _ in range(3))
+        row = _at(table, i)
+        if fault == "drop":
+            doc.pop(draw(st.sampled_from(["order", "mul"])), None)
+        elif fault == "guard":
+            doc = {"order": 2049, "mul": [[0]] * 2049}
+        elif fault == "order":
+            doc["order"] = draw(st.integers(-1, 2 * order) | JSON_VALUES)
+        elif fault == "mul":
+            doc["mul"] = draw(JSON_VALUES)
+        elif fault == "row" and row is not None:
+            table[i] = draw(st.lists(st.integers(-1, order), max_size=order + 1) | JSON_VALUES)
+        elif fault == "entry" and isinstance(row, list) and j < len(row):
+            row[j] = draw(st.integers(-1, order) | JSON_VALUES)
+        elif fault == "swap" and isinstance(row, list) and max(j, k) < len(row):
+            row[j], row[k] = row[k], row[j]
+    return doc, order
+
+
 def assert_clean_answer(code, obj, doc, named_fields=False) -> None:
     """A documented exit code with a report or a well-formed error: a named
     guard on exit 3, no Python text, and (when asked) the failing fields."""
@@ -976,8 +1011,35 @@ class TestInputDocuments:
             assert obj["result"]["factors"] == len(reps), obj
 
 
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=table_documents())
+    def test_any_table_document_gets_a_clean_answer(self, capsys, tmp_path, case):
+        doc, _ = case
+        code, obj = run(capsys, "rep", "twocentral", "--table", self.write(tmp_path, doc))
+        assert_clean_answer(code, obj, doc)
+        if code == EXIT_OK:
+            assert type(obj["result"]["two_central"]) is bool, obj
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=table_documents(), data=st.data())
+    def test_any_table_and_reps_documents_get_a_clean_answer(self, capsys, tmp_path, case, data):
+        doc, order = case
+        reps = data.draw(reps_documents(order))
+        reps_path = tmp_path / "reps.json"
+        reps_path.write_text(json.dumps(reps))
+        code, obj = run(capsys, "rep", "free", "--table", self.write(tmp_path, doc),
+                        "--reps", str(reps_path))
+        assert_clean_answer(code, obj, (doc, reps))
+        if code == EXIT_OK:
+            assert obj["result"]["factors"] == len(reps), obj
+
+
 class TestNumericFlags:
-    """Out-of-range numbers are refused by the library function the flag feeds."""
+    """Out-of-range numbers are refused by the library function the flag
+    feeds; a seed outside 64 bits, which splitmix64 would fold onto another
+    seed, by the CLI itself."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -992,12 +1054,25 @@ class TestNumericFlags:
              "t must be >= 1, got 0"),
             (["audit", "sn", "--n", "-1"], "n must be >= 0, got -1"),
             (["audit", "gl", "--n", "-1"], "n must be >= 0, got -1"),
+            (["forms", "gen", "--n", "4", "--t", "2", "--seed", "-1"],
+             f"--seed: must be in 0..{(1 << 64) - 1}, got -1"),
+            (["search", "olshanskii", "--n", "4", "--t", "2", "--k", "3", "--trials", "2",
+              "--seed", str(1 << 64)], f"--seed: must be in 0..{(1 << 64) - 1}, got {1 << 64}"),
         ],
     )
     def test_out_of_range(self, capsys, argv, message):
         code, obj = run(capsys, *argv)
         assert_clean_validation(code, obj)
         assert obj["error"]["message"] == message
+
+    SEED_COMMANDS = [["forms", "gen", "--n", "4", "--t", "2"],
+                     ["search", "olshanskii", "--n", "4", "--t", "2", "--k", "3", "--trials", "2"]]
+
+    @pytest.mark.parametrize("argv", SEED_COMMANDS, ids=["forms-gen", "search"])
+    def test_seed_range_ends_are_accepted(self, capsys, argv):
+        for seed in (0, (1 << 64) - 1):
+            code, obj = run(capsys, *argv, "--seed", str(seed))
+            assert code == EXIT_OK and obj["provenance"]["seed"] == str(seed)
 
     def test_negative_e_rank(self, capsys, q8_table_file):
         code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "1",
@@ -1150,8 +1225,6 @@ class TestLoaders:
         assert code == EXIT_GUARD and obj["error"]["guard"] == "group_order"
 
     def test_load_dihedral_table(self, tmp_path):
-        from oracles import dihedral_table
-
         table = dihedral_table(4)
         path = tmp_path / "d8_table.json"
         path.write_text(json.dumps({"order": 8, "mul": table}))

@@ -186,6 +186,10 @@ def _cases() -> list[list[str]]:
     # the empty audits: no involution, only the trivial subgroup
     cases.append(["audit", "sn", "--n", "0"])
     cases.append(["audit", "gl", "--n", "0"])
+    # seeds outside 0..2^64 - 1, which splitmix64 would fold onto another seed
+    cases.append(["forms", "gen", "--n", "4", "--t", "2", "--seed", "-1"])
+    cases.append(["search", "olshanskii", "--n", "6", "--t", "2", "--k", "3", "--trials", "20",
+                  "--seed", str(1 << 64)])
     return cases
 
 
