@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .errors import GuardExceeded, SchemaError, require_keys
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, bit_rows, bit_string
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -181,10 +181,10 @@ def load_action(path: str) -> polyalg.LinearAction:
     gens = []
     for i, rows in enumerate(matrices):
         try:
-            m = BitMatrix.from_strings(rows)
-            if m.rows != nvars or m.cols != nvars:
+            cols, rows = bit_rows(rows)
+            if len(rows) != nvars or cols != nvars:
                 raise ValueError("wrong shape")
-            gens.append(m)
+            gens.append(BitMatrix(nvars, nvars, rows))
         except ValueError as exc:
             raise SchemaError([f"generators[{i}]: {exc}"]) from exc
     try:
@@ -200,8 +200,9 @@ def _as_dict(obj: Any, path: str) -> dict:
 
 
 def _ints(text: str, flag: str) -> list[int]:
+    """Comma-separated integers; "" is the empty list, an empty token is refused."""
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in text.split(",")] if text else []
     except ValueError as exc:
         raise _CliError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
 
@@ -273,7 +274,7 @@ def _cmd_forms_czero(args) -> dict:
     system = load_system(args.system)
     zero = forms.common_zero_quadratics(system)
     return {
-        "zero": zero.to_string() if zero is not None else None,
+        "zero": bit_string(zero.bits, zero.n) if zero is not None else None,
         "exhaustive": True,
         "variables": system.v,
     }
@@ -301,7 +302,7 @@ def _cmd_group_rank(args) -> dict:
     return {
         "rank": fam.t + res.dim,
         "isotropic_dim": res.dim,
-        "witness": [v.to_string() for v in res.witness.basis],
+        "witness": [bit_string(v.bits, v.n) for v in res.witness.basis],
     }
 
 
@@ -312,7 +313,7 @@ def _cmd_group_profile(args) -> dict:
     return {
         "T": profile.T,
         "N": profile.N,
-        "witness": [v.to_string() for v in profile.v_witness.basis],
+        "witness": [bit_string(v.bits, v.n) for v in profile.v_witness.basis],
     }
 
 
@@ -335,15 +336,13 @@ def _cmd_search_olshanskii(args) -> dict:
 def _cmd_rep_free(args) -> dict:
     from . import repaction
     oracle, reps = _load_group_and_reps(args)
-    res = repaction.is_free_on_product(oracle, reps)
-    return {"free": res.free, "witness": res.witness, "factors": len(reps)}
+    return {**repaction.is_free_on_product(oracle, reps)._asdict(), "factors": len(reps)}
 
 
 def _cmd_rep_isotropy(args) -> dict:
     from . import repaction
     oracle, reps = _load_group_and_reps(args)
-    res = repaction.max_isotropy_rank(oracle, reps)
-    return {"rank": res.rank, "witness_gens": list(res.witness_gens), "factors": len(reps)}
+    return {**repaction.max_isotropy_rank(oracle, reps)._asdict(), "factors": len(reps)}
 
 
 def _cmd_rep_twocentral(args) -> dict:
@@ -382,7 +381,8 @@ def _cmd_poly_powertest(args) -> dict:
             raise SchemaError([f"ys[{i}]: must be a list of 0/1 ints"])
         if len(coords) != action.nvars:
             raise SchemaError([f"ys[{i}]: must have {action.nvars} coordinates, one per variable"])
-        ys.append(polyalg.GradedPoly.linear(action.nvars, BitVector.from_coords(coords)))
+        bits = sum(c << j for j, c in enumerate(coords))
+        ys.append(polyalg.GradedPoly.linear(action.nvars, BitVector(action.nvars, bits)))
     res = polyalg.power_span_test(action, ys, args.p)
     return {"stable": res.stable, "permuted": res.permuted}
 
@@ -425,24 +425,13 @@ def _cmd_bounds_headline(args) -> dict:
 
 def _cmd_audit_sn(args) -> dict:
     from . import bounds
-    res = bounds.perm_rank_audit(args.n)
-    return {
-        "ok": res.ok,
-        "worst_rank": res.worst_rank,
-        "worst_orbits": res.worst_orbits,
-        "subgroups_checked": res.subgroups_checked,
-    }
+    return bounds.perm_rank_audit(args.n)._asdict()
 
 
 def _cmd_audit_gl(args) -> dict:
     from . import bounds
     res = bounds.gl_rank_audit(args.n)
-    return {
-        "ok": res.max_rank_found <= res.bound,
-        "max_rank_found": res.max_rank_found,
-        "bound": res.bound,
-        "subgroups_checked": res.subgroups_checked,
-    }
+    return {**res._asdict(), "ok": res.max_rank_found <= res.bound}
 
 
 # -- registry ------------------------------------------------------------------

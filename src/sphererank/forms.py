@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError, require_keys
 from .gf2 import (BitMatrix, BitVector, Subspace, _coordinate_masks, _quadratic_mask,
-                  _transpose_bits, fold_rows, kernel)
+                  _transpose_bits, bit_rows, bit_string, fold_rows, kernel)
 from .rng import random_bits
 
 COMMON_ZERO_GUARD = 24  # max variable count for the exhaustive zero scan
@@ -81,7 +81,7 @@ class FormFamily(NamedTuple):
         return {
             "n": n,
             "t": self.t,
-            "forms": [[format(r, "b").zfill(n)[::-1] for r in rows] for rows in self.grams],
+            "forms": [[bit_string(r, n) for r in rows] for rows in self.grams],
         }
 
     @classmethod
@@ -100,14 +100,13 @@ class FormFamily(NamedTuple):
         grams = []
         for s, rows in enumerate(forms):
             try:
-                g = BitMatrix.from_strings(rows)
+                cols, rows = bit_rows(rows)
             except ValueError as exc:
                 failing.append(f"forms[{s}]: {exc}")
                 continue
-            if g.rows != n or g.cols != n:
+            if len(rows) != n or cols != n:
                 failing.append(f"forms[{s}]: expected {n}x{n} matrix")
                 continue
-            rows = g.row_data
             if tuple(_transpose_bits(rows, n)) != rows:
                 failing.append(f"forms[{s}]: gram not symmetric")
             if any(r >> i & 1 for i, r in enumerate(rows)):

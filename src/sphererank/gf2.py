@@ -3,51 +3,26 @@
 Coordinate i of a vector lives at bit position i of an arbitrary-precision
 integer (LSB first).  The computations run on int rows; `BitVector`,
 `BitMatrix` and `Subspace` are the values of the input and report boundary,
-named tuples that check nothing: outside bits enter through `from_coords`,
-`from_string` and `from_strings`.  A `Subspace`'s canonical RREF basis, with
-strictly increasing pivot columns, is a promise of its producers, `kernel`
-and the isotropic searches, which read it from `_rref_bits`, so set-level
-equality is plain tuple equality.  All of it is immutable and pure; no floats.
+named tuples that check nothing.  Bits cross that boundary as '0'/'1'
+strings, coordinate 0 leftmost: `bit_rows` is the one door in, which refuses
+bad bits and ragged rows, and `bit_string` the one renderer out.  A
+`Subspace`'s canonical RREF basis, with strictly increasing pivot columns, is
+a promise of its producers, `kernel` and the isotropic searches, which read
+it from `_rref_bits`, so set-level equality is plain tuple equality.  All of
+it is immutable and pure; no floats.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class BitVector(NamedTuple):
     """Vector in F2^n packed into an int (coordinate i = bit i)."""
 
     n: int
-    bits: int = 0
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> BitVector:
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
-
-    @classmethod
-    def from_string(cls, s: str) -> BitVector:
-        """Parse a '0'/'1' string, leftmost character = coordinate 0."""
-        if set(s) - {"0", "1"}:
-            raise ValueError(f"invalid bit string {s!r}")
-        return cls.from_coords(int(ch) for ch in s)
-
-    def support(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
-
-    def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+    bits: int
 
 
 class BitMatrix(NamedTuple):
@@ -64,20 +39,31 @@ class BitMatrix(NamedTuple):
     def from_bits(cls, rows: int, cols: int, bits: Sequence[int]) -> BitMatrix:
         return cls(rows, cols, tuple(bits))
 
-    @classmethod
-    def from_strings(cls, data: Sequence[str]) -> BitMatrix:
-        """One row per '0'/'1' string, all of one length; at least one row."""
-        if not isinstance(data, (list, tuple)) or not all(isinstance(s, str) for s in data):
-            raise ValueError("must be a list of '0'/'1' strings")
-        rows = [BitVector.from_string(s) for s in data]
-        if not rows:
-            raise ValueError("cannot infer column count from zero rows")
-        if len({r.n for r in rows}) > 1:
-            raise ValueError("ragged rows")
-        return cls(len(rows), rows[0].n, tuple(r.bits for r in rows))
-
     def row_bits(self) -> list[int]:
         return list(self.row_data)
+
+
+def bit_string(bits: int, n: int) -> str:
+    """The n coordinates of `bits` as '0'/'1', coordinate 0 leftmost; "" at n = 0."""
+    return format(bits, "b").zfill(n)[::-1] if n else ""
+
+
+def bit_rows(data: Sequence[str]) -> tuple[int, tuple[int, ...]]:
+    """(cols, rows) of '0'/'1' strings, character j of a string = bit j of its row.
+
+    At least one row, all of one length; ("",) is one row of no columns.
+    """
+    if not isinstance(data, (list, tuple)) or not all(isinstance(s, str) for s in data):
+        raise ValueError("must be a list of '0'/'1' strings")
+    for s in data:
+        if set(s) - {"0", "1"}:
+            raise ValueError(f"invalid bit string {s!r}")
+    if not data:
+        raise ValueError("cannot infer column count from zero rows")
+    cols = len(data[0])
+    if any(len(s) != cols for s in data):
+        raise ValueError("ragged rows")
+    return cols, tuple(int(s[::-1], 2) if s else 0 for s in data)
 
 
 def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
@@ -247,11 +233,6 @@ class Subspace(NamedTuple):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-
-def rank(m: BitMatrix) -> int:
-    """GF(2) row rank, from the forward pass alone."""
-    return len(_echelon_bits(m.row_data))
 
 
 def kernel(m: BitMatrix) -> Subspace:

@@ -16,7 +16,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, NonSquareSystemError, SchemaError, require_keys
-from .gf2 import BitMatrix, BitVector, _echelon_bits, _reduce_bits, _rref_bits, fold_rows, rank
+from .gf2 import BitMatrix, BitVector, _echelon_bits, _reduce_bits, _rref_bits, fold_rows
 
 if TYPE_CHECKING:
     from .repaction import GroupOracle, MonomialRep
@@ -96,20 +96,22 @@ class GradedPoly(NamedTuple):
             raise ValueError("coefficient length mismatch")
         _check_nvars(nvars)
         monos = frozenset(
-            tuple(1 if j == i else 0 for j in range(nvars)) for i in coeffs.support()
+            tuple(1 if j == i else 0 for j in range(nvars))
+            for i in range(nvars) if coeffs.bits >> i & 1
         )
         return cls(nvars, 1, monos)
 
     def is_zero(self) -> bool:
         return not self.monomials
 
-    def linear_coeffs(self) -> BitVector:
+    def linear_coeffs(self) -> int:
+        """The coefficients of a linear form, variable i at bit i."""
         if self.degree != 1:
             raise ValueError("not a degree-1 polynomial")
         bits = 0
         for m in self.monomials:
             bits |= 1 << m.index(1)
-        return BitVector(self.nvars, bits)
+        return bits
 
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if self.nvars != other.nvars or self.degree != other.degree:
@@ -345,7 +347,7 @@ class LinearAction:
         for m in generators:
             if m.rows != nvars or m.cols != nvars:
                 raise ValueError("generators must be nvars x nvars")
-            if rank(m) != nvars:
+            if len(_echelon_bits(m.row_data)) != nvars:
                 raise ValueError("generators must be invertible")
         self.nvars = nvars
         self.generators = generators
@@ -362,7 +364,7 @@ def power_span_test(act: LinearAction, ys: Sequence[GradedPoly], p: int) -> Powe
         raise ValueError(f"p must be >= 0, got {p}")
     if any(y.degree != 1 or y.nvars != act.nvars for y in ys):
         raise ValueError("ys must be degree-1 forms in the action's variables")
-    lines = [y.linear_coeffs().bits for y in ys]
+    lines = [y.linear_coeffs() for y in ys]
     if len(_echelon_bits(lines)) != len(ys):
         raise ValueError("ys must be linearly independent")
     index: dict[Exponents, int] = {}  # a column per monomial, given when first seen

@@ -26,7 +26,7 @@ from sphererank.errors import SchemaError
 from sphererank.forms import random_family
 from sphererank.repaction import cyclic_table, elementary_abelian_table, quaternion_table
 
-from oracles import brute_smallest_common_zero, dihedral_table, naive_hilbert
+from oracles import brute_smallest_common_zero, dihedral_table, naive_hilbert, span_bits
 
 COMMANDS = [
     "audit gl", "audit sn", "bounds headline", "bounds rp-rank", "forms czero", "forms gen",
@@ -534,7 +534,9 @@ class TestArgumentDocuments:
         assert spaced == joined
 
     @pytest.mark.parametrize("flag, value", [("--chars", "x"), ("--chars", "-1.0"),
-                                             ("--c-gens", "1,y"), ("--e-gens", "z")])
+                                             ("--c-gens", "1,y"), ("--e-gens", "z"),
+                                             ("--e-gens", "1,,2"), ("--c-gens", ",1"),
+                                             ("--e-gens", "1,")])
     def test_bad_integer_list_names_its_flag(self, capsys, q8_table_file, flag, value):
         argv = {"--c-gens": "1", "--chars": "-1", "--e-gens": "1"}
         argv[flag] = value
@@ -1034,6 +1036,66 @@ class TestInputDocuments:
         assert_clean_answer(code, obj, (doc, reps))
         if code == EXIT_OK:
             assert obj["result"]["factors"] == len(reps), obj
+
+
+@st.composite
+def euler_lists(draw):
+    """`poly euler`'s --c-gens, --chars and --e-gens over C2^3, as flag ->
+    (value, ints), and its --e-rank: a subgroup C with a character and an E of
+    the stated rank, with up to three faults: an int out of range, an empty
+    token put in at the front, the back or between two, or a token that is no
+    integer.  The value is the join of the ints unless a token was faulted."""
+    c_gens = draw(st.lists(st.integers(1, 7), max_size=2))
+    chars = draw(st.lists(st.sampled_from([1, -1]), min_size=len(c_gens), max_size=len(c_gens)))
+    e_gens = draw(st.lists(st.integers(1, 7), min_size=1, max_size=3))
+    e_rank = len(span_bits(e_gens)).bit_length() - 1  # C2^3 multiplies its ids by xor
+    ints = {"--c-gens": c_gens, "--chars": chars, "--e-gens": e_gens}
+    tokens = {flag: [str(i) for i in values] for flag, values in ints.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(sorted(ints)))
+        fault = draw(st.sampled_from(["int", "empty", "word", "rank"]))
+        values, toks = ints[flag], tokens[flag]
+        if fault == "rank":
+            e_rank = draw(st.integers(0, 4))
+        elif fault == "empty":
+            toks.insert(draw(st.integers(0, len(toks))), "")
+        elif fault == "word" and toks:
+            i = draw(st.integers(0, len(toks) - 1))
+            toks[i] = draw(st.sampled_from(["x", "1.0", "-", "--1", "0x1", "1e3", " "]))
+        elif fault == "int" and values and toks == [str(v) for v in values]:
+            i = draw(st.integers(0, len(values) - 1))
+            values[i] = draw(st.sampled_from([-1, 0, 2, 8]))
+            toks[i] = str(values[i])
+    return {flag: (",".join(tokens[flag]), ints[flag]) for flag in ints}, e_rank
+
+
+class TestIntegerListFlags:
+    """The comma-separated integer flags of `poly euler`: an accepted value is
+    the join of the integers it was drawn from, with no token dropped."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=euler_lists(), joined=st.booleans())
+    def test_any_integer_lists_get_a_clean_answer(self, capsys, tmp_path, case, joined):
+        flags, e_rank = case
+        table = tmp_path / "e8.json"
+        table.write_text(json.dumps({"order": 8, "mul": elementary_abelian_table(3)}))
+        argv = ["poly", "euler", "--table", str(table), "--e-rank", str(e_rank)]
+        for flag, (value, _) in flags.items():
+            argv += [f"{flag}={value}"] if joined else [flag, value]
+        code, obj = run(capsys, *argv)
+        assert_clean_answer(code, obj, argv)
+        if code == EXIT_OK:
+            for flag, (value, ints) in flags.items():
+                assert obj["inputs"][flag[2:].replace("-", "_")] == value
+                assert value == ",".join(map(str, ints)), (flag, value)
+
+    def test_the_empty_value_is_the_empty_list(self, capsys, q8_table_file):
+        # the trivial subgroup C: the regular representation, whose class is zero
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "",
+                        "--chars", "", "--e-gens", "1", "--e-rank", "1")
+        assert code == EXIT_OK
+        assert obj["result"]["is_zero"] and obj["result"]["rep_dim"] == 8
 
 
 class TestNumericFlags:

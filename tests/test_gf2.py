@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphererank.gf2 import (
     BitMatrix,
@@ -11,9 +13,10 @@ from sphererank.gf2 import (
     _rref_bits,
     _transpose_bits,
     _witt_index,
+    bit_rows,
+    bit_string,
     fold_rows,
     kernel,
-    rank,
 )
 
 import oracles
@@ -50,19 +53,37 @@ def subspace_bits(s: Subspace) -> set[int]:
     return span_bits([v.bits for v in s.basis])
 
 
-class TestBitVector:
+def rank(m: BitMatrix) -> int:
+    """The row rank as the library reads it: the size of the forward pass's table."""
+    return len(_echelon_bits(m.row_data))
+
+
+class TestBitCodec:
     def test_string_round_trip(self):
-        v = BitVector.from_string("10110")
-        assert v.to_string() == "10110"
-        assert bits_to_list(v.bits, 3) == [1, 0, 1]
-        assert v.bits.bit_count() == 3
-        assert list(v.support()) == [0, 2, 3]
+        cols, (bits,) = bit_rows(["10110"])
+        assert (cols, bits) == (5, 0b01101)
+        assert bit_string(bits, cols) == "10110"
+        assert bits_to_list(bits, 3) == [1, 0, 1]
+        assert bits.bit_count() == 3
+        assert bit_string(0, 0) == "" and bit_string(0, 3) == "000"
 
     def test_rejects_overflow_bits(self):
-        # the constructor trusts its bits; outside bits enter through these doors
-        refused(lambda: BitVector.from_coords([1, 0, 2]), "coordinates must be 0 or 1")
-        refused(lambda: BitVector.from_coords([1, -1]), "coordinates must be 0 or 1")
-        refused(lambda: BitVector.from_string("1021"), "invalid bit string '1021'")
+        # the constructors trust their bits; outside bits enter through bit_rows
+        refused(lambda: bit_rows(["1021"]), "invalid bit string '1021'")
+        refused(lambda: bit_rows(["1-1"]), "invalid bit string '1-1'")
+        refused(lambda: bit_rows(["1_0"]), "invalid bit string '1_0'")
+        refused(lambda: bit_rows([" 10"]), "invalid bit string ' 10'")
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(data=st.data(), n=st.integers(0, 130))
+    def test_rows_round_trip_through_strings(self, data, n):
+        rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5))
+        strings = [bit_string(r, n) for r in rows]
+        assert bit_rows(strings) == (n, tuple(rows))
+        for r, s in zip(rows, strings):
+            assert s == "".join("1" if r >> i & 1 else "0" for i in range(n))
+            if n:
+                assert s == format(r, "b").zfill(n)[::-1]
 
 
 class TestBitMatrix:
@@ -87,18 +108,23 @@ def refused(build, message: str) -> None:
 
 
 class TestBitMatrixShapeChecks:
-    # the constructor and from_bits trust their rows; from_strings is the door
-    def test_from_strings_refusals(self):
-        refused(lambda: BitMatrix.from_strings([]), "cannot infer column count from zero rows")
-        refused(lambda: BitMatrix.from_strings(["01", "1"]), "ragged rows")
-        refused(lambda: BitMatrix.from_strings("0110"), "must be a list of '0'/'1' strings")
-        refused(lambda: BitMatrix.from_strings(["01", 10]), "must be a list of '0'/'1' strings")
-        refused(lambda: BitMatrix.from_strings(["01", "0x"]), "invalid bit string '0x'")
+    # the constructor and from_bits trust their rows; bit_rows is the door
+    def test_bit_rows_refusals(self):
+        refused(lambda: bit_rows([]), "cannot infer column count from zero rows")
+        refused(lambda: bit_rows(["01", "1"]), "ragged rows")
+        refused(lambda: bit_rows("0110"), "must be a list of '0'/'1' strings")
+        refused(lambda: bit_rows(["01", 10]), "must be a list of '0'/'1' strings")
+        refused(lambda: bit_rows(["01", "0x"]), "invalid bit string '0x'")
 
-    def test_from_strings_reads_character_j_as_bit_j(self):
-        m = BitMatrix.from_strings(["011", "100"])
-        assert (m.rows, m.cols, m.row_data) == (2, 3, (0b110, 0b001))
-        assert BitMatrix.from_strings(("",)).row_data == (0,)
+    def test_bit_rows_checks_in_order(self):
+        # the type of every item, then each string in turn, then the row count and shape
+        refused(lambda: bit_rows(["0x", 10]), "must be a list of '0'/'1' strings")
+        refused(lambda: bit_rows(["01", "0x", "1y"]), "invalid bit string '0x'")
+        refused(lambda: bit_rows(["0", "0x1"]), "invalid bit string '0x1'")
+
+    def test_bit_rows_reads_character_j_as_bit_j(self):
+        assert bit_rows(["011", "100"]) == (3, (0b110, 0b001))
+        assert bit_rows(("",)) == (0, (0,))
 
     def test_valid_shapes_still_build(self):
         assert BitMatrix.from_bits(0, 3, []).rows == 0
@@ -174,7 +200,7 @@ class TestRank:
         assert rank(identity(3)) == 3
 
     def test_equal_rows(self):
-        assert rank(BitMatrix.from_strings(["11", "11"])) == 1
+        assert rank(BitMatrix.from_bits(2, 2, [0b11, 0b11])) == 1
 
     def test_random_against_naive_oracle(self):
         rng = random.Random(2024)
@@ -262,9 +288,10 @@ class TestKernel:
         assert k == Subspace(3, tuple(BitVector(3, 1 << i) for i in range(3)))
 
     def test_small_example(self):
-        k = kernel(BitMatrix.from_strings(["11", "00"]))
+        cols, rows = bit_rows(["11", "00"])
+        k = kernel(BitMatrix(len(rows), cols, rows))
         assert k.dim == 1
-        assert k.basis[0].to_string() == "11"
+        assert bit_string(k.basis[0].bits, 2) == "11"
 
     def test_matches_exhaustive_vector_scan(self):
         rng = random.Random(99)

@@ -190,6 +190,9 @@ def _cases() -> list[list[str]]:
     cases.append(["forms", "gen", "--n", "4", "--t", "2", "--seed", "-1"])
     cases.append(["search", "olshanskii", "--n", "6", "--t", "2", "--k", "3", "--trials", "20",
                   "--seed", str(1 << 64)])
+    # an empty token in an integer list, which was once dropped
+    cases.append(["poly", "euler", "--table", "q8xc2c2.json", "--c-gens", "4", "--chars", "-1",
+                  "--e-gens", "1,,2", "--e-rank", "2"])
     return cases
 
 

@@ -84,6 +84,16 @@ def test_every_library_name_has_a_reader_or_a_reason():
     assert unreferenced() == set(ALLOWED)
 
 
+def test_the_gf2_values_define_only_what_the_benchmark_reads():
+    # bench/common.py reads BitMatrix.row_bits and bench/wl_algebra.py calls
+    # BitMatrix.from_bits; bits enter and leave through gf2.bit_rows and bit_string
+    tree = ast.parse((ROOT / "src" / "sphererank" / "gf2.py").read_text())
+    methods = {node.name: {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert methods["BitVector"] == set()
+    assert methods["BitMatrix"] == {"from_bits", "row_bits"}
+
+
 def test_the_scan_sees_the_definitions_it_counts():
     names = {qualified for qualified, *_ in definitions()}
     assert {"gf2.kernel", "gf2._rref_bits", "forms.FormFamily.beta",

@@ -140,9 +140,8 @@ class TestGroupArithmetic:
                 assert b_part(G, sq) == quadratic_refinement(G.fam, a_part(G, g))
                 comm = commutator(G, g, h)
                 ga, ha = a_part(G, g).bits, a_part(G, h).bits
-                expected = BitVector.from_coords(
-                    [form_value_bits(gram, ga, ha) for gram in G.fam.grams]
-                )
+                expected = BitVector(G.t, sum(form_value_bits(gram, ga, ha) << s
+                                              for s, gram in enumerate(G.fam.grams)))
                 assert a_part(G, comm).bits == 0 and b_part(G, comm) == expected
 
     def test_element_order_examples(self):
@@ -231,7 +230,7 @@ class TestIsotropicSearch:
         for mode in ("exhaustive", "branch_and_bound"):
             res = max_isotropic_qzero(family(["01", "10"]), mode=mode)
             assert res.dim == 1
-            assert res.witness.basis[0].to_string() in ("10", "01")
+            assert res.witness.basis[0] in (BitVector(2, 0b01), BitVector(2, 0b10))
 
     def test_witness_always_qualifies(self):
         rng = random.Random(4)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphererank.errors import GuardExceeded, NonSquareSystemError
-from sphererank.gf2 import BitMatrix, BitVector
+from sphererank.gf2 import BitMatrix, BitVector, _echelon_bits
 from sphererank.polyalg import (
     COLUMN_GUARD,
     NVARS_GUARD,
@@ -54,11 +54,9 @@ def var_power(nvars, i, p):
 
 
 def random_invertible(rng, n):
-    from sphererank.gf2 import rank
-
     while True:
         m = BitMatrix.from_bits(n, n, [rng.getrandbits(n) for _ in range(n)])
-        if rank(m) == n:
+        if len(_echelon_bits(m.row_data)) == n:
             return m
 
 
@@ -81,6 +79,15 @@ class TestGradedPoly:
                 slow = slow * f
             assert f.power(p) == slow
         assert poly(2, (1, 0), (0, 1)).power(2) == poly(2, (2, 0), (0, 2))
+
+    def test_linear_coeffs_inverts_linear(self):
+        # variable i is coefficient bit i, both ways
+        for nvars in range(1, 6):
+            for bits in range(1 << nvars):
+                f = GradedPoly.linear(nvars, BitVector(nvars, bits))
+                assert f.degree == 1 and len(f.monomials) == bits.bit_count()
+                assert f.linear_coeffs() == bits
+        assert GradedPoly.linear(3, BitVector(3, 0b101)) == poly(3, (1, 0, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("f", [poly(2, (1, 1)), poly(2, (2, 0), (1, 1)), GradedPoly.one(2)],
                              ids=["xy", "x2+xy", "one"])
@@ -167,6 +174,14 @@ def test_ideal_and_action_check_the_nvars_guard(nvars):
         with pytest.raises(GuardExceeded) as exc:
             build()
         assert exc.value.guard == "poly_nvars"
+
+
+def test_action_refuses_a_singular_or_misshapen_generator():
+    with pytest.raises(ValueError, match="^generators must be invertible$"):
+        LinearAction(2, (BitMatrix.from_bits(2, 2, [0b11, 0b11]),))
+    with pytest.raises(ValueError, match="^generators must be nvars x nvars$"):
+        LinearAction(2, (BitMatrix.from_bits(2, 3, [0b001, 0b010]),))
+    assert LinearAction(2, (BitMatrix.from_bits(2, 2, [0b11, 0b01]),)).nvars == 2
 
 
 class TestHilbertFunction:
@@ -546,7 +561,7 @@ class TestTransgressionCheck:
 
 
 def swap_action():
-    return LinearAction(2, (BitMatrix.from_strings(["01", "10"]),))
+    return LinearAction(2, (BitMatrix.from_bits(2, 2, [0b10, 0b01]),))
 
 
 class TestPowerSpanTest:
@@ -579,7 +594,7 @@ class TestPowerSpanTest:
             res = power_span_test(act, ys, 1)
             span = span_bits([c.bits for c in coeffs])
             images_inside = all(
-                apply_linear(y, act.generators[0]).linear_coeffs().bits in span for y in ys
+                apply_linear(y, act.generators[0]).linear_coeffs() in span for y in ys
             )
             assert res.stable == images_inside
             if res.permuted:
