@@ -200,11 +200,16 @@ def _as_dict(obj: Any, path: str) -> dict:
 
 
 def _ints(text: str, flag: str) -> list[int]:
-    """Comma-separated integers; "" is the empty list, an empty token is refused."""
+    """Comma-separated integers, each token its own canonical decimal spelling
+    (so not "", " 1", "+1", "01", "-0" or "1_0"); "" is the empty list."""
+    tokens = text.split(",") if text else []
     try:
-        return [int(tok) for tok in text.split(",")] if text else []
-    except ValueError as exc:
-        raise _CliError(f"{flag}: expected comma-separated integers, got {text!r}") from exc
+        values = [int(tok) for tok in tokens]
+    except ValueError:
+        values = []
+    if list(map(str, values)) != tokens:
+        raise _CliError(f"{flag}: expected comma-separated integers, got {text!r}")
+    return values
 
 
 def _seed(args) -> int:

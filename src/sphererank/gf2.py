@@ -14,6 +14,8 @@ it is immutable and pure; no floats.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -66,14 +68,40 @@ def bit_rows(data: Sequence[str]) -> tuple[int, tuple[int, ...]]:
     return cols, tuple(int(s[::-1], 2) if s else 0 for s in data)
 
 
+_TRANSPOSE_LOOP_AREA = 256  # rows x cols below which the per-bit loop is faster
+_TRANSPOSE_BLOCK = 4096  # rows rendered as one string by the packed path
+# by row width up to 64 bits, the code of the smallest array item that holds it
+_ITEM_CODES = [next(c for c in "BHIQ" if array(c).itemsize * 8 >= w) for w in range(65)]
+
+
 def _transpose_bits(rows: Sequence[int], cols: int) -> list[int]:
-    """Columns of int-packed rows: bit i of out[j] is bit j of rows[i]."""
+    """Columns of int-packed rows: bit i of out[j] is bit j of rows[i].
+
+    Below _TRANSPOSE_LOOP_AREA entries, or for rows wider than 64 bits, a
+    loop over the set bits.  Otherwise each block of r <= _TRANSPOSE_BLOCK
+    rows is packed into an array of w-bit items, read as one little-endian
+    int and rendered once in binary, most significant digit first.  Bit j of
+    the block's row i is then character w - 1 - j + (r - 1 - i) w, so column
+    j is the slice from w - 1 - j with stride w, last row first, which
+    `int(…, 2)` reads back.  Each step runs at C speed, and one block's
+    strings are the only temporaries.
+    """
     out = [0] * cols
-    for i, bits in enumerate(rows):
-        while bits:
-            low = bits & -bits
-            out[low.bit_length() - 1] |= 1 << i
-            bits ^= low
+    if len(rows) * cols < _TRANSPOSE_LOOP_AREA or cols >= len(_ITEM_CODES):
+        for i, bits in enumerate(rows):
+            while bits:
+                low = bits & -bits
+                out[low.bit_length() - 1] |= 1 << i
+                bits ^= low
+        return out
+    for start in range(0, len(rows), _TRANSPOSE_BLOCK):
+        packed = array(_ITEM_CODES[cols], rows[start:start + _TRANSPOSE_BLOCK])
+        if sys.byteorder == "big":
+            packed.byteswap()
+        width = packed.itemsize * 8
+        digits = format(int.from_bytes(packed, "little"), f"0{len(packed) * width}b")
+        for j in range(cols):
+            out[j] |= int(digits[width - 1 - j::width], 2) << start
     return out
 
 

@@ -22,13 +22,14 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 from .errors import GuardExceeded
 from .forms import FormFamily, common_radical, quadratic_refinement, random_family
 from .gf2 import (BitVector, Subspace, _coordinate_masks, _echelon_bits, _quadratic_mask,
-                  _reduce_bits, _rref_bits, _witt_index, fold_rows)
+                  _reduce_bits, _rref_bits, _transpose_bits, _witt_index, fold_rows)
 from .rng import derive_seed
 
 ISOTROPIC_EXHAUSTIVE_GUARD = 16
 ISOTROPIC_EXHAUSTIVE_BUDGET = 40_000_000  # work units, see _max_isotropic_exhaustive
 ISOTROPIC_BNB_GUARD = 20
 SEARCH_TRIAL_BUDGET = 1 << 23  # work units, see search_forms
+_COLUMN_FILTER_MIN = 128  # candidates in a node before its filter reads columns
 _PENCIL_MODULI = (0b111, 0b1011, 0b10011)  # x^2+x+1, x^3+x+1, x^4+x+1: GF(4), GF(8), GF(16)
 
 
@@ -129,6 +130,12 @@ class IsotropicResult(NamedTuple):
 _ONE_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bit_flags(mask: int) -> bytes:
+    """Byte k is bit k of mask (0 or 1), up to its highest set bit: one pass
+    over the binary digits, lowest first, for `itertools.compress`."""
+    return bin(mask)[:1:-1].encode().translate(_ONE_BITS)
+
+
 def _qzero_vectors(fam: FormFamily) -> list[int]:
     """All nonzero a-vectors with q(v) = 0, ascending.
 
@@ -141,8 +148,7 @@ def _qzero_vectors(fam: FormFamily) -> list[int]:
     for rows in fam.lower:
         nonzero |= _quadratic_mask(x, rows)
     zero = ((1 << (1 << fam.n)) - 1) ^ nonzero ^ 1
-    # one pass over the binary digits, lowest first: flag k is bit k of zero
-    flags = bin(zero)[:1:-1].encode().translate(_ONE_BITS)
+    flags = _bit_flags(zero)
     return list(compress(range(len(flags)), flags))
 
 
@@ -290,6 +296,20 @@ def _bnb_node(gram_rows: tuple[tuple[int, ...], ...], best: list,
     A module function rather than a recursive closure, so the candidate lists
     are freed when the search returns, not at the next cyclic garbage
     collection.
+
+    Popping v = cand[k] keeps the later candidates c with every
+    parity(c & gram_s . v) even.  The first two candidates, and every
+    candidate of a list shorter than _COLUMN_FILTER_MIN, filter the list
+    form by form.  From the third on, a longer list is filtered by columns:
+    the node transposes it once into n masks over its indices (bit i of
+    cols[j] is bit j of cand[i]), so the indices that clash with v under
+    form s are the one mask fold_rows(cols, gram_s . v), O(n) big-int XORs
+    for the whole list.  The survivors are the indices above k outside
+    their union, read off in index order, so every child list, node and
+    witness is the one the list filter gives.  A transposition costs about
+    1.3 list passes, and a decision of `search_forms` mostly stops at its
+    first candidate, hence the third; on a shorter list the t n / 2 mask
+    steps per candidate cost more than the list passes they replace.
     """
     d = len(basis)
     if d > best[0]:
@@ -304,11 +324,20 @@ def _bnb_node(gram_rows: tuple[tuple[int, ...], ...], best: list,
         if d + (len(cand) - k + 1).bit_length() - 1 <= best[0]:
             return
         # c is compatible with v when phi_s(c, v) = parity(c & m_s) is 0 for
-        # every s; each form filters the survivors of the one before
+        # every s
         rest = cand[k + 1:]
-        for rows in gram_rows:
-            m = fold_rows(rows, v)
-            rest = [c for c in rest if not (c & m).bit_count() & 1]
+        if k < 2 or len(cand) < _COLUMN_FILTER_MIN:  # each form filters the last one's survivors
+            for rows in gram_rows:
+                m = fold_rows(rows, v)
+                rest = [c for c in rest if not (c & m).bit_count() & 1]
+        else:
+            if k == 2:  # bit i of cols[j] is bit j of cand[i]
+                cols = _transpose_bits(cand, len(gram_rows[0]))
+                full = (1 << len(cand)) - 1
+            clash = 0  # bit i: cand[i] clashes with v under some form
+            for rows in gram_rows:
+                clash |= fold_rows(cols, fold_rows(rows, v))
+            rest = compress(rest, _bit_flags((full ^ clash) >> (k + 1)))
         # v and every candidate are reduced modulo the basis, so reducing
         # modulo basis + v can only clear the lowest bit p of v
         p = v & -v

@@ -1061,7 +1061,8 @@ def euler_lists(draw):
             toks.insert(draw(st.integers(0, len(toks))), "")
         elif fault == "word" and toks:
             i = draw(st.integers(0, len(toks) - 1))
-            toks[i] = draw(st.sampled_from(["x", "1.0", "-", "--1", "0x1", "1e3", " "]))
+            toks[i] = draw(st.sampled_from(["x", "1.0", "-", "--1", "0x1", "1e3", " ", " 1",
+                                            "+1", "01", "1_0", "\u0661"]))
         elif fault == "int" and values and toks == [str(v) for v in values]:
             i = draw(st.integers(0, len(values) - 1))
             values[i] = draw(st.sampled_from([-1, 0, 2, 8]))
@@ -1089,6 +1090,20 @@ class TestIntegerListFlags:
             for flag, (value, ints) in flags.items():
                 assert obj["inputs"][flag[2:].replace("-", "_")] == value
                 assert value == ",".join(map(str, ints)), (flag, value)
+
+    @pytest.mark.parametrize("token", [" 1", "1 ", "+1", "01", "-0", "1_0", "\u0661", "-01"])
+    @pytest.mark.parametrize("flag", ["--c-gens", "--chars", "--e-gens"])
+    def test_a_token_is_its_own_decimal_spelling(self, capsys, q8_table_file, flag, token):
+        # int() takes each of these; another spelling of an accepted list would
+        # echo as another report, and "1_0" would be read as 10
+        argv = {"--c-gens": "1", "--chars": "-1", "--e-gens": "1"}
+        argv[flag] = f"{argv[flag]},{token}"
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--e-rank", "1",
+                        *[f"{flag}={value}" for flag, value in argv.items()])
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == (
+            f"{flag}: expected comma-separated integers, got {argv[flag]!r}"
+        )
 
     def test_the_empty_value_is_the_empty_list(self, capsys, q8_table_file):
         # the trivial subgroup C: the regular representation, whose class is zero

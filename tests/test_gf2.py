@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphererank import gf2
 from sphererank.gf2 import (
     BitMatrix,
     BitVector,
@@ -86,18 +87,33 @@ class TestBitCodec:
                 assert s == format(r, "b").zfill(n)[::-1]
 
 
+# (rows, cols): no rows and one row; rows x cols just below, at and above the
+# area where the packed path takes over, at widths 1, 20 and 32; row counts
+# around one and two blocks of the packed path; and widths at and past the
+# 64 bits of its widest array item, where the loop stays
+AREA, BLOCK = gf2._TRANSPOSE_LOOP_AREA, gf2._TRANSPOSE_BLOCK
+TRANSPOSE_SHAPES = (
+    [(0, 5), (1, 1), (1, 20), (1, 32), (3, 5), (6, 2), (6, 3), (7, 7)]
+    + [(AREA // cols + d, cols) for cols in (1, 20, 32) for d in (-1, 0, 1)]
+    + [(BLOCK + d, cols) for cols in (1, 20) for d in (-1, 0, 1)]
+    + [(2 * BLOCK + 1, 32), (5, 64), (8, 64), (8, 65), (40, 100)]
+)
+
+
 class TestBitMatrix:
     def test_transpose_involution(self):
         rng = random.Random(11)
-        m = random_matrix(rng, 6, 3)
-        assert _transpose_bits(_transpose_bits(m.row_data, 3), 6) == list(m.row_data)
+        for rows, cols in TRANSPOSE_SHAPES:
+            m = random_matrix(rng, rows, cols)
+            assert _transpose_bits(_transpose_bits(m.row_data, cols), rows) == list(m.row_data)
 
     def test_transpose_matches_entries(self):
         rng = random.Random(12)
-        for rows, cols in [(1, 1), (3, 5), (6, 2), (7, 7)]:
+        for rows, cols in TRANSPOSE_SHAPES:
             m = random_matrix(rng, rows, cols)
             mt = BitMatrix.from_bits(cols, rows, _transpose_bits(m.row_data, cols))
-            assert as_lists(mt) == [list(col) for col in zip(*as_lists(m))]
+            entries = as_lists(m)
+            assert as_lists(mt) == [[row[j] for row in entries] for j in range(cols)], (rows, cols)
 
 
 def refused(build, message: str) -> None:

@@ -275,6 +275,45 @@ class TestIsotropicSearch:
             expected = witt_index_single(gram_lists(fam)[0])
             assert max_isotropic_qzero(fam, mode="branch_and_bound").dim == expected, fam.n
 
+    # (n, t, seed) -> dim, basis, ceiling and node count of _bnb(fam, 0, n),
+    # written while every node still filtered its candidates as lists: the
+    # shapes of the benchmark's maxima, with root lists of 84 to 543 vectors
+    PINNED_SEARCHES = {
+        (9, 2, 0): (4, (41, 52, 74, 408), 4, 241),
+        (9, 2, 1): (4, (20, 66, 144, 329), 4, 148),
+        (10, 2, 2): (4, (8, 80, 321, 870), 4, 117),
+        (10, 2, 3): (4, (1, 128, 288, 854), 4, 9),
+        (12, 3, 2): (4, (16, 1250, 1804, 3496), 5, 5497),
+        (14, 5, 3): (3, (1, 11286, 14924), 6, 849),
+        (14, 6, 0): (3, (16, 2216, 7364), 7, 261),
+        (14, 7, 0): (2, (1, 12522), 7, 137),
+        (14, 8, 1): (2, (8192, 3928), 6, 84),
+        (15, 7, 3): (2, (1, 25758), 7, 250),
+        (15, 8, 3): (2, (1, 25758), 7, 125),
+        (16, 8, 1): (2, (2, 50756), 7, 271),
+    }
+
+    def test_the_column_filter_keeps_every_node_and_witness(self, monkeypatch):
+        nodes, transposed = [0], []
+        node, transpose = phigroup._bnb_node, phigroup._transpose_bits
+
+        def counted(*args):
+            nodes[0] += 1
+            node(*args)
+
+        def watched(rows, cols):
+            transposed.append(len(rows))
+            return transpose(rows, cols)
+
+        monkeypatch.setattr(phigroup, "_bnb_node", counted)
+        monkeypatch.setattr(phigroup, "_transpose_bits", watched)
+        for (n, t, seed), (dim, basis, ceiling, calls) in self.PINNED_SEARCHES.items():
+            nodes[0] = 0
+            assert phigroup._bnb(random_family(n, t, seed), 0, n) == [dim, basis, ceiling]
+            assert nodes[0] == calls, (n, t, seed)
+        # the column filter ran, and only on lists long enough for it
+        assert transposed and min(transposed) >= phigroup._COLUMN_FILTER_MIN
+
     def test_guards(self):
         fam = zero_family(17, 1)
         with pytest.raises(GuardExceeded):
