@@ -36,7 +36,7 @@ class _CliError(Exception):
     pass
 
 
-_INT_LIST = re.compile(r"-?\d+(,-?\d+)*")
+_DASHED_VALUE = re.compile(r"-([\d,][\d,-]*)?")  # "-", "-1", "-1,-2", "-1,,-1", "-,1"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,8 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
     def _parse_optional(self, arg_string: str):
-        # argparse takes "-1,-1" for an option: only a lone negative number is a value
-        if _INT_LIST.fullmatch(arg_string):
+        # argparse takes "-1,-1" or "-1,,-1" for an option and refuses the flag
+        # as "expected one argument"; as a value it gets the flag's own message.
+        # "--" stays the separator
+        if _DASHED_VALUE.fullmatch(arg_string):
             return None
         return super()._parse_optional(arg_string)
 

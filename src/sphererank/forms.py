@@ -15,7 +15,7 @@ equivalent theory but different serialized bits.
 
 from __future__ import annotations
 
-from operator import and_, or_
+from operator import and_
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import GuardExceeded, SchemaError, require_keys
@@ -143,12 +143,16 @@ def random_family(n: int, t: int, seed: int) -> FormFamily:
     bits = random_bits(seed, t * (n * (n - 1) // 2))
     grams = []
     for _ in range(t):
-        lower = []
-        for i in range(n):  # row i, columns 0..i-1
-            lower.append(bits & ((1 << i) - 1))
+        rows = [0] * n
+        for i in range(1, n):  # row i, columns 0..i-1; row 0 draws nothing
+            low = rows[i] = bits & ((1 << i) - 1)
             bits >>= i
-        upper = _transpose_bits(lower, n)
-        grams.append(tuple(map(or_, lower, upper)))
+            bit = 1 << i
+            while low:  # entry (i, j) is also entry (j, i)
+                j = low.bit_length() - 1
+                rows[j] |= bit
+                low ^= 1 << j
+        grams.append(tuple(rows))
     return FormFamily(n, tuple(grams))
 
 

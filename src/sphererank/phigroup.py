@@ -360,6 +360,18 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
     root candidates, the q-zero vectors, are read only when floor < ceiling,
     so a decision a ceiling settles builds no candidate list.  Every node
     works on n-bit ints only.
+
+    Below the ceiling the unit path runs first: it keeps each basis vector
+    e_i, in order, that pairs to 0 under every form with the units already
+    kept.  If it keeps `ceiling` of them they are the answer, and no
+    candidate list is built.  That is the first path of `_bnb_node`, so the
+    witness is the same: every e_i is q-zero; `_weight_order` puts the units
+    first, ascending; reducing by a unit pivot changes no other unit, so each
+    node's list starts with the units its basis leaves compatible, and no
+    other vector reduces to an incompatible one; and a node at depth d of the
+    path holds the 2^(ceiling - d) - 1 nonzero sums of the units still to
+    come, so the coset bound cannot cut it.  A unit path that stops short
+    leaves the search as it was.
     """
     target = max(floor, (fam.n - 1) // 2, 1)
     if ceiling > target:
@@ -369,6 +381,15 @@ def _bnb(fam: FormFamily, floor: int, ceiling: int) -> list:
                 break
     best: list = [floor, (), ceiling]
     if floor < ceiling:
+        kept: list[int] = []
+        clash = 0  # bit j: e_j pairs to 1 with a kept unit under some form
+        for i, rows in enumerate(zip(*fam.grams)):
+            if not clash >> i & 1:
+                kept.append(1 << i)
+                if len(kept) == ceiling:
+                    return [ceiling, tuple(kept), ceiling]
+                for row in rows:
+                    clash |= row
         _bnb_node(fam.grams, best, (), _weight_order(_qzero_vectors(fam)))
     return best
 
@@ -421,7 +442,10 @@ def search_forms(n: int, t: int, k: int, trials: int, seed: int) -> SearchResult
     is reported so callers can interpret an empty result, but families are
     searched either way.  Each trial only decides whether the dim is < k,
     with a branch-and-bound that starts at k - 1 and stops at the first
-    subspace of dim k, without computing the maximum.  Instances
+    subspace of dim k, without computing the maximum.  That search walks the
+    unit path of `_bnb` first, so a trial whose unit path keeps k basis
+    vectors (most trials at k = 2) runs no q-zero scan and no node; its
+    answer and witness are those of the search's first path.  Instances
     beyond the rank-search guard still accept their parameters: the
     condition is reported, trials are skipped, and the skipped guard is
     named.  The same holds for a search over SEARCH_TRIAL_BUDGET work units,

@@ -50,7 +50,9 @@ def test_tracer_installs_and_restores_every_hook():
         assert len(patched) > 30
         for owner, attr, original in patched:
             assert owner.__dict__[attr] is not original, (owner, attr)
-        fam = random_family(6, 2, 0)
+        # e_0 pairs to 1 with every other basis vector under some form, so the
+        # unit path keeps e_0 alone, short of the maximum 2, and the scan runs
+        fam = random_family(6, 2, 3)
         res = phigroup.max_isotropic_qzero(fam)  # looked up at call time, so traced
         _, counts = tracer.take()
         assert counts["phigroup.isotropic_calls"] == 1

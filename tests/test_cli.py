@@ -1105,6 +1105,26 @@ class TestIntegerListFlags:
             f"{flag}: expected comma-separated integers, got {argv[flag]!r}"
         )
 
+    @pytest.mark.parametrize("value", ["-1,,-1", "-", "-1,", "-,1", "-1,-", "-,"])
+    @pytest.mark.parametrize("flag", ["--c-gens", "--chars", "--e-gens"])
+    def test_a_dashed_value_gets_the_flag_message(self, capsys, q8_table_file, flag, value):
+        # a separate token, not after "=": argparse would take it for an option
+        # and refuse it as "expected one argument"
+        argv = {"--c-gens": "1", "--chars": "-1", "--e-gens": "1"}
+        argv[flag] = value
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--e-rank", "1",
+                        *[token for pair in argv.items() for token in pair])
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == (
+            f"{flag}: expected comma-separated integers, got {value!r}"
+        )
+
+    def test_the_double_dash_still_ends_the_options(self, capsys, q8_table_file):
+        code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--e-rank", "1",
+                        "--c-gens", "1", "--e-gens", "1", "--chars", "--", "-1")
+        assert_clean_validation(code, obj)
+        assert obj["error"]["message"] == "argument --chars: expected one argument"
+
     def test_the_empty_value_is_the_empty_list(self, capsys, q8_table_file):
         # the trivial subgroup C: the regular representation, whose class is zero
         code, obj = run(capsys, "poly", "euler", "--table", q8_table_file, "--c-gens", "",

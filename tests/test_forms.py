@@ -17,7 +17,7 @@ from sphererank.forms import (
 )
 from sphererank.gf2 import BitMatrix, BitVector, Subspace, _coordinate_masks, bit_string
 from sphererank.phigroup import search_forms
-from sphererank.rng import SplitMix64
+from sphererank.rng import SplitMix64, random_bits
 
 from oracles import (
     bitstream_family,
@@ -186,6 +186,22 @@ class TestRandomFamily:
                 fam = random_family(n, t, seed)
                 ref = bitstream_family(n, t, SplitMix64(seed).next_u64)
                 assert [list(rows) for rows in fam.grams] == ref
+
+    def test_rows_match_a_bit_by_bit_build_from_the_draw(self):
+        # draw bit k sets entries (i, j) and (j, i) of form s, in the
+        # documented order; n = 70 puts a row across a 64-bit word
+        cases = [(n, t, seed) for n in range(1, 12) for t in range(1, 5) for seed in range(30)]
+        for n, t, seed in cases + [(70, 2, 0), (70, 1, 5)]:
+            bits = random_bits(seed, t * (n * (n - 1) // 2))
+            grams = [[[0] * n for _ in range(n)] for _ in range(t)]
+            k = 0
+            for s in range(t):
+                for i in range(1, n):
+                    for j in range(i):
+                        grams[s][i][j] = grams[s][j][i] = bits >> k & 1
+                        k += 1
+            fam = random_family(n, t, seed)
+            assert [[[r >> j & 1 for j in range(n)] for r in rows] for rows in fam.grams] == grams
 
     def test_alternating_by_construction(self):
         # the checked door accepts every family drawn, and reads back the same rows

@@ -386,6 +386,9 @@ class TestWittCeiling:
         for seed in range(10):
             max_isotropic_qzero(random_family(8, 1, seed))
             search_forms(7, 2, 2, trials=3, seed=seed)
+            # most (7, 2, 2) trials end on the unit path before any node, and
+            # (8, 3, 3) trials mostly reach the nodes
+            search_forms(8, 3, 3, trials=3, seed=seed)
         assert len(starts) > 100 and all(starts)
 
     def test_one_entry_reads_candidates_only_below_its_ceiling(self, monkeypatch):
@@ -464,6 +467,47 @@ class TestWittCeiling:
                         # is the full minimum or a bound between it and the target
                         assert got[2] == expected[2] or expected[2] <= got[2] <= target, (
                             n, t, floor, ceiling)
+
+
+class TestUnitPath:
+    @staticmethod
+    def unit_path(fam: FormFamily) -> list[int]:
+        """Each basis vector in order that pairs to 0 with every one kept before it."""
+        grams = gram_lists(fam)
+        kept: list[int] = []
+        for i in range(fam.n):
+            if not any(g[i][j] for g in grams for j in kept):
+                kept.append(i)
+        return [1 << i for i in kept]
+
+    def test_bnb_equals_the_nodes_from_the_root(self, monkeypatch):
+        reads = []
+        scan = phigroup._qzero_vectors
+        monkeypatch.setattr(phigroup, "_qzero_vectors", lambda *a: reads.append(a) or scan(*a))
+        rng = random.Random(36)
+        settled = searched = 0
+        for n in range(1, 11):
+            for t in range(1, 5):
+                for _ in range(3):
+                    fam = random_family(n, t, rng.getrandbits(64))
+                    units = self.unit_path(fam)
+                    for ceiling in range(1, n + 1):
+                        for floor in range(ceiling):
+                            reads.clear()
+                            got = phigroup._bnb(fam, floor, ceiling)
+                            # the nodes alone, from the root, under the ceiling _bnb settled on
+                            best = [floor, (), got[2]]
+                            if floor < best[2]:
+                                cand = phigroup._weight_order(scan(fam))
+                                phigroup._bnb_node(fam.grams, best, (), cand)
+                            assert got == best, (n, t, floor, ceiling)
+                            if floor < got[2] <= len(units):  # the unit path settles it
+                                assert got[1] == tuple(units[:got[2]]) and reads == []
+                                settled += 1
+                            elif floor < got[2]:
+                                assert reads == [(fam,)]
+                                searched += 1
+        assert settled > 300 and searched > 1000  # both ways are exercised
 
 
 class TestPencilCeiling:
@@ -633,17 +677,24 @@ class TestSearchForms:
 
     def test_trials_come_from_the_module_globals(self, monkeypatch):
         # the benchmark's tracer wraps these two names to time and count trials
-        calls = {"random_family": 0, "_qzero_vectors": 0}
+        calls = {"random_family": [], "_qzero_vectors": []}
         for name in calls:
             original = getattr(phigroup, name)
 
             def counted(*args, _name=name, _original=original):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _original(*args)
 
             monkeypatch.setattr(phigroup, name, counted)
         res = search_forms(7, 2, 2, trials=5, seed=3)
-        assert res.family is None and calls == {"random_family": 5, "_qzero_vectors": 5}
+        assert res.family is None and len(calls["random_family"]) == 5
+        # a trial scans only when its unit path stops at e_0: every e_j, j >= 1,
+        # pairs to 1 with e_0 under some form
+        fams = [random_family(*args) for args in calls["random_family"]]
+        scanned = [fam for fam, (g0, g1) in zip(fams, map(gram_lists, fams))
+                   if all(g0[0][j] or g1[0][j] for j in range(1, 7))]
+        assert [args[0] for args in calls["_qzero_vectors"]] == scanned
+        assert len(scanned) == 1
 
     def test_a_decision_at_k_1_computes_no_witt_index(self, monkeypatch):
         # every Witt index is at least 1, so a ceiling of 1 needs none of them,
