@@ -10,7 +10,7 @@ audits of the rank inequalities for permutation and general linear actions.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import permutations
+from itertools import combinations
 from operator import itemgetter, ne, or_, xor
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -165,6 +165,18 @@ def _bit_sliced_commuting(
     return lambda k, later: [j for j in later if rows[k] >> j & 1]
 
 
+def _perm_involutions(n: int) -> list[tuple[int, ...]]:
+    """The involutions of 0..n-1 in lexicographic order, as tuples of images.
+    Each is a product of disjoint transpositions: for each pair i < j in
+    turn, (i j) is added to every permutation listed so far that fixes both,
+    so each product is built once, from its transpositions in order."""
+    perms = [tuple(range(n))]
+    for i, j in combinations(range(n), 2):
+        perms += [p[:i] + (j,) + p[i + 1 : j] + (i,) + p[j + 1 :]
+                  for p in perms if p[i] == i and p[j] == j]
+    return sorted(perms[1:])
+
+
 def perm_rank_audit(n: int) -> PermAuditResult:
     """Verify rank <= n - orbits for every elementary abelian 2-subgroup of S_n.
 
@@ -181,33 +193,20 @@ def perm_rank_audit(n: int) -> PermAuditResult:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > PERM_AUDIT_GUARD:
         raise GuardExceeded("perm_rank_audit", f"n={n} exceeds guard {PERM_AUDIT_GUARD}")
-    identity = tuple(range(n))
-    points = list(range(n))
-    invs = [
-        p
-        for p in permutations(points)
-        if p != identity and tuple(p[p[i]] for i in points) == identity
-    ]
-
+    invs = _perm_involutions(n)
+    points = range(n)
     moved = {p: sum(map(ne, p, points)) for p in invs}
 
-    checked = 1  # the trivial subgroup: rank 0, n orbits
-    worst = (0, n)  # (rank, orbits) of the first subgroup of maximal rank
-
-    def extend(total: int, gens: tuple, elements: frozenset, coset: list) -> int:
-        nonlocal checked, worst
-        checked += 1
+    def extend(total: int, gens: tuple, coset: list) -> int:
         total += sum(map(moved.__getitem__, coset))
         orbits = n - (total >> len(gens))  # |H| = 2^len(gens)
         if len(gens) > n - orbits:
             raise AssertionError(f"rank {len(gens)} exceeds {n} - {orbits} orbits")
-        if len(gens) > worst[0]:
-            worst = (len(gens), orbits)
         return total
 
     commuting = _bit_sliced_commuting(invs, n, points)
-    elementary_abelian_search(_compose, identity, invs, 0, extend, commuting)
-    return PermAuditResult(True, worst[0], worst[1], checked)
+    walk = elementary_abelian_search(_compose, tuple(points), invs, 0, extend, commuting)
+    return PermAuditResult(True, walk.rank, n - (walk.state >> walk.rank), walk.subgroups)
 
 
 class GlAuditResult(NamedTuple):
@@ -240,7 +239,7 @@ def gl_rank_audit(n: int) -> GlAuditResult:
 
     Streams the involutions, walks every elementary abelian subgroup they
     generate once, along its canonical path, and asserts the quadratic
-    bound.  The walk holds each involution m as its permutation x -> x m of
+    bound on the largest rank the walk keeps.  The walk holds each involution m as its permutation x -> x m of
     the 2^n row vectors, so a product is a tuple composition.  Composing
     permutations multiplies the matrices in the opposite order, which gives
     the same subgroups and the same commuting pairs.  The maps are linear,
@@ -256,19 +255,10 @@ def gl_rank_audit(n: int) -> GlAuditResult:
     vectors = range(1 << n)
     invs = [tuple([fold_rows(m, x) for x in vectors]) for m in _involutions(n, ()) if m != identity]
 
-    bound = (n * n) // 4
-    best = 0
-    checked = 1  # the trivial subgroup
-
-    def extend(state: bool, gens: tuple, elements: frozenset, coset: list) -> bool:
-        nonlocal best, checked
-        checked += 1
-        if len(gens) > best:
-            best = len(gens)
-            if best > bound:
-                raise AssertionError(f"rank {best} exceeds the bound {bound}")
-        return True
-
     commuting = _bit_sliced_commuting(invs, len(vectors), identity)  # the unit vectors
-    elementary_abelian_search(_compose, tuple(vectors), invs, True, extend, commuting)
-    return GlAuditResult(best, bound, checked)
+    walk = elementary_abelian_search(_compose, tuple(vectors), invs, True,
+                                     lambda state, gens, coset: True, commuting)
+    bound = (n * n) // 4
+    if walk.rank > bound:
+        raise AssertionError(f"rank {walk.rank} exceeds the bound {bound}")
+    return GlAuditResult(walk.rank, bound, walk.subgroups)

@@ -332,43 +332,58 @@ def is_free_on_product(G: GroupOracle, reps: Sequence[MonomialRep]) -> FreenessR
     return FreenessResult(True, None)
 
 
+class WalkResult(NamedTuple):
+    rank: int  # the largest rank of a kept subgroup
+    gens: tuple  # generators of the first kept subgroup of that rank
+    state: Any  # its state
+    subgroups: int  # the trivial subgroup and each one offered to extend
+
+
 def elementary_abelian_search(
     mul: Callable, identity: Any, involutions: Sequence, root: Any, extend: Callable,
-    commuting: Callable[[int, list[int]], list[int]],
-) -> None:
+    commuting: Callable[[int, list[int]], list[int]], ceiling: Optional[int] = None,
+) -> WalkResult:
     """Depth-first walk over the elementary abelian subgroups the involutions generate.
 
     The children of H are H u Hv for the candidates v not in H, in order; a
     child keeps the later candidates that commute with v.  Each subgroup is
     offered once, along its canonical path: its generators are the first
     listed involution in it, then the first outside their span, and so on.
-    So no visited set is kept, and elements need only be hashable.
-    extend(state, gens, elements, coset) returns the child's state, or None
-    to prune the child and everything below it; None must stand for a
-    condition that every larger subgroup shares, since a subgroup whose
-    canonical path passes a pruned one is never offered.  The trivial
-    subgroup {identity} has state root.
+    So no visited set is kept, and elements need only be hashable; the list
+    holds each involution once.  extend(state, gens, coset) returns the
+    child's state, or None to prune the child and everything below it; None
+    must stand for a condition that every larger subgroup shares, since a
+    subgroup whose canonical path passes a pruned one is never offered.  The
+    trivial subgroup {identity} has state root and is always kept.
+
+    The result is the first kept subgroup of largest rank, with its state,
+    and the count of subgroups reached: the trivial one and each offered to
+    extend.  The walk stops as soon as a kept subgroup reaches rank
+    `ceiling`.
 
     The caller supplies the commuting relation: commuting(k, later) returns,
     in order, the positions j in `later` (ascending, all above k) whose
     involution commutes with involutions[k].  It is asked once per kept
     child, and `mul` is only used to build cosets.
     """
-    invs = list(involutions)
-    index = {v: k for k, v in reversed(list(enumerate(invs)))}  # first position wins
-    _walk(mul, extend, commuting, index, invs, root, (),
-          frozenset((identity,)), list(range(len(invs))))
+    index = {v: k for k, v in enumerate(involutions)}
+    found = [0, (), root, 1]  # the fields of the result, as the walk goes
+    if ceiling != 0:  # a ceiling of 0 is reached by the trivial subgroup
+        _walk(mul, extend, commuting, index, involutions, ceiling, found, root, (),
+              frozenset((identity,)), list(range(len(involutions))))
+    return WalkResult(*found)
 
 
 def _walk(
-    mul: Callable, extend: Callable, commuting: Callable, index: dict, invs: list,
-    state: Any, gens: tuple, elements: frozenset, cand: list[int],
-) -> None:
+    mul: Callable, extend: Callable, commuting: Callable, index: dict, invs: Sequence,
+    ceiling: Optional[int], found: list, state: Any, gens: tuple, elements: frozenset,
+    cand: list[int],
+) -> bool:
     """The subtree of elementary_abelian_search below one canonically reached
-    subgroup.  `cand` holds indices into `invs`, ascending; index[x] is the
-    first position of x in `invs`.  The child with v = invs[k] is on its
-    canonical path iff no element of its coset is listed before k, so the
-    coset stops at the first that is."""
+    subgroup; True once the ceiling is reached.  `cand` holds indices into
+    `invs`, ascending, and index[x] is the position of x in `invs`.  The
+    child with v = invs[k] is on its canonical path iff no element of its
+    coset is listed before k, so the coset stops at the first that is."""
     for pos, k in enumerate(cand):
         v = invs[k]
         if v in elements:
@@ -381,13 +396,19 @@ def _walk(
             coset.append(x)
         if len(coset) < len(elements):
             continue
-        child = elements.union(coset)
+        found[3] += 1
         child_gens = gens + (v,)
-        child_state = extend(state, child_gens, child, coset)
+        child_state = extend(state, child_gens, coset)
         if child_state is None:
             continue
-        later = commuting(k, cand[pos + 1 :])
-        _walk(mul, extend, commuting, index, invs, child_state, child_gens, child, later)
+        if len(child_gens) > found[0]:
+            found[:3] = len(child_gens), child_gens, child_state
+            if found[0] == ceiling:
+                return True
+        if _walk(mul, extend, commuting, index, invs, ceiling, found, child_state, child_gens,
+                 elements.union(coset), commuting(k, cand[pos + 1 :])):
+            return True
+    return False
 
 
 def _pairwise_commuting(
@@ -425,10 +446,6 @@ class IsotropyResult(NamedTuple):
     witness_gens: tuple[int, ...]
 
 
-class _CeilingReached(Exception):
-    """Ends the isotropy walk once its incumbent reaches the ceiling."""
-
-
 def _isotropy_ceiling(
     G: GroupOracle, reps: Sequence[MonomialRep], involutions: Sequence[int]
 ) -> int:
@@ -462,8 +479,9 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
     H fixes a point iff every factor has positive H-fixed dimension.  The
     search walks the commuting-involution graph, extending subgroups only
     while the fixed-point condition holds (it is hereditary downward).  It
-    stops when the incumbent reaches `_isotropy_ceiling`; the incumbent only
-    changes on a strictly larger rank, so the witness is the full walk's.
+    stops at the first subgroup that reaches `_isotropy_ceiling`; no larger
+    rank exists, and the walk keeps the first subgroup of largest rank, so
+    the witness is the full walk's.
     """
     if G.order > ISOTROPY_GUARD:
         raise GuardExceeded("max_isotropy_rank", f"order {G.order} exceeds {ISOTROPY_GUARD}")
@@ -474,23 +492,12 @@ def max_isotropy_rank(G: GroupOracle, reps: Sequence[MonomialRep]) -> IsotropyRe
     # |H| * fixed dim, so H fixes a product point iff every sum is positive
     involutions = G.involutions()
     invs = [g for g in involutions if all(rep.trace(0) + rep.trace(g) > 0 for rep in reps)]
-    best = IsotropyResult(0, ())
-    ceiling = _isotropy_ceiling(G, reps, involutions)
 
-    def extend(sums: list[int], gens: tuple[int, ...], elements, coset: list[int]):
-        nonlocal best
+    def extend(sums: list[int], gens: tuple[int, ...], coset: list[int]) -> Optional[list[int]]:
         new_sums = [s + sum(rep.trace(x) for x in coset) for s, rep in zip(sums, reps)]
-        if any(s <= 0 for s in new_sums):
-            return None
-        if len(gens) > best.rank:
-            best = IsotropyResult(len(gens), gens)
-            if best.rank == ceiling:
-                raise _CeilingReached
-        return new_sums
+        return None if any(s <= 0 for s in new_sums) else new_sums
 
-    try:
-        elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend,
-                                  _pairwise_commuting(G.mul, invs))
-    except _CeilingReached:
-        pass
-    return best
+    walk = elementary_abelian_search(G.mul, 0, invs, [rep.trace(0) for rep in reps], extend,
+                                     _pairwise_commuting(G.mul, invs),
+                                     _isotropy_ceiling(G, reps, involutions))
+    return IsotropyResult(walk.rank, walk.gens)

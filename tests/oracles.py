@@ -22,6 +22,7 @@ from weakref import WeakKeyDictionary
 from sphererank.forms import FormFamily
 from sphererank.gf2 import BitMatrix, BitVector
 from sphererank.polyalg import GradedPoly
+from sphererank.repaction import WalkResult
 
 
 # -- naive GF(2) linear algebra -------------------------------------------------
@@ -523,17 +524,30 @@ def brute_center(mul, order: int) -> set[int]:
     }
 
 
-def reference_elementary_abelian_search(mul, identity, involutions, root, extend) -> None:
+def reference_elementary_abelian_search(mul, identity, involutions, root, extend, ceiling=None):
     """The elementary abelian subgroup walk with a commuting filter at every
     kept child and a visited set of sorted element tuples, kept as the
     reference for the package's walk: without pruning, that walk must make
     the same `extend` calls in the same order; under pruning that holds for
     every larger subgroup, it keeps the same subgroups in the same order and
-    skips only calls that this walk prunes."""
-    _reference_walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
+    skips only calls that this walk prunes.  The result is read off the
+    stream of calls: the first kept subgroup of largest rank, with its state,
+    and the number of calls plus one; with a ceiling the stream is left at
+    the first kept subgroup of that rank (at once for a ceiling of 0)."""
+    rank, gens, state, offered = 0, (), root, 1
+    if ceiling != 0:
+        walk = _reference_walk(mul, extend, set(), root, (), frozenset((identity,)), list(involutions))
+        for child_gens, child_state in walk:
+            offered += 1
+            if child_state is not None and len(child_gens) > rank:
+                rank, gens, state = len(child_gens), child_gens, child_state
+                if rank == ceiling:
+                    break
+    return WalkResult(rank, gens, state, offered)
 
 
-def _reference_walk(mul, extend, visited, state, gens, elements, cand) -> None:
+def _reference_walk(mul, extend, visited, state, gens, elements, cand):
+    """Yields (gens, state) of every extend call, in order, as it is made."""
     for k, v in enumerate(cand):
         if v in elements:
             continue
@@ -544,10 +558,11 @@ def _reference_walk(mul, extend, visited, state, gens, elements, cand) -> None:
             continue
         visited.add(key)
         child_gens = gens + (v,)
-        child_state = extend(state, child_gens, child, coset)
+        child_state = extend(state, child_gens, coset)
+        yield child_gens, child_state
         if child_state is not None:
             new_cand = [w for w in cand[k + 1 :] if mul(v, w) == mul(w, v)]
-            _reference_walk(mul, extend, visited, child_state, child_gens, child, new_cand)
+            yield from _reference_walk(mul, extend, visited, child_state, child_gens, child, new_cand)
 
 
 # -- signed permutations and exact rational eigen-checks ---------------------------

@@ -7,6 +7,7 @@ from sphererank.bounds import (
     HEADLINE_GUARD,
     CarlssonBound,
     _compose,
+    _perm_involutions,
     browder_min_m,
     carlsson_min_m,
     free_rank_rp,
@@ -30,32 +31,42 @@ def symmetric_table(n: int) -> list[list[int]]:
 
 def walk_arguments(audit, n: int, monkeypatch) -> tuple[list, object]:
     """The involutions and the commuting relation that audit(n) hands the walk."""
+    search = repaction.elementary_abelian_search
     seen = []
-    monkeypatch.setattr(repaction, "elementary_abelian_search",
-                        lambda mul, identity, invs, root, extend, commuting:
-                        seen.append((invs, commuting)))
+
+    def recording_search(mul, identity, invs, root, extend, commuting):
+        seen.append((invs, commuting))
+        return search(mul, identity, invs, root, extend, commuting)
+
+    monkeypatch.setattr(repaction, "elementary_abelian_search", recording_search)
     audit(n)
     return seen[0]
 
 
-def logged_walk(audit, n: int, monkeypatch) -> tuple[object, list]:
-    """audit(n) and (gens, elements, state) of every subgroup its walk offers,
+def logged_walk(audit, n: int, monkeypatch) -> tuple[object, list, object]:
+    """audit(n), (gens, elements, state) of every subgroup its walk offers,
     the trivial one first with the root state, each other with the state its
-    extend returns."""
+    extend returns, and the walk's result.  The logging state carries the
+    elements, the union of the cosets, next to the audit's own."""
     search = repaction.elementary_abelian_search
-    log = []
+    log, results = [], []
 
     def logging_search(mul, identity, invs, root, extend, commuting):
-        def logged(state, gens, elements, coset):
-            child = extend(state, gens, elements, coset)
+        def logged(pair, gens, coset):
+            state, elements = pair
+            elements = elements.union(coset)
+            child = extend(state, gens, coset)
             log.append((gens, elements, child))
-            return child
+            return None if child is None else (child, elements)
 
-        log.append(((), frozenset((identity,)), root))
-        search(mul, identity, invs, root, logged, commuting)
+        identity_set = frozenset((identity,))
+        log.append(((), identity_set, root))
+        result = search(mul, identity, invs, (root, identity_set), logged, commuting)
+        results.append(result._replace(state=result.state[0]))
+        return results[-1]
 
     monkeypatch.setattr(repaction, "elementary_abelian_search", logging_search)
-    return audit(n), log
+    return audit(n), log, results[-1]
 
 
 class TestFreeRankRp:
@@ -191,13 +202,23 @@ class TestPermRankAudit:
         """Burnside: the state of H, the points moved summed over its
         elements, is |H| (n - orbits), with the orbits of a union-find over
         the elements; the worst case reports the first subgroup of top rank."""
-        res, log = logged_walk(perm_rank_audit, n, monkeypatch)
-        assert len(log) == res.subgroups_checked
+        res, log, walk = logged_walk(perm_rank_audit, n, monkeypatch)
+        assert len(log) == res.subgroups_checked == walk.subgroups
         for gens, elements, total in log:
             assert len(elements) == 1 << len(gens)
             assert total == (n - perm_orbits(elements, n)) * len(elements), gens
-        first_worst = next(elements for gens, elements, _ in log if len(gens) == res.worst_rank)
-        assert res.worst_orbits == perm_orbits(first_worst, n)
+        first_worst = next(entry for entry in log if len(entry[0]) == res.worst_rank)
+        assert (walk.gens, walk.state) == (first_worst[0], first_worst[2])
+        assert res.worst_orbits == perm_orbits(first_worst[1], n)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_involutions_are_the_filtered_permutations(self, n):
+        """The transposition products, against the n! permutations filtered
+        for p p = 1, in the order `permutations` lists them."""
+        identity = tuple(range(n))
+        expected = [p for p in permutations(identity)
+                    if p != identity and all(p[p[i]] == i for i in identity)]
+        assert _perm_involutions(n) == expected
 
     def test_seven_points_worst_case(self):
         res = perm_rank_audit(7)
@@ -249,6 +270,7 @@ class TestBitSlicedCommuting:
     def test_every_ordered_pair(self, audit, n, monkeypatch):
         invs, commuting = walk_arguments(audit, n, monkeypatch)
         assert (len(invs) == 0) == (n <= 1)
+        assert len(set(invs)) == len(invs)  # the walk reads one position per involution
         everyone = list(range(len(invs)))
         for k, v in enumerate(invs):
             expected = [j for j, w in enumerate(invs) if _compose(v, w) == _compose(w, v)]

@@ -19,7 +19,13 @@ from pathlib import Path
 from sphererank.cli import dispatch
 from sphererank.repaction import elementary_abelian_table, quaternion_table
 
-from oracles import direct_product_table
+from oracles import (
+    brute_center,
+    direct_product_table,
+    naive_form_value,
+    naive_kernel_vectors,
+    naive_quadratic_value,
+)
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -117,6 +123,17 @@ MIXED_IDEAL = ("ideal_mixed234.json", {"nvars": 3, "gens": [
 # Quadratic systems for `forms czero`, each monomial a list of variable indices:
 # two equations of total degree 4 in six variables, which have a nonzero common
 # zero by Chevalley-Warning, and x0 + x1 + x0 x1 (x0 or x1), zero only at 0.
+# Hand-written families with a nonzero common radical, the one place the
+# centre's radical carries a q value (`FormFamily.beta` on its basis): the
+# all-ones form on F2^3 has radical <111>, where q is 1 (one order-4 central
+# direction), and two forms on F2^4 pairing x0 with x1 and x1 with x3 leave
+# <x2>, where q is 0 (centre rank t + 1).
+RADICAL_FAMILIES = {
+    "fam_radical_3_1.json": {"n": 3, "t": 1, "forms": [["011", "101", "110"]]},
+    "fam_radical_4_2.json": {"n": 4, "t": 2, "forms": [["0100", "1000", "0000", "0000"],
+                                                       ["0000", "0001", "0000", "0100"]]},
+}
+
 SYSTEMS = {"system_cw.json": {"v": 6, "polys": [[[0, 1], [2, 3], [4]], [[1, 2], [3, 5], [0]]]},
            "system_or.json": {"v": 2, "polys": [[[0], [1], [0, 1]]]}}
 
@@ -193,6 +210,8 @@ def _cases() -> list[list[str]]:
     # an empty token in an integer list, which was once dropped
     cases.append(["poly", "euler", "--table", "q8xc2c2.json", "--c-gens", "4", "--chars", "-1",
                   "--e-gens", "1,,2", "--e-rank", "2"])
+    for name in RADICAL_FAMILIES:
+        cases.append(["group", "info", "--family", name])
     return cases
 
 
@@ -201,7 +220,8 @@ def _render(capture) -> list[dict]:
     Path("q8xc2c2.json").write_text(json.dumps(
         {"order": 32, "mul": direct_product_table(quaternion_table(), elementary_abelian_table(2))}
     ))
-    for name, doc in {**IDEALS, MIXED_IDEAL[0]: MIXED_IDEAL[1], **SYSTEMS}.items():
+    for name, doc in {**IDEALS, MIXED_IDEAL[0]: MIXED_IDEAL[1], **SYSTEMS,
+                      **RADICAL_FAMILIES}.items():
         Path(name).write_text(json.dumps(doc))
     for name, action in ACTIONS.items():
         Path(name).write_text(json.dumps(action))
@@ -219,6 +239,48 @@ def test_reports_are_byte_identical(tmp_path, monkeypatch, capsys):
     assert [c["argv"] for c in got] == [c["argv"] for c in expected]
     for g, e in zip(got, expected):
         assert (g["exit"], g["stdout"]) == (e["exit"], e["stdout"]), " ".join(g["argv"])
+
+
+def _log2(size: int) -> int:
+    assert size & (size - 1) == 0, size
+    return size.bit_length() - 1
+
+
+def test_radical_reports_match_the_oracles():
+    """The pinned `group info` reports of the radical families, against brute
+    force over the group on pairs (a, b), id a | b << n, whose product adds
+    the cocycle a1^T L a2 of each form's strict lower triangle L to b."""
+    golden = {tuple(c["argv"]): c for c in json.loads(GOLDEN.read_text(encoding="utf-8"))}
+    for name, doc in RADICAL_FAMILIES.items():
+        n, t = doc["n"], doc["t"]
+        grams = [[[int(c) for c in row] for row in form] for form in doc["forms"]]
+        lower = [[[g[i][j] * (j < i) for j in range(n)] for i in range(n)] for g in grams]
+
+        def coords(a: int) -> list[int]:
+            return [(a >> i) & 1 for i in range(n)]
+
+        def mul(g: int, h: int) -> int:
+            a1, a2 = g & ((1 << n) - 1), h & ((1 << n) - 1)
+            beta = sum(naive_form_value(m, coords(a1), coords(a2)) << s for s, m in enumerate(lower))
+            return (a1 ^ a2) | ((g >> n) ^ (h >> n) ^ beta) << n
+
+        order = 1 << (n + t)
+        centre = brute_center(mul, order)
+        radical = naive_kernel_vectors([row for g in grams for row in g], n)
+        assert {z & ((1 << n) - 1) for z in centre} == {
+            sum(x << i for i, x in enumerate(v)) for v in radical
+        }
+        q_image = {tuple(naive_quadratic_value(g, list(v)) for g in grams) for v in radical}
+        result = json.loads(golden[("group", "info", "--family", name)]["stdout"])["result"]
+        assert result == {
+            "center_a_radical_dim": _log2(len(radical)),
+            "center_order4_dim": _log2(len(q_image)),
+            "center_rank": _log2(sum(1 for z in centre if mul(z, z) == 0)),
+            "n": n,
+            "order": str(order),
+            "t": t,
+        }
+        assert result["center_a_radical_dim"] == 1  # the radical is not zero
 
 
 if __name__ == "__main__":

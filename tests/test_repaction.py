@@ -430,13 +430,14 @@ class TestElementaryAbelianSearch:
         oracle = GroupOracle.from_table(table)
         seen = [frozenset({0})]
 
-        def extend(depth, gens, elements, coset):
+        def extend(elements, gens, coset):  # the state is the union of the cosets
+            elements = elements.union(coset)
             assert len(elements) == 2 ** len(gens) == 2 * len(coset)
             assert elements == frozenset(oracle.closure(list(gens)))
             seen.append(elements)
-            return depth + 1
+            return elements
 
-        pairwise_walk(oracle.mul, 0, oracle.involutions(), 0, extend)
+        pairwise_walk(oracle.mul, 0, oracle.involutions(), seen[0], extend)
         assert len(seen) == len(set(seen))
         assert set(seen) == all_elem_abelian_subgroups(oracle.mul, oracle.order)
 
@@ -444,25 +445,14 @@ class TestElementaryAbelianSearch:
         oracle = GroupOracle.from_table(elementary_abelian_table(3))
         seen = []
 
-        def extend(state, gens, elements, coset):
+        def extend(elements, gens, coset):
+            elements = elements.union(coset)
             seen.append(elements)
-            return None if len(gens) == 2 else state
+            return None if len(gens) == 2 else elements
 
-        pairwise_walk(oracle.mul, 0, oracle.involutions(), True, extend)
+        pairwise_walk(oracle.mul, 0, oracle.involutions(), frozenset({0}), extend)
         # C2^3 has 7 subgroups of order 2 and 7 of order 4; the whole group lies below a prune
         assert sorted(len(e) for e in seen) == [2] * 7 + [4] * 7
-
-    def test_an_involution_listed_twice_is_walked_once(self):
-        oracle = GroupOracle.from_table(elementary_abelian_table(3))
-        invs = oracle.involutions()
-        seen = []
-
-        def extend(state, gens, elements, coset):
-            seen.append(elements)
-            return state
-
-        pairwise_walk(oracle.mul, 0, invs + invs[::-1], True, extend)
-        assert len(seen) == len(set(seen)) == 7 + 7 + 1
 
 
 class TestMaxIsotropyRank:
@@ -562,10 +552,11 @@ WALKS = {**{f"s{n}": symmetric_walk(n) for n in range(1, 7)},
          **{f"gl{n}": general_linear_walk(n) for n in range(1, 4)}}
 
 
-def pairwise_walk(mul, identity, invs, root, extend) -> None:
+def pairwise_walk(mul, identity, invs, root, extend, ceiling=None) -> repaction.WalkResult:
     """The walk with the isotropy search's commuting relation: a pair is
     compared with two products the first time a kept child asks."""
-    elementary_abelian_search(mul, identity, invs, root, extend, _pairwise_commuting(mul, invs))
+    return elementary_abelian_search(mul, identity, invs, root, extend,
+                                     _pairwise_commuting(mul, invs), ceiling)
 
 
 def audit_relation(name: str):
@@ -582,15 +573,16 @@ def audit_relation(name: str):
 
 def without_relation(search):
     """A walk that decides commuting itself, called like the package's walk."""
-    return lambda mul, identity, invs, root, extend, commuting: search(
-        mul, identity, invs, root, extend
+    return lambda mul, identity, invs, root, extend, commuting, ceiling=None: search(
+        mul, identity, invs, root, extend, ceiling
     )
 
 
 def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list, list]:
     """The extend calls of one walk as (gens, elements, coset set, kept), and
     every product it took.  With prune_every = p, a subgroup holding any of
-    invs[p - 1 :: p] is pruned, a condition every larger subgroup shares."""
+    invs[p - 1 :: p] is pruned, a condition every larger subgroup shares.
+    The state is the subgroup's elements, the union of its cosets."""
     calls, products = [], []
     pruning = set(invs[prune_every - 1 :: prune_every]) if prune_every else set()
 
@@ -598,20 +590,21 @@ def logged_walk(search, mul, identity, invs, prune_every: int = 0) -> tuple[list
         products.append((a, b))
         return mul(a, b)
 
-    def extend(state, gens, elements, coset):
+    def extend(elements, gens, coset):
+        elements = elements.union(coset)
         kept = pruning.isdisjoint(elements)
         calls.append((gens, elements, frozenset(coset), kept))
-        return state if kept else None
+        return elements if kept else None
 
-    search(counting_mul, identity, invs, True, extend)
+    search(counting_mul, identity, invs, frozenset((identity,)), extend)
     return calls, products
 
 
 def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
     """max_isotropy_rank(G, reps) run on the given walk, with its extend calls
     and products logged as in logged_walk, those of its commuting relation
-    included.  The call that reaches the ceiling ends the walk and counts as
-    kept."""
+    included.  The logging state carries the elements next to the search's
+    trace sums."""
     calls, products = [], []
 
     def counting(mul):
@@ -621,21 +614,23 @@ def logged_isotropy(search, G, reps, monkeypatch) -> tuple:
 
         return counting_mul
 
-    def logged_search(mul, identity, invs, root, extend, commuting):
-        def logged_extend(state, gens, elements, coset):
-            call = [gens, elements, frozenset(coset), True]
-            calls.append(call)
-            child = extend(state, gens, elements, coset)
-            call[3] = child is not None
-            return child
+    def logged_search(mul, identity, invs, root, extend, commuting, ceiling):
+        def logged_extend(pair, gens, coset):
+            state, elements = pair
+            elements = elements.union(coset)
+            child = extend(state, gens, coset)
+            calls.append((gens, elements, frozenset(coset), child is not None))
+            return None if child is None else (child, elements)
 
-        search(counting(mul), identity, invs, root, logged_extend, commuting)
+        pair = (root, frozenset((identity,)))
+        result = search(counting(mul), identity, invs, pair, logged_extend, commuting, ceiling)
+        return result._replace(state=result.state[0])
 
     monkeypatch.setattr(repaction, "elementary_abelian_search", logged_search)
     monkeypatch.setattr(repaction, "_pairwise_commuting",
                         lambda mul, invs: _pairwise_commuting(counting(mul), invs))
     result = max_isotropy_rank(G, reps)
-    return result, [tuple(call) for call in calls], products
+    return result, calls, products
 
 
 def compared_pairs(products: list) -> Counter:
@@ -733,6 +728,69 @@ class TestWalkMatchesReference:
         assert calls == pairwise_calls
         tests = 2 * sum(compared_pairs(pairwise_products).values())
         assert len(products) == len(pairwise_products) - tests
+
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_the_result_is_read_off_the_reference_calls(self, name):
+        """Without pruning the walk reaches one subgroup per reference call
+        and the trivial one, and keeps the first of largest rank."""
+        mul, identity, invs = WALKS[name]
+        calls, _ = logged_walk(reference_elementary_abelian_search, mul, identity, invs)
+        args = (mul, identity, invs, frozenset((identity,)),
+                lambda elements, gens, coset: elements.union(coset))
+        result = pairwise_walk(*args)
+        assert result.subgroups == len(calls) + 1
+        top = max((len(c[0]) for c in calls), default=0)
+        first = next((c for c in calls if len(c[0]) == top), ((), frozenset((identity,))))
+        assert result[:3] == (top, first[0], first[1])
+        assert reference_elementary_abelian_search(*args) == result
+
+    @pytest.mark.parametrize("prune_every", [0, 3])
+    @pytest.mark.parametrize("name", sorted(WALKS))
+    def test_a_ceiling_stops_at_the_first_kept_subgroup_of_its_rank(self, name, prune_every):
+        """With a ceiling r the walk makes the full walk's calls up to the
+        first kept subgroup of rank r and returns it, the subgroup at which
+        the incumbent of the full walk first reaches r; the trivial subgroup
+        reaches 0, so a ceiling of 0 makes no call.  A ceiling above the
+        largest rank runs the full walk."""
+        mul, identity, invs = WALKS[name]
+        pruning = set(invs[prune_every - 1 :: prune_every]) if prune_every else set()
+
+        def run(ceiling):
+            calls = []
+
+            def extend(elements, gens, coset):
+                elements = elements.union(coset)
+                kept = pruning.isdisjoint(elements)
+                calls.append((gens, elements, kept))
+                return elements if kept else None
+
+            result = pairwise_walk(mul, identity, invs, frozenset((identity,)), extend, ceiling)
+            return calls, result
+
+        full, whole = run(None)
+        for ceiling in range(whole.rank + 1):
+            calls, result = run(ceiling)
+            stop = next((i for i, (gens, _, kept) in enumerate(full)
+                         if kept and len(gens) == ceiling), -1)
+            assert calls == full[: stop + 1]
+            assert result.rank == ceiling and result.subgroups == len(calls) + 1
+            witness = full[stop][:2] if ceiling else ((), frozenset((identity,)))
+            assert (result.gens, result.state) == witness
+        assert run(whole.rank + 1) == (full, whole)
+
+    @pytest.mark.parametrize("case", SMALL_FAMILIES + sorted(TABLE_REPS), ids=str)
+    def test_the_isotropy_search_lists_each_involution_once(self, case, monkeypatch):
+        """The walk's canonical rule reads each involution's one position."""
+        G, reps = table_reps(case) if case in TABLE_REPS else stock(*case)
+        walk, lists = repaction.elementary_abelian_search, []
+
+        def recording_walk(mul, identity, invs, *args):
+            lists.append(invs)
+            return walk(mul, identity, invs, *args)
+
+        monkeypatch.setattr(repaction, "elementary_abelian_search", recording_walk)
+        max_isotropy_rank(G, reps)
+        assert len(lists) == 1 and len(set(lists[0])) == len(lists[0])
 
     @pytest.mark.parametrize("ceiling", [True, False], ids=["ceiling", "full"])
     @pytest.mark.parametrize("case", SMALL_FAMILIES + sorted(TABLE_REPS), ids=str)
